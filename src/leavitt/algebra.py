@@ -396,7 +396,7 @@ def _parse_path(g: Graph, token: str) -> PathSeq:
         raise ValueError("empty path")
     if token in g.vertex_set:
         return PathSeq.at(token)
-    by_name = {e.name: e for e in g.edges}
+    by_name = g._edge_by_name
     n = len(token)
     # names may contain dots, so segment by trying every edge name at each cut
     complete: list[tuple[str, ...]] = []

@@ -194,14 +194,15 @@ def _cmd_analyze(args) -> int:
     g = _read_graph(args.graph)
     r = args.unit_rank
     summary = k_summary(g, r)
-    verdict = classify_algebra(g, r)
+    verdict = classify_algebra(summary)
+    no_sinks = str(verdict.no_sinks).lower()
     lines = [
         f"rank_k0 {summary.rank_k0}",
         f"rank_k1(r={_rank_text(r)}) {_rank_text(summary.rank_k1)}",
         "torsion " + (",".join(str(d) for d in summary.torsion) or "none"),
         f"singular {summary.singular_count}",
-        f"is_ck {str(verdict.is_ck).lower()}",
-        f"strongly_graded {str(verdict.strongly_graded).lower()}",
+        f"is_ck {no_sinks}",
+        f"strongly_graded {no_sinks}",
         f"criterion4 {str(verdict.criterion4).lower()}",
         "criterion5 "
         + (verdict.criterion5_note if verdict.criterion5 is None

@@ -26,13 +26,12 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .algebra import CkFamily, LpaElement, Monomial, element
-from .graph import Edge, Graph, PathSeq, classify, hereditary_closure, serialize_graph
-from .moves import attach_head, matrix_graph, stabilization_fragment
+from .graph import Edge, Graph, PathSeq, classify
+from .moves import attach_head, matrix_graph
 
 __all__ = [
     "Forest",
     "build_forest",
-    "tau",
     "t_corner",
     "corner_family",
     "corner_weights",
@@ -96,12 +95,14 @@ class Forest:
                     raise ValueError("the tree edges contain a cycle")
 
     @cached_property
+    def vertex_set(self) -> frozenset[str]:
+        ends = {v for e in self.tree_edges for v in (e.src, e.dst)}
+        return frozenset(self.roots) | ends
+
+    @cached_property
     def vertices(self) -> tuple[str, ...]:
         """Forest vertices in host declaration order."""
-        members = set(self.roots) | {e.src for e in self.tree_edges} | {
-            e.dst for e in self.tree_edges
-        }
-        return tuple(v for v in self.graph.vertices if v in members)
+        return tuple(v for v in self.graph.vertices if v in self.vertex_set)
 
     @cached_property
     def parent(self) -> dict[str, Edge]:
@@ -115,7 +116,7 @@ class Forest:
 
     def tau(self, v: str) -> PathSeq:
         """The unique forest path from a root down to ``v``."""
-        if v not in set(self.vertices):
+        if v not in self.vertex_set:
             raise ValueError(f"vertex {v!r} is not in the forest")
         chain: list[Edge] = []
         u = v
@@ -162,12 +163,7 @@ def build_forest(g: Graph, roots: Iterable[str]) -> Forest:
         e = min(candidates, key=lambda e: e.name)
         chosen.append(e)
         reached.add(e.dst)
-    assert reached == set(hereditary_closure(g, x))
     return Forest(g, tuple(sorted(x)), tuple(chosen))
-
-
-def tau(t: Forest, v: str) -> PathSeq:
-    return t.tau(v)
 
 
 def _corner_vertices(g: Graph, t: Forest) -> tuple[str, ...]:
@@ -183,7 +179,7 @@ def _corner_vertices(g: Graph, t: Forest) -> tuple[str, ...]:
 
 def _corner_edges(g: Graph, t: Forest) -> list[tuple[Edge, str]]:
     """(host edge, kept vertex below its range) pairs, in declaration order."""
-    tset = set(t.vertices)
+    tset = t.vertex_set
     tree_names = {e.name for e in t.tree_edges}
     kept = _corner_vertices(g, t)
     kept_set = set(kept)
@@ -235,7 +231,7 @@ def corner_weights(g: Graph, t: Forest) -> dict[str, int]:
     other edge weighs 1."""
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
-    tset = set(t.vertices)
+    tset = t.vertex_set
     tree_names = {e.name for e in t.tree_edges}
     out: dict[str, int] = {}
     for e in g.edges:
@@ -251,9 +247,9 @@ def full_idempotent_corner(g: Graph, m: Mapping[str, int], n: int) -> Graph:
 
     ``m`` assigns every vertex a multiplicity >= 1 with ``n >= max(m)``.  The
     chosen vertex set is hereditary in the matrix form, so the corner is just
-    the graph with a head of length m(v)-1 attached at each vertex; the same
-    graph is recomputed through ``t_corner`` (with the trivial forest, which
-    renames each edge ``e`` to ``e_<target>``) as an internal cross-check.
+    the graph with a head of length m(v)-1 attached at each vertex: it equals
+    ``t_corner`` of the matrix form under the trivial forest on that set, up
+    to the renaming of each edge ``e`` to ``e_<target>``.
     """
     profile = classify(g)
     if profile.sinks or profile.sources:
@@ -267,36 +263,28 @@ def full_idempotent_corner(g: Graph, m: Mapping[str, int], n: int) -> Graph:
             raise ValueError(f"multiplicity of {v!r} must be a positive integer")
     if not isinstance(n, int) or n < max(m.values()):
         raise ValueError("the matrix size must be at least every multiplicity")
-    mn = matrix_graph(g, n)
-    picked = set(g.vertices)
-    for v in g.vertices:
-        picked.update(f"{v}.h{i}" for i in range(1, m[v]))
     induced = g
     for v in g.vertices:
         if m[v] > 1:
             induced = attach_head(induced, v, m[v] - 1)
-    roots = tuple(v for v in mn.vertices if v in picked)
-    corner = t_corner(mn, Forest(mn, roots, ()))
-    renamed = Graph(
-        induced.vertices,
-        tuple(Edge(f"{e.name}_{e.dst}", e.src, e.dst) for e in induced.edges),
-    )
-    assert serialize_graph(corner) == serialize_graph(renamed)
     return induced
 
 
 def se_corner(g: Graph, xs: Iterable[str], k: int) -> Graph:
     """Corner of the stabilized graph, computed in its depth-k truncation.
 
-    ``xs`` names vertices of the fragment (head coordinates like ``v.h2``
-    allowed).  The result does not depend on the depth once every name fits
-    and the root set is proper; that independence is asserted by recomputing
-    at depth k+1.
+    The depth-k truncation of the fully stabilized graph is the graph with
+    a head of length k at every vertex; depth 0 is the graph itself.  ``xs``
+    names vertices of the fragment (head coordinates like ``v.h2`` allowed).
+    The result does not depend on the depth once every name fits and the
+    root set is proper.
     """
     x = sorted(set(xs))
     if not x:
         raise ValueError("the root set must be nonempty")
-    frag = stabilization_fragment(g, k)
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("the depth must be a nonnegative integer")
+    frag = matrix_graph(g, k + 1)
     for v in x:
         if v not in frag.vertex_set:
             raise ValueError(
@@ -305,11 +293,7 @@ def se_corner(g: Graph, xs: Iterable[str], k: int) -> Graph:
             )
     if len(x) == len(frag.vertices):
         raise ValueError("the root set exhausts the fragment; increase the depth")
-    corner = t_corner(frag, build_forest(frag, x))
-    deeper = stabilization_fragment(g, k + 1)
-    check = t_corner(deeper, build_forest(deeper, x))
-    assert serialize_graph(corner) == serialize_graph(check)
-    return corner
+    return t_corner(frag, build_forest(frag, x))
 
 
 def parse_forest(text: str, g: Graph) -> Forest:

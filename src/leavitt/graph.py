@@ -233,17 +233,16 @@ class VertexClassification:
     sinks: tuple[str, ...]
     sources: tuple[str, ...]
     regular: tuple[str, ...]
-    singular: tuple[str, ...]
 
 
 def classify(g: Graph) -> VertexClassification:
     """Partition the vertices: sinks emit nothing, sources receive nothing,
     regular vertices emit at least one edge (finitely many, the graph being
-    finite), and the singular ones are exactly the sinks."""
+    finite).  The singular vertices are exactly the sinks."""
     sinks = sorted(v for v in g.vertices if not g._out[v])
     sources = sorted(v for v in g.vertices if not g._in[v])
     regular = sorted(v for v in g.vertices if g._out[v])
-    return VertexClassification(tuple(sinks), tuple(sources), tuple(regular), tuple(sinks))
+    return VertexClassification(tuple(sinks), tuple(sources), tuple(regular))
 
 
 def reaches(g: Graph, v: str, w: str) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, classify
+from .graph import Graph
 
 __all__ = [
     "INF",
@@ -214,42 +214,39 @@ def k0_invariant_data(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    """Equivalent characterizations of when the algebra of a finite
-    source-free graph embeds the full family of generators with no sinks.
+    """Equivalent characterizations of when the algebra of a finite graph
+    embeds the full family of generators with no sinks.
 
-    ``criterion4`` compares the two C*-ranks; ``criterion5`` compares
-    rank K1 against (r+1) * rank K0 and is None (inapplicable) for an
-    infinite unit-group rank.  ``consistent`` records that the rank-based
-    criteria agreed with the combinatorial one; it is a bug detector and
-    should always be True.
+    ``no_sinks`` is also the verdict that the algebra is an algebraic
+    Cuntz-Krieger algebra and that it is strongly graded: for a finite
+    graph all three coincide.  ``criterion4`` compares the two C*-ranks;
+    ``criterion5`` compares rank K1 against (r+1) * rank K0 and is None
+    (inapplicable) for an infinite unit-group rank.  ``consistent`` records
+    that the rank-based criteria agreed with the combinatorial one; it is a
+    bug detector and should always be True.
     """
 
     no_sinks: bool
-    is_ck: bool
-    strongly_graded: bool
     criterion4: bool
     criterion5: "bool | None"
     criterion5_note: str
     consistent: bool
 
 
-def classify_algebra(g: Graph, unit_rank: "int | float" = 0) -> ClassificationVerdict:
-    _check_unit_rank(unit_rank)
-    s = k_summary(g, unit_rank)
-    no_sinks = not classify(g).sinks
+def classify_algebra(s: KSummary) -> ClassificationVerdict:
+    """The verdicts, read off a K-theory summary without recomputing it."""
+    no_sinks = s.singular_count == 0
     criterion4 = s.rank_k0 == s.rank_k1_cstar
-    if unit_rank == INF:
+    if s.unit_rank == INF:
         criterion5: "bool | None" = None
         note = "inapplicable: infinite unit-group rank"
         consistent = criterion4 == no_sinks
     else:
-        criterion5 = s.rank_k1 == (unit_rank + 1) * s.rank_k0
+        criterion5 = s.rank_k1 == (s.unit_rank + 1) * s.rank_k0
         note = ""
         consistent = criterion4 == no_sinks and criterion5 == no_sinks
     return ClassificationVerdict(
         no_sinks=no_sinks,
-        is_ck=no_sinks,
-        strongly_graded=no_sinks,
         criterion4=criterion4,
         criterion5=criterion5,
         criterion5_note=note,

@@ -48,7 +48,6 @@ __all__ = [
     "eliminate_source",
     "desourcify",
     "matrix_graph",
-    "stabilization_fragment",
     "apply_move",
     "replay",
     "serialize_trace",
@@ -79,56 +78,67 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> tuple[PathSeq, ...]:
     """
     h = _checked_hereditary(g, hs)
     boundary = [e for e in g.edges if e.src not in h and e.dst in h]
-    outside = [e for e in g.edges if e.src not in h and e.dst not in h]
+    # h is hereditary, so every edge into an outside vertex starts outside
+    can_reach = _coreachable(g, {e.src for e in boundary})
     # a cycle outside h that reaches a boundary source makes the family infinite
-    sources_needed = {e.src for e in boundary}
-    can_reach: set[str] = set(sources_needed)
-    changed = True
-    while changed:
-        changed = False
-        for e in outside:
-            if e.dst in can_reach and e.src not in can_reach:
-                can_reach.add(e.src)
-                changed = True
-    relevant = [e for e in outside if e.src in can_reach and e.dst in can_reach]
-    if _has_cycle(can_reach, relevant):
+    if _has_cycle(can_reach, [e for v in can_reach for e in g._in[v]]):
         raise ValueError("a cycle outside the hereditary set reaches it: "
                          "infinitely many entry paths")
-    prefix_cache: dict[str, list[tuple[Edge, ...]]] = {}
-
-    def prefixes_to(v: str) -> list[tuple[Edge, ...]]:
-        if v not in prefix_cache:
-            acc: list[tuple[Edge, ...]] = [()]
-            for e in relevant:
-                if e.dst == v:
-                    acc.extend(p + (e,) for p in prefixes_to(e.src))
-            prefix_cache[v] = acc
-        return prefix_cache[v]
-
-    paths = [
-        PathSeq.of(prefix + (b,))
-        for b in boundary
-        for prefix in prefixes_to(b.src)
-    ]
+    paths = [PathSeq.of(p) for b in boundary for p in _paths_ending_with(g, b)]
     paths.sort(key=lambda p: p.label())
     return tuple(paths)
 
 
-def _has_cycle(vertices: set[str], edges: list[Edge]) -> bool:
-    indeg = {v: 0 for v in vertices}
+def _paths_ending_with(g: Graph, b: Edge) -> list[tuple[Edge, ...]]:
+    """Every path whose last edge is ``b``, in depth-first preorder of the
+    backward walk from ``b`` (in-edges in declaration order).
+
+    The graph behind ``b`` must be acyclic.  The walk is iterative and costs
+    time proportional to its output, however long the paths are.
+    """
+    trail = [b]  # the current path, read backwards from b
+    frames = [iter(g._in[b.src])]
+    out = [(b,)]
+    while frames:
+        e = next(frames[-1], None)
+        if e is None:
+            frames.pop()
+            trail.pop()
+        else:
+            trail.append(e)
+            out.append(tuple(reversed(trail)))
+            frames.append(iter(g._in[e.src]))
+    return out
+
+
+def _coreachable(g: Graph, targets: set[str]) -> set[str]:
+    """Vertices with a path (possibly of length 0) into ``targets``."""
+    seen = set(targets)
+    stack = list(targets)
+    while stack:
+        for e in g._in[stack.pop()]:
+            if e.src not in seen:
+                seen.add(e.src)
+                stack.append(e.src)
+    return seen
+
+
+def _has_cycle(vertices: Iterable[str], edges: list[Edge]) -> bool:
+    """Kahn's algorithm in O(V + E): a cycle is what never reaches in-degree 0."""
+    indeg = dict.fromkeys(vertices, 0)
+    succ: dict[str, list[str]] = {v: [] for v in indeg}
     for e in edges:
         indeg[e.dst] += 1
+        succ[e.src].append(e.dst)
     queue = [v for v, d in indeg.items() if d == 0]
     removed = 0
     while queue:
-        u = queue.pop()
         removed += 1
-        for e in edges:
-            if e.src == u:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    queue.append(e.dst)
-    return removed < len(vertices)
+        for w in succ[queue.pop()]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return removed < len(indeg)
 
 
 def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
@@ -157,34 +167,21 @@ class ExpansionReport:
 
     complement_acyclic: bool
     all_reach: bool
-    boundary_finite: bool
     ok: bool
 
 
 def expansion_preconditions(g: Graph, hs: Iterable[str]) -> ExpansionReport:
     """Check the hypotheses: the graph outside the set (with the edges ranging
-    outside it) is acyclic and finite, every outside vertex reaches the set,
-    and only finitely many edges cross into it (automatic here)."""
+    outside it) is acyclic and finite, and every outside vertex reaches the
+    set.  Only finitely many edges cross into it, the graph being finite."""
     h = frozenset(hs)
     for v in h:
         g.require_vertex(v)
-    outside_edges = [e for e in g.edges if e.dst not in h]
     outside_vertices = {v for v in g.vertices if v not in h}
-    acyclic = not _has_cycle(outside_vertices, [e for e in outside_edges
-                                                if e.src in outside_vertices])
-    # vertices that reach h: backward closure of h over all edges
-    reach = set(h)
-    changed = True
-    while changed:
-        changed = False
-        for e in g.edges:
-            if e.dst in reach and e.src not in reach:
-                reach.add(e.src)
-                changed = True
-    all_reach = outside_vertices <= reach
-    boundary_finite = True
-    return ExpansionReport(acyclic, all_reach, boundary_finite,
-                           acyclic and all_reach and boundary_finite)
+    outside_edges = [e for e in g.edges if e.src not in h and e.dst not in h]
+    acyclic = not _has_cycle(outside_vertices, outside_edges)
+    all_reach = outside_vertices <= _coreachable(g, set(h))
+    return ExpansionReport(acyclic, all_reach, acyclic and all_reach)
 
 
 def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
@@ -389,28 +386,31 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     profile = classify(g)
     if profile.sinks:
         raise ValueError("desourcify requires a graph with no sinks")
-    records: list[MoveRecord] = []
-    cur = g
-    while True:
-        srcs = classify(cur).sources
-        if not srcs:
-            break
-        v = srcs[0]
-        nxt = eliminate_source(cur, v)
-        records.append(MoveRecord("EliminateSource", (v,), graph_hash(cur), graph_hash(nxt)))
-        cur = nxt
-    if not records:
+    if not profile.sources:
         return g, MoveTrace(())
+    records: list[MoveRecord] = []
+    hashes: dict[Graph, str] = {}
+
+    def record(kind: str, params: tuple[str, ...], src: Graph, out: Graph) -> None:
+        # equal graphs serialize identically, so each one is hashed once even
+        # when two moves produce it (eliminating every path-vertex source
+        # aimed at one core vertex can rebuild the core itself)
+        for x in (src, out):
+            if x not in hashes:
+                hashes[x] = graph_hash(x)
+        records.append(MoveRecord(kind, params, hashes[src], hashes[out]))
+
+    cur, srcs = g, profile.sources
+    while srcs:
+        nxt = eliminate_source(cur, srcs[0])
+        record("EliminateSource", (srcs[0],), cur, nxt)
+        cur = nxt
+        srcs = classify(cur).sources
     core = cur
     if not core.vertices:
         raise AssertionError("a finite sink-free graph keeps a cycle; the core cannot be empty")
     expanded = expand_hereditary(g, core.vertices)
-    records.append(MoveRecord(
-        "ExpandHereditary",
-        (",".join(sorted(core.vertices)),),
-        graph_hash(g),
-        graph_hash(expanded),
-    ))
+    record("ExpandHereditary", (",".join(sorted(core.vertices)),), g, expanded)
     cur = expanded
     for v in sorted(core.vertices):
         aimed = sorted(
@@ -422,21 +422,13 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
         n = len(aimed)
         for w in aimed:
             nxt = eliminate_source(cur, w)
-            records.append(MoveRecord("EliminateSource", (w,), graph_hash(cur), graph_hash(nxt)))
+            record("EliminateSource", (w,), cur, nxt)
             cur = nxt
         base = cur
-        headed = attach_head(base, v, n)
-        records.append(MoveRecord(
-            "AttachHead", (v, str(n)), graph_hash(base), graph_hash(headed)
-        ))
+        record("AttachHead", (v, str(n)), base, attach_head(base, v, n))
         e0 = min(e.name for e in base.in_edges(v))
-        sub = subdivide_edge(base, e0, n)
-        records.append(MoveRecord(
-            "SubdivideEdge", (e0, str(n)), graph_hash(base), graph_hash(sub)
-        ))
-        cur = sub
-    final = classify(cur)
-    assert not final.sources and not final.sinks
+        cur = subdivide_edge(base, e0, n)
+        record("SubdivideEdge", (e0, str(n)), base, cur)
     return cur, MoveTrace(tuple(records))
 
 
@@ -451,11 +443,3 @@ def matrix_graph(g: Graph, n: int) -> Graph:
         for v in g.vertices:
             cur = attach_head(cur, v, n - 1)
     return cur
-
-
-def stabilization_fragment(g: Graph, k: int) -> Graph:
-    """The depth-k truncation of the fully stabilized graph: a head of
-    length k at every vertex.  Depth 0 is the graph itself."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("the depth must be a nonnegative integer")
-    return matrix_graph(g, k + 1)

@@ -7,9 +7,11 @@ Budgets are wall-clock seconds measured with ``time.monotonic``.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import random
 import time
+from pathlib import Path
 
 from conftest import (
     funnel_into_cycle,
@@ -21,6 +23,7 @@ from conftest import (
     two_way_line,
 )
 from test_ktheory import oracle_invariant_factors
+import leavitt
 from leavitt.algebra import CkFamily, degree, verify_ck_family
 from leavitt.cli import run
 from leavitt.corners import build_forest, corner_family, corner_weights, t_corner
@@ -104,8 +107,8 @@ def test_criterion_04_infinite_unit_rank(capsys):
         summary = k_summary(g, INF)
         assert summary.rank_k0 == 1
         assert summary.rank_k1 == INF
-        verdict = classify_algebra(g, INF)
-        assert not verdict.is_ck
+        verdict = classify_algebra(summary)
+        assert not verdict.no_sinks
         assert verdict.criterion5 is None
         assert verdict.criterion5_note == "inapplicable: infinite unit-group rank"
 
@@ -269,3 +272,13 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
         assert parsed == trace
         assert replay(parsed, sourced) == desourced
         assert parsed.records[-1].output_hash == graph_hash(desourced)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert: invariants are explicit checks, cross-checks are tests
+    found = []
+    for path in sorted(Path(leavitt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -26,9 +26,9 @@ from leavitt.corners import (
     serialize_forest,
     t_corner,
 )
-from leavitt.graph import Edge, Graph, classify, hs_closure, serialize_graph
+from leavitt.graph import Edge, Graph, classify, hereditary_closure, hs_closure, serialize_graph
 from leavitt.ktheory import k0_invariant_data
-from leavitt.moves import attach_head
+from leavitt.moves import attach_head, matrix_graph
 
 
 # ── forests ───────────────────────────────────────────────────────────────────
@@ -53,6 +53,16 @@ def test_build_forest_loops_and_chords():
     assert t.vertices == ("2", "3", "4")
     assert t.tau("4").label() == "alpha.beta"
     assert t.leaves == ("4",)
+
+
+def test_build_forest_spans_hereditary_closure():
+    rng = random.Random(37)
+    for _ in range(60):
+        g = random_graph(rng, max_vertices=7, max_edges=14)
+        if len(g.vertices) < 2:
+            continue
+        xs = rng.sample(g.vertices, rng.randint(1, len(g.vertices) - 1))
+        assert set(build_forest(g, xs).vertices) == set(hereditary_closure(g, xs))
 
 
 def test_build_forest_input_checks():
@@ -250,6 +260,30 @@ def test_full_idempotent_corner_k_data():
     assert k0_invariant_data(out) == k0_invariant_data(g)
 
 
+def test_full_idempotent_corner_is_matrix_form_corner():
+    # the corner of the n x n matrix form under the trivial forest on the
+    # picked vertices, with each edge e renamed e_<target>
+    rng = random.Random(47)
+    done = 0
+    while done < 20:
+        g = random_graph(rng, max_vertices=5, max_edges=10, no_sinks=True)
+        if classify(g).sources:
+            continue
+        m = {v: rng.randint(1, 3) for v in g.vertices}
+        n = max(m.values()) + rng.randint(0, 1)
+        out = full_idempotent_corner(g, m, n)
+        mn = matrix_graph(g, n)
+        picked = set(g.vertices) | {f"{v}.h{i}" for v in g.vertices for i in range(1, m[v])}
+        roots = tuple(v for v in mn.vertices if v in picked)
+        corner = t_corner(mn, Forest(mn, roots, ()))
+        renamed = Graph(
+            out.vertices,
+            tuple(Edge(f"{e.name}_{e.dst}", e.src, e.dst) for e in out.edges),
+        )
+        assert serialize_graph(corner) == serialize_graph(renamed)
+        done += 1
+
+
 def test_full_idempotent_corner_argument_checks():
     g = rose2()
     with pytest.raises(ValueError):
@@ -292,6 +326,20 @@ def test_se_corner_mixed_roots():
     ]
 
 
+def test_se_corner_independent_of_depth():
+    rng = random.Random(53)
+    done = 0
+    while done < 40:
+        g = random_graph(rng, max_vertices=5, max_edges=10)
+        k = rng.randint(0, 2)
+        frag = matrix_graph(g, k + 1)
+        if len(frag.vertices) < 2:
+            continue
+        xs = rng.sample(frag.vertices, rng.randint(1, min(3, len(frag.vertices) - 1)))
+        assert serialize_graph(se_corner(g, xs, k)) == serialize_graph(se_corner(g, xs, k + 1))
+        done += 1
+
+
 def test_se_corner_depth_errors():
     with pytest.raises(ValueError, match="increase the depth"):
         se_corner(rose2(), ["v.h2"], 1)
@@ -299,3 +347,5 @@ def test_se_corner_depth_errors():
         se_corner(rose2(), ["v"], 0)
     with pytest.raises(ValueError):
         se_corner(rose2(), [], 1)
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        se_corner(rose2(), ["v"], -1)

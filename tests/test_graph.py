@@ -187,26 +187,25 @@ def test_classify_funnel():
     assert c.sinks == ()
     assert c.sources == ("5",)
     assert c.regular == ("1", "2", "3", "4", "5")
-    assert c.singular == ()
 
 
 def test_classify_isolated_vertex():
     c = classify(Graph(("v",), ()))
     assert c.sinks == ("v",) and c.sources == ("v",)
-    assert c.regular == () and c.singular == ("v",)
+    assert c.regular == ()
 
 
 def test_classify_arrow():
     c = classify(arrow())
-    assert c.sinks == ("2",) and c.singular == ("2",) and c.regular == ("1",)
+    assert c.sinks == ("2",) and c.regular == ("1",)
 
 
 @given(graphs())
 def test_classify_partitions(g):
     c = classify(g)
-    assert sorted(c.regular + c.singular) == sorted(g.vertices)
-    assert not set(c.regular) & set(c.singular)
-    assert set(c.singular) == set(c.sinks)
+    assert sorted(c.regular + c.sinks) == sorted(g.vertices)
+    assert not set(c.regular) & set(c.sinks)
+    assert set(c.sinks) == {v for v in g.vertices if not g.out_edges(v)}
 
 
 # ── reachability ──────────────────────────────────────────────────────────────

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leavitt.ktheory
 from conftest import arrow, funnel_into_cycle, graphs, random_graph, rose2, single_loop
-from leavitt.graph import Graph, classify
+from leavitt.cli import run
+from leavitt.graph import Graph, classify, serialize_graph
 from leavitt.ktheory import (
     INF,
     IntMatrix,
@@ -227,35 +229,35 @@ def test_torsion_example():
 
 
 def test_verdict_arrow():
-    v = classify_algebra(arrow(), 0)
-    assert not v.no_sinks and not v.is_ck and not v.strongly_graded
+    v = classify_algebra(k_summary(arrow(), 0))
+    assert not v.no_sinks
     assert v.criterion4 is False
     assert v.criterion5 is False
     assert v.consistent
 
 
 def test_verdict_single_loop():
-    v = classify_algebra(single_loop(), 0)
-    assert v.no_sinks and v.is_ck and v.strongly_graded
+    v = classify_algebra(k_summary(single_loop(), 0))
+    assert v.no_sinks
     assert v.criterion4 is True and v.criterion5 is True
     assert v.consistent
 
 
 def test_verdict_infinite_rank_note():
-    v = classify_algebra(arrow(), INF)
+    v = classify_algebra(k_summary(arrow(), INF))
     assert v.criterion5 is None
     assert v.criterion5_note == "inapplicable: infinite unit-group rank"
 
 
 def test_verdict_funnel():
-    v = classify_algebra(funnel_into_cycle(), 0)
-    assert v.no_sinks and v.is_ck and v.strongly_graded and v.consistent
+    v = classify_algebra(k_summary(funnel_into_cycle(), 0))
+    assert v.no_sinks and v.consistent
 
 
 @settings(max_examples=80, deadline=None)
 @given(graphs(max_vertices=6, max_edges=12), st.integers(min_value=0, max_value=3))
 def test_consistency_flag_never_fires(g, r):
-    assert classify_algebra(g, r).consistent
+    assert classify_algebra(k_summary(g, r)).consistent
 
 
 def test_consistency_on_seeded_batch():
@@ -263,6 +265,24 @@ def test_consistency_on_seeded_batch():
     for _ in range(150):
         g = random_graph(rng, max_vertices=8, max_edges=16)
         for r in (0, 1, 2, 3):
-            v = classify_algebra(g, r)
+            v = classify_algebra(k_summary(g, r))
             assert v.consistent
-            assert v.is_ck == (not classify(g).sinks)
+            assert v.no_sinks == (not classify(g).sinks)
+
+
+def test_analyze_runs_one_snf(tmp_path, monkeypatch, capsys):
+    calls = []
+    snf = leavitt.ktheory.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(leavitt.ktheory, "smith_normal_form", counting)
+    path = tmp_path / "funnel.txt"
+    path.write_text(serialize_graph(funnel_into_cycle()), encoding="utf-8")
+    for extra in ([], ["--unit-rank", "inf"]):
+        calls.clear()
+        assert run(["analyze", str(path), *extra]) == 0
+        assert "is_ck true" in capsys.readouterr().out
+        assert len(calls) == 1

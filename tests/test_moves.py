@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leavitt.moves
 from conftest import (
     arrow,
     funnel_into_cycle,
@@ -22,7 +23,8 @@ from conftest import (
     triangle,
     two_way_line,
 )
-from leavitt.graph import Edge, Graph, classify, graph_hash, serialize_graph
+from leavitt.cli import run
+from leavitt.graph import Edge, Graph, classify, graph_hash, parse_graph, serialize_graph
 from leavitt.ktheory import k0_invariant_data
 from leavitt.moves import (
     MoveRecord,
@@ -38,7 +40,6 @@ from leavitt.moves import (
     parse_trace,
     replay,
     serialize_trace,
-    stabilization_fragment,
     subdivide_edge,
 )
 
@@ -76,6 +77,22 @@ def test_expand_arrow_tail():
     assert [(e.name, e.src, e.dst) for e in got.edges] == [("ov_x", "x", "2")]
 
 
+def test_expand_long_feeder_chain(tmp_path):
+    # a chain of 1,200 vertices into a looped h: deeper than the recursion limit
+    n = 1200
+    chain = Graph(
+        tuple(f"c{i}" for i in range(1, n + 1)) + ("h",),
+        tuple(Edge(f"f{i}", f"c{i}", f"c{i + 1}") for i in range(1, n))
+        + (Edge(f"f{n}", f"c{n}", "h"), Edge("l", "h", "h")),
+    )
+    path, out = tmp_path / "chain.txt", tmp_path / "out.txt"
+    path.write_text(serialize_graph(chain), encoding="utf-8")
+    assert run(["move", "expand-hereditary", str(path), "h", "--output", str(out)]) == 0
+    got = parse_graph(out.read_text(encoding="utf-8"))
+    assert len([v for v in got.vertices if v != "h"]) == n
+    assert f"f{n}" in got.vertex_set and f"f1.f2.f3.f4" not in got.vertex_set
+
+
 def test_expand_rejects_non_hereditary():
     with pytest.raises(ValueError):
         expand_hereditary(funnel_into_cycle(), ["4"])
@@ -95,7 +112,7 @@ def test_expand_rejects_cycle_into_set():
 
 def test_preconditions_report():
     ok = expansion_preconditions(funnel_into_cycle(), ["1", "2", "3"])
-    assert ok.ok and ok.complement_acyclic and ok.all_reach and ok.boundary_finite
+    assert ok.ok and ok.complement_acyclic and ok.all_reach
     # stranded vertex that never reaches H
     g = Graph(("1", "2", "3"), (Edge("l", "1", "1"), Edge("d", "2", "1")))
     rep = expansion_preconditions(g, ["1"])
@@ -209,8 +226,8 @@ def test_matrix_graph_sizes():
     assert matrix_graph(tri, 1) == tri
     m3 = matrix_graph(tri, 3)
     assert (len(m3.vertices), len(m3.edges)) == (9, 9)
-    assert stabilization_fragment(tri, 2) == m3
-    assert stabilization_fragment(tri, 0) == tri
+    headed = attach_head(attach_head(attach_head(tri, "u", 1), "v", 1), "w", 1)
+    assert matrix_graph(tri, 2) == headed
 
 
 def test_matrix_graph_preserves_k_data():
@@ -317,3 +334,27 @@ def test_trace_hashes_are_graph_hashes():
     assert trace.records[0].input_hash == graph_hash(with_src)
     assert trace.records[-1].output_hash == graph_hash(core)
     assert serialize_graph(replay(trace, with_src)) == serialize_graph(core)
+
+
+def test_desourcify_hashes_each_graph_once(monkeypatch):
+    hashed = []
+    original = leavitt.moves.graph_hash
+
+    def recording(g):
+        hashed.append(serialize_graph(g))
+        return original(g)
+
+    monkeypatch.setattr(leavitt.moves, "graph_hash", recording)
+    rng = random.Random(43)
+    done = 0
+    while done < 10:
+        g = random_graph(rng, max_vertices=6, max_edges=12, no_sinks=True)
+        hashed.clear()
+        _, trace = desourcify(g)
+        if not trace.records:
+            continue
+        assert len(set(hashed)) == len(hashed) <= len(trace.records) + 1
+        done += 1
+    hashed.clear()
+    desourcify(funnel_into_cycle())
+    assert len(set(hashed)) == len(hashed)
