@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .graph import Edge, Graph, PathSeq
+from .graph import Edge, Graph, PathSeq, path_in
 
 __all__ = [
     "Monomial",
@@ -79,15 +79,14 @@ class Monomial:
 
 @dataclass(frozen=True)
 class LpaElement:
-    """A finite sum of monomials, kept sorted with like terms merged."""
+    """A finite sum of monomials, kept sorted with like terms merged.
+
+    Build elements with :func:`element`, or from text with
+    :func:`parse_element`.  ``LpaElement(...)`` takes monomials already
+    sorted by ``sort_key`` and merged, and does not check them.
+    """
 
     monomials: tuple[Monomial, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "monomials", tuple(self.monomials))
-        keys = [m.sort_key() for m in self.monomials]
-        if sorted(keys) != keys or len(set(keys)) != len(keys):
-            raise ValueError("monomials must be sorted and merged; use element()")
 
     def __bool__(self) -> bool:
         return bool(self.monomials)
@@ -96,7 +95,7 @@ class LpaElement:
         return element(self.monomials + other.monomials)
 
     def __neg__(self) -> "LpaElement":
-        return LpaElement(tuple(m.scaled(Fraction(-1)) for m in self.monomials))
+        return self.scaled(-1)
 
     def __sub__(self, other: "LpaElement") -> "LpaElement":
         return self + (-other)
@@ -154,7 +153,7 @@ def vertex_element(g: Graph, v: str) -> LpaElement:
 
 def path_element(g: Graph, names: Iterable[str]) -> LpaElement:
     """The element of a real path (no ghost part): alpha r(alpha)*."""
-    p = PathSeq.of(g.edge(n) for n in names)
+    p = path_in(g, names)
     return LpaElement((Monomial(Fraction(1), p, PathSeq.at(p.target)),))
 
 
@@ -165,7 +164,7 @@ def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaE
         if isinstance(part, str):
             g.require_vertex(part)
             return PathSeq.at(part)
-        return PathSeq.of(g.edge(n) for n in part)
+        return path_in(g, part)
 
     return LpaElement((Monomial(Fraction(coeff), resolve(alpha), resolve(beta)),))
 
@@ -173,19 +172,17 @@ def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaE
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
     """(alpha beta*)(gamma delta*) collapses by prefix cancellation; None is 0."""
     beta, gamma = a.right, b.left
-    m, k = beta.length, gamma.length
+    if beta.source != gamma.source:
+        return None
+    m, k = len(beta.edges), len(gamma.edges)
     if m <= k:
-        if beta.edge_names() != gamma.edge_names()[:m]:
+        if beta.edges != gamma.edges[:m]:
             return None
-        if m == 0 and beta.vertex != gamma.source:
-            return None
-        rest = PathSeq.of(gamma.edges[m:]) if m < k else PathSeq.at(gamma.target)
+        rest = PathSeq(beta.target, gamma.edges[m:])
         return Monomial(a.coeff * b.coeff, a.left.concat(rest), b.right)
-    if gamma.edge_names() != beta.edge_names()[:k]:
+    if gamma.edges != beta.edges[:k]:
         return None
-    if k == 0 and gamma.vertex != beta.source:
-        return None
-    rho = PathSeq.of(beta.edges[k:])
+    rho = PathSeq(gamma.target, beta.edges[k:])
     return Monomial(a.coeff * b.coeff, a.left, b.right.concat(rho))
 
 
@@ -212,7 +209,7 @@ def _reduce_once(g: Graph, m: Monomial) -> list[Monomial] | None:
     if not a.edges or not b.edges:
         return None
     f = a.edges[-1]
-    if b.edges[-1].name != f.name:
+    if b.edges[-1] != f:
         return None
     v = f.src
     if f.name != designated_edge(g, v):
@@ -220,7 +217,7 @@ def _reduce_once(g: Graph, m: Monomial) -> list[Monomial] | None:
     a0, b0 = a.drop_last(), b.drop_last()
     out = [Monomial(m.coeff, a0, b0)]
     for e in g.out_edges(v):
-        if e.name != f.name:
+        if e != f:
             out.append(Monomial(-m.coeff, a0.extend(e), b0.extend(e)))
     return out
 
@@ -396,28 +393,44 @@ def _parse_path(g: Graph, token: str) -> PathSeq:
         raise ValueError("empty path")
     if token in g.vertex_set:
         return PathSeq.at(token)
-    by_name = g._edge_by_name
+    by_name, longest = g._edge_by_name, g._longest_edge_name
     n = len(token)
-    # names may contain dots, so segment by trying every edge name at each cut
-    complete: list[tuple[str, ...]] = []
-    stack: list[tuple[int, tuple[str, ...]]] = [(0, ())]
-    while stack:
-        pos, acc = stack.pop()
-        for name, e in by_name.items():
-            end = pos + len(name)
-            if token[pos:end] != name:
+    cuts = [i for i, ch in enumerate(token) if ch == "."] + [n]
+    # Names may contain dots, so a reading cuts the token at some of its dots.
+    # Dynamic programming over (where the next name starts, target of the last
+    # edge, None before the first) counts the readings, capped at 2, and keeps
+    # a back pointer (start, last, edge) to one of them.  A name spans at most
+    # ``longest`` characters, so the time is linear in the token's length
+    # however many readings there are.
+    reads: dict[int, dict[str | None, tuple[int, tuple | None]]] = {0: {None: (1, None)}}
+    for i, start in enumerate([0] + [c + 1 for c in cuts[:-1]]):
+        here = reads.get(start, {})
+        for end in cuts[i:i + longest + 1]:  # every cut a name could reach
+            if end - start > longest:
+                break
+            e = by_name.get(token[start:end])
+            if e is None:
                 continue
-            if acc and by_name[acc[-1]].dst != e.src:
-                continue
-            if end == n:
-                complete.append(acc + (name,))
-            elif token[end] == ".":
-                stack.append((end + 1, acc + (name,)))
+            nxt = reads.setdefault(end + 1, {})
+            for last, (count, _) in here.items():
+                if last is None or last == e.src:
+                    seen = nxt.get(e.dst)
+                    if seen is None:
+                        nxt[e.dst] = (count, (start, last, e))
+                    else:
+                        nxt[e.dst] = (min(2, seen[0] + count), seen[1])
+    complete = reads.get(n + 1, {})
     if not complete:
         raise ValueError(f"cannot read {token!r} as a vertex or path")
-    if len(complete) > 1:
+    if sum(count for count, _ in complete.values()) > 1:
         raise ValueError(f"ambiguous path {token!r}")
-    return PathSeq.of(by_name[name] for name in complete[0])
+    [(_, back)] = complete.values()
+    edges: list[Edge] = []
+    while back is not None:
+        start, last, e = back
+        edges.append(e)
+        back = reads[start][last][1]
+    return PathSeq.of(reversed(edges))
 
 
 def parse_element(g: Graph, text: str) -> LpaElement:

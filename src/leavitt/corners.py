@@ -109,34 +109,32 @@ class Forest:
         return {e.dst: e for e in self.tree_edges}
 
     @cached_property
+    def _children(self) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {}
+        for e in self.tree_edges:
+            out.setdefault(e.src, []).append(e.dst)
+        return out
+
+    @cached_property
     def leaves(self) -> tuple[str, ...]:
         """Forest vertices emitting no tree edge."""
-        srcs = {e.src for e in self.tree_edges}
-        return tuple(v for v in self.vertices if v not in srcs)
+        return tuple(v for v in self.vertices if v not in self._children)
 
     def tau(self, v: str) -> PathSeq:
         """The unique forest path from a root down to ``v``."""
         if v not in self.vertex_set:
             raise ValueError(f"vertex {v!r} is not in the forest")
         chain: list[Edge] = []
-        u = v
-        while u in self.parent:
-            e = self.parent[u]
-            chain.append(e)
-            u = e.src
-        chain.reverse()
-        return PathSeq.of(chain) if chain else PathSeq.at(v)
+        while v in self.parent:
+            chain.append(self.parent[v])
+            v = chain[-1].src
+        return PathSeq(v, tuple(reversed(chain)))
 
     def descendants(self, v: str) -> frozenset[str]:
         """Vertices reachable from ``v`` along tree edges (including ``v``)."""
-        out: set[str] = {v}
-        frontier = [v]
-        while frontier:
-            u = frontier.pop()
-            for e in self.tree_edges:
-                if e.src == u and e.dst not in out:
-                    out.add(e.dst)
-                    frontier.append(e.dst)
+        out = [v]
+        for u in out:  # a forest has no cycles: each vertex below v comes once
+            out.extend(self._children.get(u, ()))
         return frozenset(out)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -118,6 +118,10 @@ class Graph:
     def _edge_by_name(self) -> dict[str, Edge]:
         return {e.name: e for e in self.edges}
 
+    @cached_property
+    def _longest_edge_name(self) -> int:
+        return max((len(e.name) for e in self.edges), default=0)
+
     def require_vertex(self, v: str) -> None:
         if v not in self.vertex_set:
             raise ValueError(f"unknown vertex {v!r}")
@@ -141,83 +145,70 @@ class Graph:
 
 @dataclass(frozen=True)
 class PathSeq:
-    """A finite path: a base vertex (length 0) or a composable edge sequence.
+    """A finite path: its source vertex and its edges, in order.
 
-    Consecutive edges must compose (the target of each edge is the source of
-    the next); the length is the edge count.
+    The first edge leaves ``source`` and each later edge leaves where the one
+    before it ends; with no edges this is the length-0 path at ``source``.
+    The edges are checked once, when the path is made.  Paths compare by
+    source and edges; edge names and the dotted label are only for text.
     """
 
-    vertex: str | None
+    source: str
     edges: tuple[Edge, ...] = ()
+    # the path's range, recorded by the composition check
+    target: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
-        if self.edges:
-            if self.vertex is not None:
-                raise ValueError("a nonempty path has no separate base vertex")
-            for a, b in zip(self.edges, self.edges[1:]):
-                if a.dst != b.src:
-                    raise ValueError(f"edges {a.name!r} and {b.name!r} do not compose")
-        elif self.vertex is None:
-            raise ValueError("a length-0 path needs a base vertex")
+        at = self.source
+        for e in self.edges:
+            if e.src != at:
+                raise ValueError(f"edge {e.name!r} does not start where the path ends")
+            at = e.dst
+        object.__setattr__(self, "target", at)
 
     @classmethod
     def at(cls, v: str) -> "PathSeq":
-        return cls(v, ())
+        return cls(v)
 
     @classmethod
     def of(cls, edges: Iterable[Edge]) -> "PathSeq":
-        return cls(None, tuple(edges))
+        """The path along ``edges``, which must be nonempty."""
+        edges = tuple(edges)
+        if not edges:
+            raise ValueError("a length-0 path needs a base vertex")
+        return cls(edges[0].src, edges)
 
     @property
     def length(self) -> int:
         return len(self.edges)
-
-    @property
-    def source(self) -> str:
-        return self.edges[0].src if self.edges else self.vertex  # type: ignore[return-value]
-
-    @property
-    def target(self) -> str:
-        """The path's range: where it ends."""
-        return self.edges[-1].dst if self.edges else self.vertex  # type: ignore[return-value]
 
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
 
     def vertex_seq(self) -> tuple[str, ...]:
         """All vertices visited, in order (length + 1 entries)."""
-        if not self.edges:
-            return (self.vertex,)  # type: ignore[return-value]
-        return (self.edges[0].src,) + tuple(e.dst for e in self.edges)
+        return (self.source,) + tuple(e.dst for e in self.edges)
 
     def label(self) -> str:
-        """Display name: the base vertex, or edge names joined with dots."""
-        return self.vertex if not self.edges else ".".join(self.edge_names())  # type: ignore[return-value]
+        """Edge names joined with dots; the vertex of a length-0 path."""
+        return ".".join(self.edge_names()) or self.source
 
     def extend(self, e: Edge) -> "PathSeq":
-        if self.target != e.src:
-            raise ValueError(f"edge {e.name!r} does not start where the path ends")
-        return PathSeq.of(self.edges + (e,))
+        return PathSeq(self.source, self.edges + (e,))
 
     def concat(self, other: "PathSeq") -> "PathSeq":
         if self.target != other.source:
             raise ValueError("paths do not compose")
-        if not other.edges:
-            return self
-        if not self.edges:
-            return other
-        return PathSeq.of(self.edges + other.edges)
+        return PathSeq(self.source, self.edges + other.edges)
 
     def drop_last(self) -> "PathSeq":
         if not self.edges:
             raise ValueError("cannot shorten a length-0 path")
-        if len(self.edges) == 1:
-            return PathSeq.at(self.edges[0].src)
-        return PathSeq.of(self.edges[:-1])
+        return PathSeq(self.source, self.edges[:-1])
 
     def sort_key(self) -> tuple:
-        return (self.length, self.source, self.edge_names())
+        # edge names are unique within a graph, so edges sort as their names do
+        return (len(self.edges), self.source, self.edges)
 
     def __repr__(self) -> str:
         return f"PathSeq({self.label()!r})"

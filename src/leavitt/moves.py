@@ -29,6 +29,7 @@ from .graph import (
     Edge,
     Graph,
     PathSeq,
+    _validated,
     classify,
     graph_hash,
     hereditary_closure,
@@ -60,15 +61,6 @@ __all__ = [
 # ── hereditary expansion ──────────────────────────────────────────────────────
 
 
-def _checked_hereditary(g: Graph, hs: Iterable[str]) -> frozenset[str]:
-    h = frozenset(hs)
-    for v in h:
-        g.require_vertex(v)
-    if not is_hereditary(g, h):
-        raise ValueError("the vertex set is not hereditary")
-    return h
-
-
 def entry_paths(g: Graph, hs: Iterable[str]) -> tuple[PathSeq, ...]:
     """All paths entering the hereditary set through their final edge.
 
@@ -76,7 +68,9 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> tuple[PathSeq, ...]:
     collection is finite exactly when no cycle outside the set reaches it;
     otherwise this raises.  Sorted by path label.
     """
-    h = _checked_hereditary(g, hs)
+    h = frozenset(hs)
+    if not is_hereditary(g, h):  # which also rejects unknown vertices
+        raise ValueError("the vertex set is not hereditary")
     boundary = [e for e in g.edges if e.src not in h and e.dst in h]
     # h is hereditary, so every edge into an outside vertex starts outside
     can_reach = _coreachable(g, {e.src for e in boundary})
@@ -149,14 +143,15 @@ def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
     a vertex named by each entry path, and an edge ``ov_<path>`` from that
     vertex to the path's range.
     """
-    h = _checked_hereditary(g, hs)
+    h = frozenset(hs)
     if not h and g.vertices:
         raise ValueError("the hereditary set must be nonempty (nothing outside "
                          "an empty set can reach it)")
     paths = entry_paths(g, h)
-    vertices = tuple(v for v in g.vertices if v in h) + tuple(p.label() for p in paths)
+    labels = [p.label() for p in paths]
+    vertices = tuple(v for v in g.vertices if v in h) + tuple(labels)
     edges = tuple(e for e in g.edges if e.src in h) + tuple(
-        Edge(f"ov_{p.label()}", p.label(), p.target) for p in paths
+        Edge(f"ov_{name}", name, p.target) for name, p in zip(labels, paths)
     )
     return Graph(vertices, edges)
 
@@ -174,13 +169,11 @@ def expansion_preconditions(g: Graph, hs: Iterable[str]) -> ExpansionReport:
     """Check the hypotheses: the graph outside the set (with the edges ranging
     outside it) is acyclic and finite, and every outside vertex reaches the
     set.  Only finitely many edges cross into it, the graph being finite."""
-    h = frozenset(hs)
-    for v in h:
-        g.require_vertex(v)
+    h = _validated(g, hs)
     outside_vertices = {v for v in g.vertices if v not in h}
     outside_edges = [e for e in g.edges if e.src not in h and e.dst not in h]
     acyclic = not _has_cycle(outside_vertices, outside_edges)
-    all_reach = outside_vertices <= _coreachable(g, set(h))
+    all_reach = outside_vertices <= _coreachable(g, h)
     return ExpansionReport(acyclic, all_reach, acyclic and all_reach)
 
 
@@ -188,7 +181,7 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
     """Generator images showing the expanded graph's algebra inside L(g):
     vertices of the set map to themselves, each path-vertex to ``alpha alpha*``,
     kept edges to themselves, and each ``ov_`` edge to its path."""
-    h = _checked_hereditary(g, hs)
+    h = frozenset(hs)
     paths = entry_paths(g, h)
     one = Fraction(1)
     vertex_images: dict[str, LpaElement] = {}
@@ -197,13 +190,13 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
         if v in h:
             vertex_images[v] = vertex_element(g, v)
     for p in paths:
-        vertex_images[p.label()] = element([Monomial(one, p, p)])
+        name = p.label()
+        vertex_images[name] = element([Monomial(one, p, p)])
+        edge_images[f"ov_{name}"] = element([Monomial(one, p, PathSeq.at(p.target))])
     for e in g.edges:
         if e.src in h:
             pe = PathSeq.of((e,))
             edge_images[e.name] = element([Monomial(one, pe, PathSeq.at(e.dst))])
-    for p in paths:
-        edge_images[f"ov_{p.label()}"] = element([Monomial(one, p, PathSeq.at(p.target))])
     return CkFamily(vertex_images, edge_images)
 
 

@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from leavitt.graph import Edge, Graph
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _checkout_on_subprocess_path():
+    """Let ``python -m leavitt`` subprocesses import this checkout, as the
+    tests themselves do through ``pythonpath`` in pyproject.toml."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"), prepend=os.pathsep)
+        yield
 
 
 # ── fixed example graphs ──────────────────────────────────────────────────────

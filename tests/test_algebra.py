@@ -9,11 +9,12 @@ axioms are sampled with seeded random elements.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import funnel_into_cycle, rose2, single_loop, triangle, two_way_line
+from conftest import funnel_into_cycle, random_graph, rose2, single_loop, triangle, two_way_line
 from leavitt.algebra import (
     NON_HOMOGENEOUS,
     CkFamily,
@@ -105,6 +106,47 @@ def random_monomial(g: Graph, rng: random.Random) -> Monomial:
 
 def random_element(g: Graph, rng: random.Random, max_terms: int = 3) -> LpaElement:
     return element(random_monomial(g, rng) for _ in range(rng.randint(1, max_terms)))
+
+
+def assert_sorted_and_merged(x: LpaElement) -> None:
+    """The form every element is built in; the constructor does not check it."""
+    keys = [m.sort_key() for m in x.monomials]
+    assert keys == sorted(set(keys)), format_element(x)
+
+
+def unmerged_text(*xs: LpaElement) -> str:
+    """The elements' terms written one after another, like terms not merged."""
+    parts = [format_element(x) for x in xs if x]
+    return " ".join(p if p.startswith("-") else f"+ {p}" for p in parts)
+
+
+# ── canonical form ────────────────────────────────────────────────────────────
+
+
+def test_every_operation_returns_sorted_merged_elements():
+    rng = random.Random(43)
+    for g in (funnel_into_cycle(), two_way_line(), rose2()):
+        for _ in range(30):
+            x, y = random_element(g, rng, max_terms=5), random_element(g, rng, max_terms=5)
+            ms = [random_monomial(g, rng) for _ in range(4)]
+            c = Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 2]))
+            parsed = parse_element(g, unmerged_text(x, y, x))
+            assert parsed == x + y + x
+            for z in (
+                element(ms + [m.scaled(Fraction(-1)) for m in ms[:2]] + ms),
+                x * y, x + y, x - y, -x, star(x), x.scaled(c), c * x, x * c, x.scaled(0),
+                normal_form(g, x * y), parsed,
+            ):
+                assert_sorted_and_merged(z)
+
+
+def test_sort_key_orders_paths_as_edge_names_do():
+    rng = random.Random(41)
+    for _ in range(40):
+        g = random_graph(rng, max_vertices=5, max_edges=12)
+        paths = [random_path(g, rng, max_len=4) for _ in range(30)]
+        by_names = sorted(paths, key=lambda p: (p.length, p.source, p.edge_names()))
+        assert sorted(paths, key=lambda p: p.sort_key()) == by_names
 
 
 # ── monomial products ─────────────────────────────────────────────────────────
@@ -439,6 +481,24 @@ def test_parse_rejects_ambiguous_path():
     )
     with pytest.raises(ValueError, match="ambiguous"):
         parse_element(g, "a.b")
+
+
+def test_parse_reports_ambiguity_in_bounded_time():
+    # 40 segments of loops a and a.a have over 10^8 readings
+    rose = Graph(("v",), (Edge("a", "v", "v"), Edge("a.a", "v", "v")))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="ambiguous path"):
+        parse_element(rose, ".".join(["a"] * 40))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_long_path_of_move_generated_names():
+    g = subdivide_edge(single_loop(), "e", 12)  # edges e.e1 .. e.e13 around v
+    names = [f"e.e{i}" for i in range(13, 0, -1)] * 3
+    x = parse_element(g, ".".join(names))
+    assert x == path_element(g, names)
+    with pytest.raises(ValueError, match="cannot read"):
+        parse_element(g, ".".join(names[1:] + ["e"]))
 
 
 def test_vertex_name_shadows_edge_name():

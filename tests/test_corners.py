@@ -65,6 +65,20 @@ def test_build_forest_spans_hereditary_closure():
         assert set(build_forest(g, xs).vertices) == set(hereditary_closure(g, xs))
 
 
+def test_descendants_match_naive_closure():
+    rng = random.Random(47)
+    for _ in range(60):
+        g = random_graph(rng, max_vertices=8, max_edges=16)
+        if len(g.vertices) < 2:
+            continue
+        t = build_forest(g, rng.sample(g.vertices, rng.randint(1, len(g.vertices) - 1)))
+        for v in t.vertices:
+            below = {v}
+            while more := {e.dst for e in t.tree_edges if e.src in below} - below:
+                below |= more
+            assert t.descendants(v) == below
+
+
 def test_build_forest_input_checks():
     g = two_way_line()
     with pytest.raises(ValueError):

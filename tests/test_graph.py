@@ -179,6 +179,20 @@ def test_trivial_path():
     assert p.label() == "v"
 
 
+def test_path_rejects_edges_that_do_not_compose():
+    g = funnel_into_cycle()
+    f1, g1 = g.edge("f1"), g.edge("g1")
+    with pytest.raises(ValueError):  # f1 leaves 4, not 5
+        PathSeq("5", (f1,))
+    with pytest.raises(ValueError):  # f1 ends at 1, where g1 does not start
+        PathSeq("4", (f1, g1))
+    with pytest.raises(ValueError):
+        PathSeq.of(())
+    with pytest.raises(ValueError):
+        PathSeq.at("5").extend(f1)
+    assert PathSeq.at("5").extend(g1).extend(f1) == path_in(g, ["g1", "f1"])
+
+
 # ── classification ────────────────────────────────────────────────────────────
 
 
