@@ -75,7 +75,9 @@ class Graph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+        object.__setattr__(
+            self, "edges", tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
+        )
         seen: set[str] = set()
         for v in self.vertices:
             _check_name("vertex", v)

@@ -82,6 +82,113 @@ def presentation_matrix(g: Graph) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
+def _unit_pivots(m: IntMatrix) -> tuple[int, list[dict[int, int]]]:
+    """Stage 1: eliminate ±1 pivots sparsely.
+
+    Returns the number of pivots and the nonzero rows of the Schur
+    complement left, as ``{column: value}`` dicts.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}  # column -> rows with a nonzero there
+    for i, entries in enumerate(m.entries):
+        row = {j: x for j, x in enumerate(entries) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+    ones = 0
+    while True:
+        # the unit entry of least Markowitz cost (row nonzeros - 1) * (column
+        # nonzeros - 1); rows go shortest first, so the scan stops once no
+        # later row can beat the best cost found
+        pivot = None
+        best = -1
+        cmin = min((len(s) for s in cols.values() if s), default=1) - 1
+        for i in sorted(rows, key=lambda i: len(rows[i])):
+            row = rows[i]
+            ri = len(row) - 1
+            if pivot is not None and ri * cmin >= best:
+                break
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = ri * (len(cols[j]) - 1)
+                    if pivot is None or cost < best:
+                        pivot, best = (i, j), cost
+        if pivot is None:
+            return ones, list(rows.values())
+        i, j = pivot
+        prow = rows.pop(i)
+        u = prow.pop(j)
+        for k in prow:
+            cols[k].discard(i)
+        for r in cols.pop(j) - {i}:
+            row = rows[r]
+            f = row.pop(j) * u
+            for k, y in prow.items():
+                v = row.get(k, 0) - f * y
+                if v:
+                    if k not in row:
+                        cols[k].add(r)
+                    row[k] = v
+                else:
+                    del row[k]
+                    cols[k].discard(r)
+            if not row:
+                del rows[r]
+        ones += 1
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a, b not both zero."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _row_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Stage 2: the nonzero rows of a row Hermite normal form (Kannan-Bachem).
+
+    Rows are inserted one at a time.  Each is eliminated against the pivot
+    of every column it reaches with a 2x2 transform of determinant 1, and
+    then every entry above a pivot is reduced modulo that pivot.
+    """
+    piv: list[list[int] | None] = [None] * ncols  # column -> row leading there
+    for row in rows:
+        for j in range(ncols):
+            x = row[j]
+            if not x:
+                continue
+            p = piv[j]
+            if p is None:
+                piv[j] = row if x > 0 else [-y for y in row]
+                break
+            d = p[j]
+            if x % d:
+                # [s t; -x/g d/g] has determinant (s*d + t*x) / g = 1
+                g, s, t = _xgcd(d, x)
+                a, b = x // g, d // g
+                piv[j] = p[:j] + [s * y + t * z for y, z in zip(p[j:], row[j:])]
+                row[j:] = [b * z - a * y for y, z in zip(p[j:], row[j:])]
+            else:
+                q = x // d
+                row[j:] = [z - q * y for y, z in zip(p[j:], row[j:])]
+        pivots = [j for j in range(ncols) if piv[j] is not None]
+        for k, i in enumerate(pivots):
+            above = piv[i]
+            for j in pivots[k + 1 :]:
+                q = above[j] // piv[j][j]
+                if q:
+                    p = piv[j]
+                    above[j:] = [y - q * z for y, z in zip(above[j:], p[j:])]
+    return [p for p in piv if p is not None]
+
+
 def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
     a[i], a[j] = a[j], a[i]
 
@@ -91,15 +198,10 @@ def _swap_cols(a: list[list[int]], i: int, j: int) -> None:
         row[i], row[j] = row[j], row[i]
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of an integer matrix, all positive.
-
-    Classic elementary-operation reduction with the pivot chosen as the
-    smallest nonzero absolute value in the trailing block; Python integers
-    keep every intermediate value exact.  The factor count equals the rank.
-    """
-    a = [list(row) for row in m.entries]
-    nrows, ncols = m.rows, m.cols
+def _elementary_factors(a: list[list[int]], ncols: int) -> list[int]:
+    """Stage 3: elementary reduction of a dense matrix, pivoting on the
+    smallest nonzero magnitude in the trailing block."""
+    nrows = len(a)
     factors: list[int] = []
     t = 0
     while t < min(nrows, ncols):
@@ -155,7 +257,32 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
             a[t] = [x + y for x, y in zip(a[t], a[viol])]
         factors.append(abs(a[t][t]))
         t += 1
-    return tuple(factors)
+    return factors
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... of an integer matrix, all positive.
+
+    The factor count equals the rank.  Three stages, each made of unimodular
+    row and column operations, so each keeps the invariant factors of the
+    matrix it is handed:
+
+    1. Sparse unit pivots.  While an entry is ±1, the one of least Markowitz
+       cost clears its column by row operations; the column operations that
+       then clear its row touch no other row.  Its row and column drop out
+       with one factor 1, and the Schur complement left keeps every other
+       factor.  Sparse presentation matrices end here or nearly so.
+    2. A row Hermite normal form of the remainder, whose entries stay bounded
+       by its pivots (``_row_hnf``).  Zero rows drop out, so rank deficiency
+       needs no special case.
+    3. Elementary reduction of the small triangular core.
+
+    Python integers keep every intermediate value exact.
+    """
+    ones, rest = _unit_pivots(m)
+    keep = sorted({j for row in rest for j in row})
+    core = _row_hnf([[row.get(j, 0) for j in keep] for row in rest], len(keep))
+    return (1,) * ones + tuple(_elementary_factors(core, len(keep)))
 
 
 @dataclass(frozen=True)
@@ -164,7 +291,6 @@ class KSummary:
     group has free rank ``unit_rank``."""
 
     matrix: IntMatrix
-    rank: int  # rational rank of the presentation matrix
     invariant_factors: tuple[int, ...]
     torsion: tuple[int, ...]  # the nonunit invariant factors
     rank_k0: int
@@ -195,7 +321,6 @@ def k_summary(g: Graph, unit_rank: "int | float" = 0) -> KSummary:
         rank_k1 = (n_reg - rho) + unit_rank * rank_k0
     return KSummary(
         matrix=b,
-        rank=rho,
         invariant_factors=factors,
         torsion=tuple(d for d in factors if d != 1),
         rank_k0=rank_k0,

@@ -1,16 +1,19 @@
 """K-theory bookkeeping: Smith normal form, rank formulas, verdicts.
 
 Two independent oracles come first: invariant factors from gcds of k x k
-minors (cofactor-expansion determinants), and rational rank by fraction-free
-(Bareiss) Gaussian elimination.  The Smith normal form must agree with both
-on random matrices before anything downstream is trusted.
+minors (cofactor-expansion determinants), and rational rank and determinant
+by fraction-free (Bareiss) Gaussian elimination.  The Smith normal form must
+agree with both on random matrices before anything downstream is trusted.
+sympy's ``invariant_factors``, when installed, checks mid-sized presentation
+matrices too.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 import leavitt.ktheory
 from conftest import arrow, funnel_into_cycle, graphs, random_graph, rose2, single_loop
 from leavitt.cli import run
-from leavitt.graph import Graph, classify, serialize_graph
+from leavitt.graph import Edge, Graph, classify, serialize_graph
 from leavitt.ktheory import (
     INF,
     IntMatrix,
@@ -63,18 +66,22 @@ def oracle_invariant_factors(entries) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def oracle_rank(entries) -> int:
-    """Rational rank by Bareiss elimination — all arithmetic stays integral."""
+def bareiss(entries) -> tuple[int, int]:
+    """(rational rank, determinant) by Bareiss elimination — all arithmetic
+    stays integral.  The determinant is 0 unless the matrix is square and of
+    full rank."""
     m = [list(row) for row in entries]
     if not m or not m[0]:
-        return 0
+        return 0, 0
     rows, cols = len(m), len(m[0])
-    rank, r, prev = 0, 0, 1
+    rank, r, prev, sign = 0, 0, 1, 1
     for c in range(cols):
         piv = next((i for i in range(r, rows) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 m[i][j] = (m[i][j] * m[r][c] - m[i][c] * m[r][j]) // prev
@@ -84,18 +91,47 @@ def oracle_rank(entries) -> int:
         rank += 1
         if r == rows:
             break
-    return rank
+    return rank, sign * prev if rank == rows == cols else 0
 
 
-int_matrices = st.integers(min_value=1, max_value=5).flatmap(
-    lambda rows: st.integers(min_value=1, max_value=5).flatmap(
-        lambda cols: st.lists(
-            st.lists(st.integers(min_value=-9, max_value=9), min_size=cols, max_size=cols),
-            min_size=rows,
-            max_size=rows,
-        )
-    )
+def _shaped(rows: int, cols: int, entries):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _product(p, q):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*q)] for row in p]
+
+
+_dims = st.integers(min_value=1, max_value=5)
+
+int_matrices = st.one_of(
+    st.tuples(_dims, _dims).flatmap(lambda d: _shaped(*d, st.integers(-9, 9))),
+    # no ±1 entry: the sparse unit pivots find nothing, and the Hermite
+    # normal form and the elementary core do all the work
+    st.tuples(_dims, _dims).flatmap(
+        lambda d: _shaped(*d, st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6)))
+    ),
+    # rank-deficient products P.Q through an inner dimension of 1 or 2
+    st.tuples(_dims, st.integers(1, 2), _dims)
+    .flatmap(lambda d: st.tuples(_shaped(d[0], d[1], st.integers(-4, 4)),
+                                 _shaped(d[1], d[2], st.integers(-4, 4))))
+    .map(lambda pq: _product(*pq)),
+    # all zero, with the n x 0 shape of an all-sink graph and the 0 x 0 shape
+    # of the empty graph
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).map(
+        lambda d: [[0] * d[1] for _ in range(d[0])]
+    ),
 )
+
+
+def sink_free_multigraph(rng: random.Random, n: int, m: int, sinks: int = 0) -> Graph:
+    """``m`` random edges on ``n`` vertices, every vertex but ``sinks`` random
+    ones emitting at least one."""
+    vs = tuple(f"v{i}" for i in range(n))
+    emit = sorted(rng.sample(range(n), n - sinks))
+    pairs = [(i, rng.randrange(n)) for i in emit]
+    pairs += [(rng.choice(emit), rng.randrange(n)) for _ in range(m - len(pairs))]
+    return Graph(vs, tuple(Edge(f"e{k}", vs[a], vs[b]) for k, (a, b) in enumerate(pairs)))
 
 
 # ── matrices ──────────────────────────────────────────────────────────────────
@@ -130,6 +166,11 @@ def test_snf_frozen_examples():
     assert smith_normal_form(IntMatrix(((2, 0), (0, 3)))) == (1, 6)
     assert smith_normal_form(IntMatrix(((0, 0), (0, 0)))) == ()
     assert smith_normal_form(IntMatrix(((1,), (-1,)))) == (1,)
+    # all sinks: n x 0; the empty graph: 0 x 0
+    sinks = presentation_matrix(Graph(("a", "b"), ()))
+    assert (sinks.rows, sinks.cols) == (2, 0) and smith_normal_form(sinks) == ()
+    empty = presentation_matrix(Graph((), ()))
+    assert (empty.rows, empty.cols) == (0, 0) and smith_normal_form(empty) == ()
 
 
 @settings(max_examples=150)
@@ -143,7 +184,7 @@ def test_snf_matches_minor_gcd_oracle(rows):
 @given(int_matrices)
 def test_snf_rank_matches_bareiss(rows):
     entries = tuple(tuple(r) for r in rows)
-    assert len(smith_normal_form(IntMatrix(entries))) == oracle_rank(entries)
+    assert len(smith_normal_form(IntMatrix(entries))) == bareiss(entries)[0]
 
 
 @given(int_matrices)
@@ -158,7 +199,37 @@ def test_snf_survives_coefficient_blowup():
     rng = random.Random(7)
     entries = tuple(tuple(rng.randint(-99, 99) for _ in range(6)) for _ in range(6))
     factors = smith_normal_form(IntMatrix(entries))
-    assert len(factors) == oracle_rank(entries)
+    assert len(factors) == bareiss(entries)[0]
+
+
+@pytest.mark.parametrize("kind", ["dense", "sinks", "sparse"])
+def test_snf_matches_sympy(kind):
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(f"sympy:{kind}")
+    for n in (20, 30, 40):
+        m = 3 * n if kind == "sparse" else n * n // 2
+        b = presentation_matrix(sink_free_multigraph(rng, n, m, n // 5 if kind == "sinks" else 0))
+        expected = invariant_factors(Matrix(b.entries), domain=ZZ)
+        assert smith_normal_form(b) == tuple(abs(int(d)) for d in expected if d)
+
+
+def test_snf_roadmap_gate():
+    """Five dense n=60, m=2000 instances and a sparse n=200, m=600 one, each
+    within a 1 s budget (smallest-entry elimination alone took 20-120 s at
+    n=60).  All six have full rank, so the factors multiply to |det|."""
+    cases = [(60, 2000, seed) for seed in range(5)] + [(200, 600, 0)]
+    for n, m, seed in cases:
+        b = presentation_matrix(sink_free_multigraph(random.Random(seed), n, m))
+        start = time.perf_counter()
+        factors = smith_normal_form(b)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, (n, m, seed, elapsed)
+        rank, d = bareiss(b.entries)
+        assert len(factors) == rank
+        assert prod(factors) == abs(d)
 
 
 # ── rank formulas ─────────────────────────────────────────────────────────────
@@ -174,7 +245,7 @@ def test_summary_arrow_infinite_unit_rank():
 
 def test_summary_single_loop():
     s = k_summary(single_loop(), 1)
-    assert s.rank == 0
+    assert len(s.invariant_factors) == 0
     assert s.rank_k0 == 1
     assert s.rank_k1 == 2
     assert s.singular_count == 0
