@@ -1,42 +1,43 @@
 """Exact symbolic arithmetic in Leavitt path algebras.
 
-Elements are finite rational combinations of monomials ``alpha beta*`` where
-``alpha`` and ``beta`` are paths with a common range.  Products reduce by
+An element is a finite rational combination of terms ``alpha beta*`` where
+``alpha`` and ``beta`` are paths with a common range.  ``LpaElement.terms``
+maps each pair ``(alpha, beta)`` to its nonzero ``Fraction`` coefficient;
+there is no per-term object and no order on the map.  Products reduce by
 prefix cancellation (``e* f = 0`` for distinct edges, ``e* e = r(e)``), so the
-product of two monomials is again a monomial or zero.  ``normal_form`` applies
-the relation ``v = sum_{s(e)=v} e e*`` at the designated (lexicographically
-least) edge of each emitting vertex, rewriting every monomial whose two paths
-share that designated final edge:
+product of two terms is again a term or zero.  ``normal_form`` applies the
+relation ``v = sum_{s(e)=v} e e*`` at the designated (least-named) edge of
+each emitting vertex, rewriting every term whose two paths share that
+designated final edge:
 
     alpha.d d*.beta*  ->  alpha beta* - sum_{e in s^-1(v), e != d} alpha.e e*.beta*
 
-with ``v = s(d)``.  The surviving monomials form a spanning basis, so two
-elements are equal in the algebra exactly when their normal forms coincide
-term by term.
+with ``v = s(d)``.  The surviving terms form a spanning basis, so two
+elements are equal in the algebra exactly when their normal forms have the
+same term map.
 
 Coefficients are ``fractions.Fraction`` — everything is exact.  Structural
-``==`` on elements compares representations; use ``equals`` for equality in
-the algebra.
+``==`` on elements compares term maps; use ``equals`` for equality in the
+algebra.  Terms are ordered only in text, by :func:`format_element`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .graph import Edge, Graph, PathSeq, path_in
 
 __all__ = [
-    "Monomial",
     "LpaElement",
     "zero",
     "element",
     "vertex_element",
     "path_element",
     "monomial",
-    "mono_mul",
     "star",
     "designated_edge",
     "normal_form",
@@ -56,60 +57,41 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """``coeff * alpha beta*`` with ``r(alpha) = r(beta)`` and ``coeff != 0``."""
-
-    coeff: Fraction
-    left: PathSeq
-    right: PathSeq
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if self.coeff == 0:
-            raise ValueError("zero coefficient")
-        if self.left.target != self.right.target:
-            raise ValueError("monomial paths must share their range")
-
-    def sort_key(self) -> tuple:
-        return (self.left.sort_key(), self.right.sort_key())
-
-    def scaled(self, c: Fraction) -> "Monomial":
-        return Monomial(self.coeff * c, self.left, self.right)
-
-
-@dataclass(frozen=True)
 class LpaElement:
-    """A finite sum of monomials, kept sorted with like terms merged.
+    """A finite sum of terms: ``terms`` maps ``(alpha, beta)`` to the nonzero
+    coefficient of ``alpha beta*``, where ``r(alpha) = r(beta)``.
 
-    Build elements with :func:`element`, or from text with
-    :func:`parse_element`.  ``LpaElement(...)`` takes monomials already
-    sorted by ``sort_key`` and merged, and does not check them.
+    Build elements from outside with :func:`element`, or from text with
+    :func:`parse_element`.  ``LpaElement(terms)`` takes the map as it is and
+    does not check it.  Every operation returns a fresh map and never changes
+    one it was given.  Elements hold a dict, so they are not hashable.
     """
 
-    monomials: tuple[Monomial, ...] = ()
+    terms: dict[tuple[PathSeq, PathSeq], Fraction] = field(default_factory=dict)
+    __hash__ = None
 
     def __bool__(self) -> bool:
-        return bool(self.monomials)
+        return bool(self.terms)
 
     def __add__(self, other: "LpaElement") -> "LpaElement":
-        return element(self.monomials + other.monomials)
+        return _combine(self, other, operator.add)
 
     def __neg__(self) -> "LpaElement":
         return self.scaled(-1)
 
     def __sub__(self, other: "LpaElement") -> "LpaElement":
-        return self + (-other)
+        return _combine(self, other, operator.sub)
 
     def __mul__(self, other):
-        if isinstance(other, LpaElement):
-            out = []
-            for a in self.monomials:
-                for b in other.monomials:
-                    m = _mono_mul(a, b)
-                    if m is not None:
-                        out.append(m)
-            return element(out)
-        return self.scaled(other)
+        if not isinstance(other, LpaElement):
+            return self.scaled(other)
+        acc: dict[tuple[PathSeq, PathSeq], Fraction] = {}
+        for (alpha, beta), c in self.terms.items():
+            for (gamma, delta), d in other.terms.items():
+                key = _term_product(alpha, beta, gamma, delta)
+                if key is not None:
+                    acc[key] = acc.get(key, 0) + c * d
+        return _nonzero(acc)
 
     def __rmul__(self, other) -> "LpaElement":
         return self.scaled(other)
@@ -118,43 +100,71 @@ class LpaElement:
         c = Fraction(c)
         if c == 0:
             return LpaElement()
-        return LpaElement(tuple(m.scaled(c) for m in self.monomials))
+        return LpaElement({k: v * c for k, v in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"LpaElement({format_element(self)!r})"
+
+
+def _nonzero(acc: dict) -> LpaElement:
+    """The element of an accumulated term map, its zero coefficients dropped."""
+    return LpaElement({k: c for k, c in acc.items() if c})
+
+
+def _combine(x: LpaElement, y: LpaElement, op) -> LpaElement:
+    """``x + y`` or ``x - y``, as ``op`` is ``operator.add`` or ``operator.sub``."""
+    acc = dict(x.terms)
+    for k, c in y.terms.items():
+        acc[k] = op(acc.get(k, 0), c)
+    return _nonzero(acc)
+
+
+def _term_product(alpha: PathSeq, beta: PathSeq, gamma: PathSeq, delta: PathSeq):
+    """(alpha beta*)(gamma delta*) by prefix cancellation: the key of the
+    product term, or None when it is 0."""
+    if beta.source != gamma.source:
+        return None
+    m, k = len(beta.edges), len(gamma.edges)
+    if m <= k:
+        if beta.edges != gamma.edges[:m]:
+            return None
+        if m < k:
+            alpha = PathSeq(alpha.source, alpha.edges + gamma.edges[m:])
+        return alpha, delta
+    if gamma.edges != beta.edges[:k]:
+        return None
+    return alpha, PathSeq(delta.source, delta.edges + beta.edges[k:])
 
 
 def zero() -> LpaElement:
     return LpaElement()
 
 
-def element(monomials: Iterable[Monomial]) -> LpaElement:
-    """Build an element: merge like terms, drop zeros, sort canonically."""
-    acc: dict[tuple, list] = {}
-    for m in monomials:
-        k = m.sort_key()
-        if k in acc:
-            acc[k][0] += m.coeff
-        else:
-            acc[k] = [m.coeff, m.left, m.right]
-    out = [
-        Monomial(c, left, right)
-        for c, left, right in (acc[k] for k in sorted(acc))
-        if c != 0
-    ]
-    return LpaElement(tuple(out))
+def element(terms: Iterable[tuple]) -> LpaElement:
+    """Build an element from ``(coeff, alpha, beta)`` triples: check each
+    term, merge like terms and drop the sums that cancel."""
+    acc: dict[tuple[PathSeq, PathSeq], Fraction] = {}
+    for coeff, alpha, beta in terms:
+        coeff = Fraction(coeff)
+        if coeff == 0:
+            raise ValueError("zero coefficient")
+        if alpha.target != beta.target:
+            raise ValueError("monomial paths must share their range")
+        key = (alpha, beta)
+        acc[key] = acc.get(key, 0) + coeff
+    return _nonzero(acc)
 
 
 def vertex_element(g: Graph, v: str) -> LpaElement:
     g.require_vertex(v)
     p = PathSeq.at(v)
-    return LpaElement((Monomial(Fraction(1), p, p),))
+    return LpaElement({(p, p): Fraction(1)})
 
 
 def path_element(g: Graph, names: Iterable[str]) -> LpaElement:
     """The element of a real path (no ghost part): alpha r(alpha)*."""
     p = path_in(g, names)
-    return LpaElement((Monomial(Fraction(1), p, PathSeq.at(p.target)),))
+    return LpaElement({(p, PathSeq.at(p.target)): Fraction(1)})
 
 
 def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaElement:
@@ -166,79 +176,43 @@ def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaE
             return PathSeq.at(part)
         return path_in(g, part)
 
-    return LpaElement((Monomial(Fraction(coeff), resolve(alpha), resolve(beta)),))
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial | None:
-    """(alpha beta*)(gamma delta*) collapses by prefix cancellation; None is 0."""
-    beta, gamma = a.right, b.left
-    if beta.source != gamma.source:
-        return None
-    m, k = len(beta.edges), len(gamma.edges)
-    if m <= k:
-        if beta.edges != gamma.edges[:m]:
-            return None
-        rest = PathSeq(beta.target, gamma.edges[m:])
-        return Monomial(a.coeff * b.coeff, a.left.concat(rest), b.right)
-    if gamma.edges != beta.edges[:k]:
-        return None
-    rho = PathSeq(gamma.target, beta.edges[k:])
-    return Monomial(a.coeff * b.coeff, a.left, b.right.concat(rho))
-
-
-def mono_mul(a: Monomial, b: Monomial) -> LpaElement:
-    """Product of two monomials: a single monomial, or zero."""
-    m = _mono_mul(a, b)
-    return LpaElement(() if m is None else (m,))
+    return element([(coeff, resolve(alpha), resolve(beta))])
 
 
 def star(x: LpaElement) -> LpaElement:
     """The involution: (c alpha beta*)* = c beta alpha*."""
-    return element(Monomial(m.coeff, m.right, m.left) for m in x.monomials)
+    return LpaElement({(b, a): c for (a, b), c in x.terms.items()})
 
 
 def designated_edge(g: Graph, v: str) -> str | None:
     """The lexicographically least edge emitted by ``v`` (None for sinks)."""
-    outs = g.out_edges(v)
-    return min(e.name for e in outs) if outs else None
-
-
-def _reduce_once(g: Graph, m: Monomial) -> list[Monomial] | None:
-    """One rewrite at the shared designated final edge, or None if irreducible."""
-    a, b = m.left, m.right
-    if not a.edges or not b.edges:
-        return None
-    f = a.edges[-1]
-    if b.edges[-1] != f:
-        return None
-    v = f.src
-    if f.name != designated_edge(g, v):
-        return None
-    a0, b0 = a.drop_last(), b.drop_last()
-    out = [Monomial(m.coeff, a0, b0)]
-    for e in g.out_edges(v):
-        if e != f:
-            out.append(Monomial(-m.coeff, a0.extend(e), b0.extend(e)))
-    return out
+    g.require_vertex(v)
+    d = g._designated.get(v)
+    return None if d is None else d.name
 
 
 def normal_form(g: Graph, x: LpaElement) -> LpaElement:
     """Rewrite to the spanning-basis representative.
 
-    Terminates because each rewrite trades one monomial for a strictly
-    shorter one plus tail-irreducible ones of equal length; the result is
+    Terminates because each rewrite trades one term for a strictly shorter
+    one plus tail-irreducible ones of equal length; the result is
     independent of rewrite order (checked by the confluence tests).
     """
-    work = list(x.monomials)
-    done: list[Monomial] = []
+    designated, out = g._designated, g._out
+    work = list(x.terms.items())
+    acc: dict[tuple[PathSeq, PathSeq], Fraction] = {}
     while work:
-        m = work.pop()
-        pieces = _reduce_once(g, m)
-        if pieces is None:
-            done.append(m)
-        else:
-            work.extend(pieces)
-    return element(done)
+        key, c = work.pop()
+        a, b = key
+        if a.edges and b.edges:
+            f = a.edges[-1]
+            if b.edges[-1] == f and designated.get(f.src) == f:
+                a0, b0 = a.drop_last(), b.drop_last()
+                work.append(((a0, b0), c))
+                work.extend(((a0.extend(e), b0.extend(e)), -c) for e in out[f.src] if e != f)
+                continue
+        acc[key] = acc.get(key, 0) + c
+    return _nonzero(acc)
 
 
 def equals(g: Graph, x: LpaElement, y: LpaElement) -> bool:
@@ -264,17 +238,17 @@ def standard_weights(g: Graph) -> dict[str, int]:
 def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]):
     """Total weight if ``normal_form(x)`` is homogeneous, else NON_HOMOGENEOUS.
 
-    A monomial weighs the sum over its left path minus the sum over its
-    right path; the zero element has degree 0 by convention.
+    A term weighs the sum over its left path minus the sum over its right
+    path; the zero element has degree 0 by convention.
     """
     nf = normal_form(g, x)
     if not nf:
         return 0
     degs = set()
-    for m in nf.monomials:
+    for left, right in nf.terms:
         try:
-            d = sum(weights[e.name] for e in m.left.edges) - sum(
-                weights[e.name] for e in m.right.edges
+            d = sum(weights[e.name] for e in left.edges) - sum(
+                weights[e.name] for e in right.edges
             )
         except KeyError as exc:
             raise ValueError(f"weight map is missing edge {exc.args[0]!r}") from None
@@ -300,7 +274,7 @@ def omega(g: Graph, alpha: PathSeq, lam: PathSeq):
             raise ValueError(f"lam has an exit at {u!r}")
     if alpha.target != lam.source:
         raise ValueError("lam must be based at the range of alpha")
-    return LpaElement((Monomial(Fraction(1), alpha.concat(lam), alpha),))
+    return LpaElement({(alpha.concat(lam), alpha): Fraction(1)})
 
 
 # ── Cuntz-Krieger family verification ─────────────────────────────────────────
@@ -342,6 +316,7 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
 
     q = {v: family.vertex_images[v] for v in target.vertices}
     t = {e.name: family.edge_images[e.name] for e in target.edges}
+    ts = {name: star(te) for name, te in t.items()}
     fails: list[str] = []
 
     for v in target.vertices:
@@ -356,13 +331,13 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
         te = t[e.name]
         if not equals(host, q[e.src] * te, te) or not equals(host, te * q[e.dst], te):
             fails.append(f"absorption: {e.name}")
-        se = star(te)
+        se = ts[e.name]
         if not equals(host, q[e.dst] * se, se) or not equals(host, se * q[e.src], se):
             fails.append(f"ghost absorption: {e.name}")
     for e in target.edges:
         for f in target.edges:
             want = q[e.dst] if e.name == f.name else zero()
-            if not equals(host, star(t[e.name]) * t[f.name], want):
+            if not equals(host, ts[e.name] * t[f.name], want):
                 fails.append(f"CK-1: {e.name},{f.name}")
     for v in target.vertices:
         outs = target.out_edges(v)
@@ -370,7 +345,7 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
             continue
         total = zero()
         for e in outs:
-            total = total + t[e.name] * star(t[e.name])
+            total = total + t[e.name] * ts[e.name]
         if not equals(host, q[v], total):
             fails.append(f"CK-2: {v}")
     return CkReport(ok=not fails, failures=tuple(fails))
@@ -453,12 +428,15 @@ def parse_element(g: Graph, text: str) -> LpaElement:
                 sign = -1 if s[pos] == "-" else 1
             start = pos + 1
         pos += 1
-    out: list[Monomial] = []
+    out: list[tuple[Fraction, PathSeq, PathSeq]] = []
     for sgn, term in terms:
         coeff = Fraction(sgn)
         m = _COEFF_RE.match(term)
         if m:
-            coeff *= Fraction(m.group(1))
+            try:
+                coeff *= Fraction(m.group(1))
+            except ZeroDivisionError:
+                raise ValueError(f"coefficient {m.group(1)!r} has a zero denominator") from None
             term = term[m.end():]
         if ";" in term:
             a_text, _, b_text = term.partition(";")
@@ -469,25 +447,32 @@ def parse_element(g: Graph, text: str) -> LpaElement:
             beta = PathSeq.at(alpha.target)
         if alpha.target != beta.target:
             raise ValueError(f"term {term!r}: paths do not share a range")
-        out.append(Monomial(coeff, alpha, beta))
+        out.append((coeff, alpha, beta))
     return element(out)
 
 
+def _term_order(item) -> tuple:
+    (left, right), _ = item
+    return (left.sort_key(), right.sort_key())
+
+
 def format_element(x: LpaElement) -> str:
-    if not x.monomials:
+    """The element in the syntax read by :func:`parse_element`, its terms in
+    the canonical order (shorter paths first, then by source and edge names)."""
+    if not x.terms:
         return "0"
     parts: list[str] = []
-    for i, m in enumerate(x.monomials):
-        body = m.left.label()
-        if m.right.length:
-            body += f" ; {m.right.label()}"
-        mag = abs(m.coeff)
+    for i, ((left, right), c) in enumerate(sorted(x.terms.items(), key=_term_order)):
+        body = left.label()
+        if right.length:
+            body += f" ; {right.label()}"
+        mag = abs(c)
         if mag != 1:
             body = f"{mag} * {body}"
         if i == 0:
-            parts.append(body if m.coeff > 0 else f"-{body}")
+            parts.append(body if c > 0 else f"-{body}")
         else:
-            parts.append(f" + {body}" if m.coeff > 0 else f" - {body}")
+            parts.append(f" + {body}" if c > 0 else f" - {body}")
     return "".join(parts)
 
 

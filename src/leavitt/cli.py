@@ -25,6 +25,7 @@ verification, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import format_family, parse_family, verify_ck_family
@@ -98,7 +99,10 @@ def _rank_text(value) -> str:
     return "inf" if value == float("inf") else str(value)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it between calls."""
     top = argparse.ArgumentParser(
         prog="leavitt",
         description="Graph moves, corners, K-theory and monoid tools "
@@ -284,23 +288,24 @@ def _cmd_monoid(args) -> int:
     return 0
 
 
+_HANDLERS = {
+    "analyze": _cmd_analyze,
+    "move": _cmd_move,
+    "desourcify": _cmd_desourcify,
+    "corner": _cmd_corner,
+    "verify": _cmd_verify,
+    "monoid": _cmd_monoid,
+}
+
+
 def run(argv: list[str]) -> int:
     """Run one command; returns the process exit code instead of exiting."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "move": _cmd_move,
-        "desourcify": _cmd_desourcify,
-        "corner": _cmd_corner,
-        "verify": _cmd_verify,
-        "monoid": _cmd_monoid,
-    }
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -21,11 +21,10 @@ Text format for forests (host graph given separately)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .algebra import CkFamily, LpaElement, Monomial, element
+from .algebra import CkFamily, LpaElement, element
 from .graph import Edge, Graph, PathSeq, classify
 from .moves import attach_head, matrix_graph
 
@@ -205,20 +204,19 @@ def corner_family(g: Graph, t: Forest) -> CkFamily:
     """Images of the corner graph's generators inside the host algebra."""
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
-    one = Fraction(1)
     tree_names = {e.name for e in t.tree_edges}
     q: dict[str, LpaElement] = {}
     for v in _corner_vertices(g, t):
         tv = t.tau(v)
-        terms = [Monomial(one, tv, tv)]
+        terms = [(1, tv, tv)]
         for e in g.out_edges(v):
             if e.name in tree_names:
                 ext = tv.extend(e)
-                terms.append(Monomial(-one, ext, ext))
+                terms.append((-1, ext, ext))
         q[v] = element(terms)
     td: dict[str, LpaElement] = {}
     for e, u in _corner_edges(g, t):
-        stem = element([Monomial(one, t.tau(e.src).extend(e), t.tau(e.dst))])
+        stem = element([(1, t.tau(e.src).extend(e), t.tau(e.dst))])
         td[f"{e.name}_{u}"] = stem * q[u]
     return CkFamily(q, td)
 

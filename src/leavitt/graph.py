@@ -121,6 +121,12 @@ class Graph:
         return {e.name: e for e in self.edges}
 
     @cached_property
+    def _designated(self) -> dict[str, Edge]:
+        """Each emitting vertex's edge of least name: the special edge of the
+        Leavitt path algebra's normal-form basis."""
+        return {v: min(es, key=lambda e: e.name) for v, es in self._out.items() if es}
+
+    @cached_property
     def _longest_edge_name(self) -> int:
         return max((len(e.name) for e in self.edges), default=0)
 

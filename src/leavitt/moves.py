@@ -21,10 +21,9 @@ returns the final record's output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .algebra import CkFamily, LpaElement, Monomial, element, vertex_element
+from .algebra import CkFamily, LpaElement, element, vertex_element
 from .graph import (
     Edge,
     Graph,
@@ -68,6 +67,12 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> tuple[PathSeq, ...]:
     collection is finite exactly when no cycle outside the set reaches it;
     otherwise this raises.  Sorted by path label.
     """
+    return tuple(p for _, p in _labelled_entry_paths(g, hs))
+
+
+def _labelled_entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
+    """``(label, path)`` for each of :func:`entry_paths`, in the same order;
+    each label is joined once."""
     h = frozenset(hs)
     if not is_hereditary(g, h):  # which also rejects unknown vertices
         raise ValueError("the vertex set is not hereditary")
@@ -78,9 +83,10 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> tuple[PathSeq, ...]:
     if _has_cycle(can_reach, [e for v in can_reach for e in g._in[v]]):
         raise ValueError("a cycle outside the hereditary set reaches it: "
                          "infinitely many entry paths")
-    paths = [PathSeq.of(p) for b in boundary for p in _paths_ending_with(g, b)]
-    paths.sort(key=lambda p: p.label())
-    return tuple(paths)
+    out = [(p.label(), p) for b in boundary
+           for p in map(PathSeq.of, _paths_ending_with(g, b))]
+    out.sort(key=lambda lp: lp[0])
+    return out
 
 
 def _paths_ending_with(g: Graph, b: Edge) -> list[tuple[Edge, ...]]:
@@ -147,11 +153,10 @@ def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
     if not h and g.vertices:
         raise ValueError("the hereditary set must be nonempty (nothing outside "
                          "an empty set can reach it)")
-    paths = entry_paths(g, h)
-    labels = [p.label() for p in paths]
-    vertices = tuple(v for v in g.vertices if v in h) + tuple(labels)
+    paths = _labelled_entry_paths(g, h)
+    vertices = tuple(v for v in g.vertices if v in h) + tuple(name for name, _ in paths)
     edges = tuple(e for e in g.edges if e.src in h) + tuple(
-        Edge(f"ov_{name}", name, p.target) for name, p in zip(labels, paths)
+        Edge(f"ov_{name}", name, p.target) for name, p in paths
     )
     return Graph(vertices, edges)
 
@@ -182,21 +187,17 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
     vertices of the set map to themselves, each path-vertex to ``alpha alpha*``,
     kept edges to themselves, and each ``ov_`` edge to its path."""
     h = frozenset(hs)
-    paths = entry_paths(g, h)
-    one = Fraction(1)
     vertex_images: dict[str, LpaElement] = {}
     edge_images: dict[str, LpaElement] = {}
     for v in g.vertices:
         if v in h:
             vertex_images[v] = vertex_element(g, v)
-    for p in paths:
-        name = p.label()
-        vertex_images[name] = element([Monomial(one, p, p)])
-        edge_images[f"ov_{name}"] = element([Monomial(one, p, PathSeq.at(p.target))])
+    for name, p in _labelled_entry_paths(g, h):
+        vertex_images[name] = element([(1, p, p)])
+        edge_images[f"ov_{name}"] = element([(1, p, PathSeq.at(p.target))])
     for e in g.edges:
         if e.src in h:
-            pe = PathSeq.of((e,))
-            edge_images[e.name] = element([Monomial(one, pe, PathSeq.at(e.dst))])
+            edge_images[e.name] = element([(1, PathSeq.of((e,)), PathSeq.at(e.dst))])
     return CkFamily(vertex_images, edge_images)
 
 
@@ -259,7 +260,6 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
     _check_count(n)
     host = subdivide_edge(g, e0, n)
     v0 = e.dst
-    one = Fraction(1)
     vertex_images: dict[str, LpaElement] = {v: vertex_element(host, v) for v in g.vertices}
     for i in range(1, n + 1):
         vertex_images[f"{v0}.h{i}"] = vertex_element(host, f"{e0}.v{i}")
@@ -267,12 +267,12 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
     for x in g.edges:
         if x.name != e0:
             px = PathSeq.of((host.edge(x.name),))
-            edge_images[x.name] = element([Monomial(one, px, PathSeq.at(x.dst))])
+            edge_images[x.name] = element([(1, px, PathSeq.at(x.dst))])
     chain = PathSeq.of(host.edge(f"{e0}.e{i}") for i in range(n + 1, 0, -1))
-    edge_images[e0] = element([Monomial(one, chain, PathSeq.at(chain.target))])
+    edge_images[e0] = element([(1, chain, PathSeq.at(chain.target))])
     for i in range(1, n + 1):
         pe = PathSeq.of((host.edge(f"{e0}.e{i}"),))
-        edge_images[f"{v0}.e{i}"] = element([Monomial(one, pe, PathSeq.at(pe.target))])
+        edge_images[f"{v0}.e{i}"] = element([(1, pe, PathSeq.at(pe.target))])
     return CkFamily(vertex_images, edge_images)
 
 

@@ -14,18 +14,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import funnel_into_cycle, random_graph, rose2, single_loop, triangle, two_way_line
+from conftest import arrow, funnel_into_cycle, random_graph, rose2, single_loop, triangle, two_way_line
 from leavitt.algebra import (
     NON_HOMOGENEOUS,
     CkFamily,
     LpaElement,
-    Monomial,
     degree,
+    designated_edge,
     element,
     equals,
     format_element,
     format_family,
-    mono_mul,
     monomial,
     normal_form,
     omega,
@@ -47,9 +46,7 @@ from leavitt.moves import attach_head, expand_hereditary, expansion_family, subd
 
 def oracle_reduce(g: Graph, x: LpaElement, rng: random.Random) -> LpaElement:
     """Rewrite to a fixpoint, choosing the trigger at random each step."""
-    terms: dict[tuple[PathSeq, PathSeq], Fraction] = {}
-    for m in x.monomials:
-        terms[(m.left, m.right)] = terms.get((m.left, m.right), Fraction(0)) + m.coeff
+    terms = dict(x.terms)
 
     def bump(key, delta):
         new = terms.get(key, Fraction(0)) + delta
@@ -74,7 +71,7 @@ def oracle_reduce(g: Graph, x: LpaElement, rng: random.Random) -> LpaElement:
         for e in g.out_edges(f.src):
             if e.name != f.name:
                 bump((a.drop_last().extend(e), b.drop_last().extend(e)), -coeff)
-    return element(Monomial(c, a, b) for (a, b), c in terms.items())
+    return element((c, a, b) for (a, b), c in terms.items())
 
 
 def random_path(g: Graph, rng: random.Random, max_len: int = 3) -> PathSeq:
@@ -87,7 +84,8 @@ def random_path(g: Graph, rng: random.Random, max_len: int = 3) -> PathSeq:
     return p
 
 
-def random_monomial(g: Graph, rng: random.Random) -> Monomial:
+def random_monomial(g: Graph, rng: random.Random) -> tuple[Fraction, PathSeq, PathSeq]:
+    """A random term ``(coeff, alpha, beta)`` with r(alpha) = r(beta)."""
     a = random_path(g, rng)
     edges = []
     at = a.target
@@ -101,17 +99,22 @@ def random_monomial(g: Graph, rng: random.Random) -> Monomial:
     edges.reverse()
     b = PathSeq.of(edges) if edges else PathSeq.at(a.target)
     coeff = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
-    return Monomial(coeff, a, b)
+    return coeff, a, b
 
 
 def random_element(g: Graph, rng: random.Random, max_terms: int = 3) -> LpaElement:
     return element(random_monomial(g, rng) for _ in range(rng.randint(1, max_terms)))
 
 
-def assert_sorted_and_merged(x: LpaElement) -> None:
-    """The form every element is built in; the constructor does not check it."""
-    keys = [m.sort_key() for m in x.monomials]
-    assert keys == sorted(set(keys)), format_element(x)
+def assert_canonical(x: LpaElement) -> None:
+    """The form every element is built in; the constructor does not check it:
+    each coefficient is a nonzero Fraction, each pair of paths shares its
+    range, and the text does not depend on the order the terms went in."""
+    for (a, b), c in x.terms.items():
+        assert isinstance(c, Fraction) and c != 0, format_element(x)
+        assert a.target == b.target, format_element(x)
+    reversed_in = LpaElement(dict(reversed(list(x.terms.items()))))
+    assert format_element(reversed_in) == format_element(x)
 
 
 def unmerged_text(*xs: LpaElement) -> str:
@@ -133,11 +136,11 @@ def test_every_operation_returns_sorted_merged_elements():
             parsed = parse_element(g, unmerged_text(x, y, x))
             assert parsed == x + y + x
             for z in (
-                element(ms + [m.scaled(Fraction(-1)) for m in ms[:2]] + ms),
+                element(ms + [(-c, a, b) for c, a, b in ms[:2]] + ms),
                 x * y, x + y, x - y, -x, star(x), x.scaled(c), c * x, x * c, x.scaled(0),
                 normal_form(g, x * y), parsed,
             ):
-                assert_sorted_and_merged(z)
+                assert_canonical(z)
 
 
 def test_sort_key_orders_paths_as_edge_names_do():
@@ -178,8 +181,20 @@ def test_monomial_requires_common_range():
 
 
 def test_monomial_rejects_zero_coefficient():
-    with pytest.raises(ValueError):
-        Monomial(Fraction(0), PathSeq.at("v"), PathSeq.at("v"))
+    g = rose2()
+    v = PathSeq.at("v")
+    with pytest.raises(ValueError, match="zero coefficient"):
+        element([(Fraction(0), v, v)])
+    with pytest.raises(ValueError, match="zero coefficient"):
+        monomial(g, 0, ["e"], ["e"])
+    # a sum that cancels is zero, not an error
+    assert element([(1, v, v), (-1, v, v)]) == zero()
+
+
+def test_element_requires_common_range():
+    g = funnel_into_cycle()
+    with pytest.raises(ValueError, match="share their range"):
+        element([(1, path_in(g, ["a"]), path_in(g, ["c"]))])
 
 
 def test_associativity_sampled():
@@ -227,6 +242,9 @@ def test_ck2_reduces_to_zero():
 
 def test_rose2_designated_rewrite():
     g = rose2()
+    assert designated_edge(g, "v") == "e"
+    assert designated_edge(funnel_into_cycle(), "4") == "f1"  # f1 < f2
+    assert designated_edge(arrow(), "2") is None  # a sink
     ee = monomial(g, 1, ["e"], ["e"])
     expect = vertex_element(g, "v") - monomial(g, 1, ["f"], ["f"])
     assert normal_form(g, ee) == expect
@@ -313,17 +331,17 @@ def test_omega_construction():
     g = funnel_into_cycle()
     lam = path_in(g, ["a", "b", "c"])
     om = omega(g, path_in(g, ["f1"]), lam)
-    (m,) = om.monomials
-    assert m.left.edge_names() == ("f1", "a", "b", "c")
-    assert m.right.edge_names() == ("f1",)
+    [((left, right), c)] = om.terms.items()
+    assert left.edge_names() == ("f1", "a", "b", "c")
+    assert right.edge_names() == ("f1",)
+    assert c == 1
 
 
 def test_omega_trivial_alpha():
     g = funnel_into_cycle()
     lam = path_in(g, ["a", "b", "c"])
     om = omega(g, PathSeq.at("1"), lam)
-    (m,) = om.monomials
-    assert m.left == lam and m.right == PathSeq.at("1")
+    assert om.terms == {(lam, PathSeq.at("1")): 1}
 
 
 def test_omega_unitary_after_normal_form():
@@ -380,6 +398,21 @@ def test_subdivision_family_passes():
     host = subdivide_edge(g, "alpha", 3)
     report = verify_ck_family(target, subdivision_family(g, "alpha", 3), host)
     assert report.ok, report.failures
+
+
+def test_verify_stars_each_edge_image_once(monkeypatch):
+    import leavitt.algebra
+
+    starred = []
+    real_star = leavitt.algebra.star
+    monkeypatch.setattr(leavitt.algebra, "star", lambda x: starred.append(x) or real_star(x))
+    g = funnel_into_cycle()
+    fam = identity_family(g)
+    assert verify_ck_family(g, fam, g).ok
+    assert len(starred) == len(g.edges)
+    assert sorted(map(format_element, starred)) == sorted(
+        format_element(fam.edge_images[e.name]) for e in g.edges
+    )
 
 
 def test_family_completeness_required():
@@ -452,10 +485,10 @@ def diamond() -> Graph:
 def test_parse_element_input_shapes():
     g = diamond()
     x = parse_element(g, "3/2 * a.b ; c")
-    (m,) = x.monomials
-    assert m.coeff == Fraction(3, 2)
-    assert m.left.edge_names() == ("a", "b")
-    assert m.right.edge_names() == ("c",)
+    [((left, right), c)] = x.terms.items()
+    assert c == Fraction(3, 2)
+    assert left.edge_names() == ("a", "b")
+    assert right.edge_names() == ("c",)
     assert format_element(x) == "3/2 * a.b ; c"
 
 
@@ -505,8 +538,8 @@ def test_vertex_name_shadows_edge_name():
     g = Graph(("e",), (Edge("e", "e", "e"),))
     assert parse_element(g, "e") == vertex_element(g, "e")
     x = parse_element(g, "e.e")
-    (m,) = x.monomials
-    assert m.left.edge_names() == ("e", "e")
+    [(left, _)] = x.terms
+    assert left.edge_names() == ("e", "e")
 
 
 def test_parse_rejects_garbage():
@@ -515,6 +548,8 @@ def test_parse_rejects_garbage():
         parse_element(g, "q")
     with pytest.raises(ValueError):
         parse_element(g, "a ; b")  # ranges differ: v vs w
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_element(g, "3/0 * u")
 
 
 def test_format_parse_round_trip_sampled():

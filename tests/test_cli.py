@@ -203,6 +203,38 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_zero_denominator_is_a_domain_error(tmp_path, capsys):
+    family = tmp_path / "family.txt"
+    family.write_text("vertex v = 3/0 * v\n", encoding="utf-8")
+    assert run(["verify", write_graph(tmp_path, rose2()), str(family)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'3/0'" in err
+
+
+def test_consecutive_runs_share_no_state(tmp_path, capsys):
+    from leavitt import cli
+
+    graph_file = write_graph(tmp_path, rose2())
+    calls = [
+        ["analyze", graph_file, "--no-such-flag"],
+        ["move", "attach-head", graph_file, "v", "2"],
+        ["analyze", graph_file, "--unit-rank", "2"],
+        ["analyze", graph_file],
+    ]
+
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return run(argv), capsys.readouterr()
+
+    expected = [fresh(argv) for argv in calls]
+    cli._build_parser.cache_clear()
+    consecutive = [(run(argv), capsys.readouterr()) for argv in calls]
+    assert consecutive == expected
+    assert [code for code, _ in consecutive] == [2, 0, 0, 0]
+    assert "rank_k1(r=0) 0\n" in consecutive[3][1].out
+
+
 def test_output_is_byte_deterministic(tmp_path, capsys):
     graph_file = write_graph(tmp_path, funnel_into_cycle())
     runs = []

@@ -24,7 +24,7 @@ from conftest import (
     two_way_line,
 )
 from leavitt.cli import run
-from leavitt.graph import Edge, Graph, classify, graph_hash, parse_graph, serialize_graph
+from leavitt.graph import Edge, Graph, PathSeq, classify, graph_hash, parse_graph, serialize_graph
 from leavitt.ktheory import k0_invariant_data
 from leavitt.moves import (
     MoveRecord,
@@ -50,6 +50,19 @@ from leavitt.moves import (
 def test_entry_paths_funnel():
     labels = [p.label() for p in entry_paths(funnel_into_cycle(), ["1", "2", "3"])]
     assert labels == ["f1", "f2", "g1.f1", "g1.f2"]
+
+
+def test_expand_joins_each_entry_label_once(monkeypatch):
+    g, hs = funnel_into_cycle(), ["1", "2", "3"]
+    paths = entry_paths(g, hs)
+    joined = []
+    real_label = PathSeq.label
+    monkeypatch.setattr(PathSeq, "label", lambda p: joined.append(p) or real_label(p))
+    expand_hereditary(g, hs)
+    assert sorted(joined, key=PathSeq.sort_key) == sorted(paths, key=PathSeq.sort_key)
+    joined.clear()
+    leavitt.moves.expansion_family(g, hs)
+    assert sorted(joined, key=PathSeq.sort_key) == sorted(paths, key=PathSeq.sort_key)
 
 
 def test_expand_funnel_frozen():
