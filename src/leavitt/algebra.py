@@ -43,9 +43,7 @@ __all__ = [
     "normal_form",
     "equals",
     "NON_HOMOGENEOUS",
-    "standard_weights",
     "degree",
-    "omega",
     "CkFamily",
     "CkReport",
     "verify_ck_family",
@@ -230,11 +228,6 @@ class _NonHomogeneous:
 NON_HOMOGENEOUS = _NonHomogeneous()
 
 
-def standard_weights(g: Graph) -> dict[str, int]:
-    """Every edge weighs 1 (vertices weigh 0, ghost edges weigh -1)."""
-    return {e.name: 1 for e in g.edges}
-
-
 def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]):
     """Total weight if ``normal_form(x)`` is homogeneous, else NON_HOMOGENEOUS.
 
@@ -256,25 +249,6 @@ def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]):
     if len(degs) == 1:
         return degs.pop()
     return NON_HOMOGENEOUS
-
-
-def omega(g: Graph, alpha: PathSeq, lam: PathSeq):
-    """The element alpha lam alpha* attached to a cycle without exits.
-
-    ``lam`` must be a vertex-simple closed path each of whose vertices emits
-    exactly one edge, based at the range of ``alpha``.
-    """
-    if lam.length == 0 or lam.source != lam.target:
-        raise ValueError("lam must be a closed path of positive length")
-    srcs = [e.src for e in lam.edges]
-    if len(set(srcs)) != len(srcs):
-        raise ValueError("lam must visit each vertex once")
-    for u in srcs:
-        if len(g.out_edges(u)) != 1:
-            raise ValueError(f"lam has an exit at {u!r}")
-    if alpha.target != lam.source:
-        raise ValueError("lam must be based at the range of alpha")
-    return LpaElement({(alpha.concat(lam), alpha): Fraction(1)})
 
 
 # ── Cuntz-Krieger family verification ─────────────────────────────────────────

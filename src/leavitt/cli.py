@@ -209,7 +209,7 @@ def _cmd_analyze(args) -> int:
         f"strongly_graded {no_sinks}",
         f"criterion4 {str(verdict.criterion4).lower()}",
         "criterion5 "
-        + (verdict.criterion5_note if verdict.criterion5 is None
+        + ("inapplicable: infinite unit-group rank" if verdict.criterion5 is None
            else str(verdict.criterion5).lower()),
     ]
     sys.stdout.write("".join(line + "\n" for line in lines))

@@ -11,11 +11,6 @@ The corner's algebra sits inside the host's as a corner by an explicit
 family: ``Q_v = tau(v) tau(v)* - sum tau(v) e e* tau(v)*`` over the forest
 edges emitted by ``v``, and ``T_{e_u} = tau(s(e)) e tau(r(e))* Q_u``; the
 weight map below makes every ``Q_v`` degree 0 and every ``T_{e_u}`` degree 1.
-
-Text format for forests (host graph given separately)::
-
-    root <vertex>
-    tedge <edge>
 """
 
 from __future__ import annotations
@@ -36,8 +31,6 @@ __all__ = [
     "corner_weights",
     "full_idempotent_corner",
     "se_corner",
-    "parse_forest",
-    "serialize_forest",
 ]
 
 
@@ -113,11 +106,6 @@ class Forest:
         for e in self.tree_edges:
             out.setdefault(e.src, []).append(e.dst)
         return out
-
-    @cached_property
-    def leaves(self) -> tuple[str, ...]:
-        """Forest vertices emitting no tree edge."""
-        return tuple(v for v in self.vertices if v not in self._children)
 
     def tau(self, v: str) -> PathSeq:
         """The unique forest path from a root down to ``v``."""
@@ -290,26 +278,3 @@ def se_corner(g: Graph, xs: Iterable[str], k: int) -> Graph:
     if len(x) == len(frag.vertices):
         raise ValueError("the root set exhausts the fragment; increase the depth")
     return t_corner(frag, build_forest(frag, x))
-
-
-def parse_forest(text: str, g: Graph) -> Forest:
-    roots: list[str] = []
-    tedges: list[Edge] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "root" and len(parts) == 2:
-            roots.append(parts[1])
-        elif parts[0] == "tedge" and len(parts) == 2:
-            tedges.append(g.edge(parts[1]))
-        else:
-            raise ValueError(f"line {lineno}: expected 'root <vertex>' or 'tedge <edge>'")
-    return Forest(g, tuple(roots), tuple(tedges))
-
-
-def serialize_forest(t: Forest) -> str:
-    lines = [f"root {v}" for v in t.roots]
-    lines += [f"tedge {e.name}" for e in t.tree_edges]
-    return "".join(line + "\n" for line in lines)

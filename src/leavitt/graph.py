@@ -36,10 +36,6 @@ __all__ = [
     "hereditary_closure",
     "saturated_closure",
     "hs_closure",
-    "cycles_without_exits",
-    "distinguished_paths",
-    "restrict",
-    "complement_graph",
     "parse_graph",
     "serialize_graph",
     "fnv1a64",
@@ -193,21 +189,12 @@ class PathSeq:
     def edge_names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.edges)
 
-    def vertex_seq(self) -> tuple[str, ...]:
-        """All vertices visited, in order (length + 1 entries)."""
-        return (self.source,) + tuple(e.dst for e in self.edges)
-
     def label(self) -> str:
         """Edge names joined with dots; the vertex of a length-0 path."""
         return ".".join(self.edge_names()) or self.source
 
     def extend(self, e: Edge) -> "PathSeq":
         return PathSeq(self.source, self.edges + (e,))
-
-    def concat(self, other: "PathSeq") -> "PathSeq":
-        if self.target != other.source:
-            raise ValueError("paths do not compose")
-        return PathSeq(self.source, self.edges + other.edges)
 
     def drop_last(self) -> "PathSeq":
         if not self.edges:
@@ -231,17 +218,15 @@ def path_in(g: Graph, names: Iterable[str]) -> PathSeq:
 class VertexClassification:
     sinks: tuple[str, ...]
     sources: tuple[str, ...]
-    regular: tuple[str, ...]
 
 
 def classify(g: Graph) -> VertexClassification:
-    """Partition the vertices: sinks emit nothing, sources receive nothing,
-    regular vertices emit at least one edge (finitely many, the graph being
-    finite).  The singular vertices are exactly the sinks."""
+    """The sinks, which emit nothing, and the sources, which receive nothing.
+    Every other vertex emits finitely many edges, the graph being finite, so
+    the singular vertices are exactly the sinks."""
     sinks = sorted(v for v in g.vertices if not g._out[v])
     sources = sorted(v for v in g.vertices if not g._in[v])
-    regular = sorted(v for v in g.vertices if g._out[v])
-    return VertexClassification(tuple(sinks), tuple(sources), tuple(regular))
+    return VertexClassification(tuple(sinks), tuple(sources))
 
 
 def reaches(g: Graph, v: str, w: str) -> bool:
@@ -318,79 +303,6 @@ def hs_closure(g: Graph, xs: Iterable[str]) -> tuple[str, ...]:
         if nxt == cur:
             return cur
         cur = nxt
-
-
-def cycles_without_exits(g: Graph) -> tuple[PathSeq, ...]:
-    """All cycles whose vertices each emit exactly one edge.
-
-    Each cycle is listed once, rotated to start at its lexicographically
-    least vertex; the list is sorted by that starting vertex.  Such cycles
-    are pairwise vertex-disjoint.
-    """
-    nxt = {v: g._out[v][0] for v in g.vertices if len(g._out[v]) == 1}
-    done: set[str] = set()
-    found: list[list[str]] = []
-    for v in sorted(nxt):
-        if v in done:
-            continue
-        trail: list[str] = []
-        index: dict[str, int] = {}
-        u = v
-        while u in nxt and u not in done and u not in index:
-            index[u] = len(trail)
-            trail.append(u)
-            u = nxt[u].dst
-        if u in index:
-            found.append(trail[index[u]:])
-        done.update(trail)
-    out = []
-    for cyc in found:
-        start = cyc.index(min(cyc))
-        rot = cyc[start:] + cyc[:start]
-        out.append(PathSeq.of(nxt[w] for w in rot))
-    out.sort(key=lambda p: p.source)
-    return tuple(out)
-
-
-def distinguished_paths(g: Graph, max_len: int) -> tuple[PathSeq, ...]:
-    """All paths of length <= ``max_len`` ending on a cycle without exits,
-    including the length-0 paths at the cycle vertices themselves."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    bases: set[str] = set()
-    for cyc in cycles_without_exits(g):
-        bases.update(cyc.vertex_seq())
-    paths: list[PathSeq] = [PathSeq.at(v) for v in sorted(bases)]
-    frontier = list(paths)
-    for _ in range(max_len):
-        nxt: list[PathSeq] = []
-        for p in frontier:
-            for e in g.in_edges(p.source):
-                nxt.append(PathSeq.of((e,) + p.edges))
-        frontier = nxt
-        paths.extend(nxt)
-    paths.sort(key=PathSeq.sort_key)
-    return tuple(paths)
-
-
-def restrict(g: Graph, hs: Iterable[str]) -> Graph:
-    """Subgraph on a hereditary set ``hs`` with every edge emitted inside it."""
-    h = _validated(g, hs)
-    if not is_hereditary(g, h):
-        raise ValueError("restriction requires a hereditary vertex set")
-    return Graph(
-        tuple(v for v in g.vertices if v in h),
-        tuple(e for e in g.edges if e.src in h),
-    )
-
-
-def complement_graph(g: Graph, hs: Iterable[str]) -> Graph:
-    """Graph on the vertices outside ``hs`` with every edge ranging outside it."""
-    h = _validated(g, hs)
-    return Graph(
-        tuple(v for v in g.vertices if v not in h),
-        tuple(e for e in g.edges if e.dst not in h),
-    )
 
 
 # ── text format ──────────────────────────────────────────────────────────────

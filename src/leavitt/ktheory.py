@@ -290,7 +290,6 @@ class KSummary:
     """Exact K-theory rank data of a graph algebra over a field whose unit
     group has free rank ``unit_rank``."""
 
-    matrix: IntMatrix
     invariant_factors: tuple[int, ...]
     torsion: tuple[int, ...]  # the nonunit invariant factors
     rank_k0: int
@@ -320,7 +319,6 @@ def k_summary(g: Graph, unit_rank: "int | float" = 0) -> KSummary:
     else:
         rank_k1 = (n_reg - rho) + unit_rank * rank_k0
     return KSummary(
-        matrix=b,
         invariant_factors=factors,
         torsion=tuple(d for d in factors if d != 1),
         rank_k0=rank_k0,
@@ -346,34 +344,19 @@ class ClassificationVerdict:
     Cuntz-Krieger algebra and that it is strongly graded: for a finite
     graph all three coincide.  ``criterion4`` compares the two C*-ranks;
     ``criterion5`` compares rank K1 against (r+1) * rank K0 and is None
-    (inapplicable) for an infinite unit-group rank.  ``consistent`` records
-    that the rank-based criteria agreed with the combinatorial one; it is a
-    bug detector and should always be True.
+    (inapplicable) for an infinite unit-group rank.  For a finite graph
+    each criterion that applies equals ``no_sinks``.
     """
 
     no_sinks: bool
     criterion4: bool
     criterion5: "bool | None"
-    criterion5_note: str
-    consistent: bool
 
 
 def classify_algebra(s: KSummary) -> ClassificationVerdict:
     """The verdicts, read off a K-theory summary without recomputing it."""
-    no_sinks = s.singular_count == 0
-    criterion4 = s.rank_k0 == s.rank_k1_cstar
-    if s.unit_rank == INF:
-        criterion5: "bool | None" = None
-        note = "inapplicable: infinite unit-group rank"
-        consistent = criterion4 == no_sinks
-    else:
-        criterion5 = s.rank_k1 == (s.unit_rank + 1) * s.rank_k0
-        note = ""
-        consistent = criterion4 == no_sinks and criterion5 == no_sinks
     return ClassificationVerdict(
-        no_sinks=no_sinks,
-        criterion4=criterion4,
-        criterion5=criterion5,
-        criterion5_note=note,
-        consistent=consistent,
+        no_sinks=s.singular_count == 0,
+        criterion4=s.rank_k0 == s.rank_k1_cstar,
+        criterion5=None if s.unit_rank == INF else s.rank_k1 == (s.unit_rank + 1) * s.rank_k0,
     )

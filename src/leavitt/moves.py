@@ -28,20 +28,16 @@ from .graph import (
     Edge,
     Graph,
     PathSeq,
-    _validated,
     classify,
     graph_hash,
-    hereditary_closure,
     is_hereditary,
 )
 
 __all__ = [
     "MoveRecord",
     "MoveTrace",
-    "ExpansionReport",
     "entry_paths",
     "expand_hereditary",
-    "expansion_preconditions",
     "attach_head",
     "subdivide_edge",
     "attach_sources",
@@ -63,9 +59,11 @@ __all__ = [
 def entry_paths(g: Graph, hs: Iterable[str]) -> tuple[PathSeq, ...]:
     """All paths entering the hereditary set through their final edge.
 
-    Every vertex of such a path except its range lies outside the set.  The
-    collection is finite exactly when no cycle outside the set reaches it;
-    otherwise this raises.  Sorted by path label.
+    Every vertex of such a path except its range lies outside the set.  This
+    raises unless every vertex outside the set reaches it and no cycle lies
+    outside it: the hypotheses under which hereditary expansion preserves
+    the algebra, and under which the collection is finite.  Sorted by path
+    label.
     """
     return tuple(p for _, p in _labelled_entry_paths(g, hs))
 
@@ -83,6 +81,10 @@ def _labelled_entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSe
     if _has_cycle(can_reach, [e for v in can_reach for e in g._in[v]]):
         raise ValueError("a cycle outside the hereditary set reaches it: "
                          "infinitely many entry paths")
+    # so when every outside vertex reaches h, the graph outside h is acyclic
+    if len(can_reach) + len(h) < len(g.vertices):
+        v = next(v for v in g.vertices if v not in h and v not in can_reach)
+        raise ValueError(f"vertex {v!r} does not reach the hereditary set")
     out = [(p.label(), p) for b in boundary
            for p in map(PathSeq.of, _paths_ending_with(g, b))]
     out.sort(key=lambda lp: lp[0])
@@ -150,36 +152,12 @@ def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
     vertex to the path's range.
     """
     h = frozenset(hs)
-    if not h and g.vertices:
-        raise ValueError("the hereditary set must be nonempty (nothing outside "
-                         "an empty set can reach it)")
     paths = _labelled_entry_paths(g, h)
     vertices = tuple(v for v in g.vertices if v in h) + tuple(name for name, _ in paths)
     edges = tuple(e for e in g.edges if e.src in h) + tuple(
         Edge(f"ov_{name}", name, p.target) for name, p in paths
     )
     return Graph(vertices, edges)
-
-
-@dataclass(frozen=True)
-class ExpansionReport:
-    """Preconditions under which hereditary expansion preserves the algebra."""
-
-    complement_acyclic: bool
-    all_reach: bool
-    ok: bool
-
-
-def expansion_preconditions(g: Graph, hs: Iterable[str]) -> ExpansionReport:
-    """Check the hypotheses: the graph outside the set (with the edges ranging
-    outside it) is acyclic and finite, and every outside vertex reaches the
-    set.  Only finitely many edges cross into it, the graph being finite."""
-    h = _validated(g, hs)
-    outside_vertices = {v for v in g.vertices if v not in h}
-    outside_edges = [e for e in g.edges if e.src not in h and e.dst not in h]
-    acyclic = not _has_cycle(outside_vertices, outside_edges)
-    all_reach = outside_vertices <= _coreachable(g, h)
-    return ExpansionReport(acyclic, all_reach, acyclic and all_reach)
 
 
 def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
@@ -241,10 +219,14 @@ def attach_sources(g: Graph, v0: str, n: int) -> Graph:
 
 
 def eliminate_source(g: Graph, v: str) -> Graph:
-    """Remove a source vertex together with the edges it emits."""
-    g.require_vertex(v)
+    """Remove a source vertex together with the edges it emits.
+
+    The source must emit an edge: removing an isolated vertex changes K0.
+    """
     if g.in_edges(v):
         raise ValueError(f"vertex {v!r} is not a source")
+    if not g._out[v]:
+        raise ValueError(f"source {v!r} emits no edge")
     return Graph(
         tuple(w for w in g.vertices if w != v),
         tuple(e for e in g.edges if e.src != v),

@@ -27,11 +27,9 @@ from leavitt.algebra import (
     format_family,
     monomial,
     normal_form,
-    omega,
     parse_element,
     parse_family,
     path_element,
-    standard_weights,
     star,
     verify_ck_family,
     vertex_element,
@@ -293,6 +291,11 @@ def test_equals_respects_ring_operations():
 # ── grading ───────────────────────────────────────────────────────────────────
 
 
+def standard_weights(g: Graph) -> dict[str, int]:
+    """Every edge weighs 1, so a term's degree is |alpha| - |beta|."""
+    return {e.name: 1 for e in g.edges}
+
+
 def test_degree_standard_weights():
     g = funnel_into_cycle()
     w = standard_weights(g)
@@ -327,46 +330,16 @@ def test_degree_computed_on_normal_form():
 # ── omega elements ────────────────────────────────────────────────────────────
 
 
-def test_omega_construction():
-    g = funnel_into_cycle()
-    lam = path_in(g, ["a", "b", "c"])
-    om = omega(g, path_in(g, ["f1"]), lam)
-    [((left, right), c)] = om.terms.items()
-    assert left.edge_names() == ("f1", "a", "b", "c")
-    assert right.edge_names() == ("f1",)
-    assert c == 1
-
-
-def test_omega_trivial_alpha():
-    g = funnel_into_cycle()
-    lam = path_in(g, ["a", "b", "c"])
-    om = omega(g, PathSeq.at("1"), lam)
-    assert om.terms == {(lam, PathSeq.at("1")): 1}
-
-
 def test_omega_unitary_after_normal_form():
-    # both products collapse to the projection f1 f1*: the cycle telescopes
-    # through the exit-free CK-2 relations
+    # omega = alpha lam alpha* for the exit-free 3-cycle lam = a.b.c and
+    # alpha = f1: both products collapse to the projection f1 f1*, the cycle
+    # telescoping through the exit-free CK-2 relations
     g = funnel_into_cycle()
-    lam = path_in(g, ["a", "b", "c"])
-    om = omega(g, path_in(g, ["f1"]), lam)
+    om = monomial(g, 1, ["f1", "a", "b", "c"], ["f1"])
     left = om * star(om)
     right = star(om) * om
     assert equals(g, left, right)
     assert equals(g, left, monomial(g, 1, ["f1"], ["f1"]))
-
-
-def test_omega_rejects_cycle_with_exit():
-    g = rose2()
-    with pytest.raises(ValueError):
-        omega(g, PathSeq.at("v"), path_in(g, ["e"]))
-
-
-def test_omega_rejects_base_mismatch():
-    g = funnel_into_cycle()
-    lam = path_in(g, ["a", "b", "c"])
-    with pytest.raises(ValueError):
-        omega(g, path_in(g, ["g1"]), lam)  # g1 ends at 4, cycle based at 1
 
 
 # ── family verification ───────────────────────────────────────────────────────

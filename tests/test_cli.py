@@ -101,6 +101,26 @@ def test_move_subdivide_and_eliminate(tmp_path, capsys):
     assert parse_graph(capsys.readouterr().out) == Graph(("v",), (Edge("l", "v", "v"),))
 
 
+def test_moves_refuse_inputs_that_would_change_the_algebra(tmp_path, capsys):
+    # expanding {h} would drop the x component: L_2 + L_3 would become L_2
+    two = Graph(
+        ("h", "x"),
+        (Edge("h1", "h", "h"), Edge("h2", "h", "h"),
+         Edge("x1", "x", "x"), Edge("x2", "x", "x"), Edge("x3", "x", "x")),
+    )
+    # removing the isolated vertex u would drop K0 from rank 1 to rank 0
+    isolated = Graph(("u",), ())
+    calls = [
+        ["move", "expand-hereditary", write_graph(tmp_path, two, "two.txt"), "h"],
+        ["move", "eliminate-source", write_graph(tmp_path, isolated, "u.txt"), "u"],
+    ]
+    for argv, message in zip(calls, ["vertex 'x' does not reach", "source 'u' emits no edge"]):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_desourcify_writes_replayable_trace(tmp_path, capsys):
     g = funnel_into_cycle()
     with_src = attach_head(g, "5", 1)  # keeps the head's far end as a source

@@ -21,9 +21,7 @@ from leavitt.corners import (
     corner_family,
     corner_weights,
     full_idempotent_corner,
-    parse_forest,
     se_corner,
-    serialize_forest,
     t_corner,
 )
 from leavitt.graph import Edge, Graph, classify, hereditary_closure, hs_closure, serialize_graph
@@ -43,7 +41,6 @@ def test_build_forest_two_way_line():
     assert t.tau("v2").label() == "v2"
     assert t.tau("v1").label() == "delta"
     assert t.tau("v3").label() == "alpha"
-    assert t.leaves == ("v1", "v3")
 
 
 def test_build_forest_loops_and_chords():
@@ -52,7 +49,6 @@ def test_build_forest_loops_and_chords():
     assert tuple(e.name for e in t.tree_edges) == ("alpha", "beta")
     assert t.vertices == ("2", "3", "4")
     assert t.tau("4").label() == "alpha.beta"
-    assert t.leaves == ("4",)
 
 
 def test_build_forest_spans_hereditary_closure():
@@ -102,14 +98,6 @@ def test_forest_validation():
         Forest(g, (), (gamma, delta))
     ok = Forest(g, ("v2",), (delta, alpha))
     assert ok.tau("v1").edge_names() == ("delta",)
-
-
-def test_forest_round_trip():
-    g = loops_and_chords()
-    t = build_forest(g, ["2"])
-    assert parse_forest(serialize_forest(t), g) == t
-    with pytest.raises(ValueError):
-        parse_forest("sprout v\n", g)
 
 
 # ── corner graphs ─────────────────────────────────────────────────────────────

@@ -1,9 +1,8 @@
-"""Graph foundations: classification, closures, cycles, text format.
+"""Graph foundations: classification, closures, paths, text format.
 
-The oracles here are deliberately dumb: subset enumeration for closures,
-boolean matrix closure for reachability, exhaustive simple-cycle search for
-exit-free cycles.  The library answers must match them on random graphs and
-match the hand-computed values frozen below.
+The oracles here are deliberately dumb: subset enumeration for closures and
+boolean matrix closure for reachability.  The library answers must match
+them on random graphs and match the hand-computed values frozen below.
 """
 
 from __future__ import annotations
@@ -12,17 +11,13 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import arrow, funnel_into_cycle, graphs, rose2, single_loop, triangle, vertex_subsets
+from conftest import arrow, funnel_into_cycle, graphs, single_loop, triangle, vertex_subsets
 from leavitt.graph import (
     Edge,
     Graph,
     PathSeq,
     classify,
-    complement_graph,
-    cycles_without_exits,
-    distinguished_paths,
     graph_hash,
     hereditary_closure,
     hs_closure,
@@ -31,7 +26,6 @@ from leavitt.graph import (
     parse_graph,
     path_in,
     reaches,
-    restrict,
     saturated_closure,
     serialize_graph,
 )
@@ -85,28 +79,6 @@ def oracle_reaches(g: Graph):
             for j in range(n):
                 m[i][j] = m[i][j] or (m[i][k] and m[k][j])
     return lambda v, w: m[idx[v]][idx[w]]
-
-
-def oracle_exitless_cycles(g: Graph) -> set:
-    """All simple cycles, as frozensets of edge names, whose vertices emit
-    exactly one edge; found by exhaustive DFS over simple paths."""
-    found = set()
-
-    def walk(start, at, used_vertices, used_edges):
-        for e in g.out_edges(at):
-            if e.dst == start:
-                found.add(frozenset(n for n in used_edges + (e.name,)))
-            elif e.dst not in used_vertices:
-                walk(start, e.dst, used_vertices | {e.dst}, used_edges + (e.name,))
-
-    for v in g.vertices:
-        walk(v, v, {v}, ())
-    exitless = set()
-    for cyc in found:
-        vertices = {g.edge(n).src for n in cyc}
-        if all(len(g.out_edges(v)) == 1 for v in vertices):
-            exitless.add(cyc)
-    return exitless
 
 
 # ── construction and text format ──────────────────────────────────────────────
@@ -200,26 +172,23 @@ def test_classify_funnel():
     c = classify(funnel_into_cycle())
     assert c.sinks == ()
     assert c.sources == ("5",)
-    assert c.regular == ("1", "2", "3", "4", "5")
 
 
 def test_classify_isolated_vertex():
     c = classify(Graph(("v",), ()))
     assert c.sinks == ("v",) and c.sources == ("v",)
-    assert c.regular == ()
 
 
 def test_classify_arrow():
     c = classify(arrow())
-    assert c.sinks == ("2",) and c.regular == ("1",)
+    assert c.sinks == ("2",) and c.sources == ("1",)
 
 
 @given(graphs())
 def test_classify_partitions(g):
     c = classify(g)
-    assert sorted(c.regular + c.sinks) == sorted(g.vertices)
-    assert not set(c.regular) & set(c.sinks)
     assert set(c.sinks) == {v for v in g.vertices if not g.out_edges(v)}
+    assert set(c.sources) == {v for v in g.vertices if not g.in_edges(v)}
 
 
 # ── reachability ──────────────────────────────────────────────────────────────
@@ -294,87 +263,3 @@ def test_closures_monotone(gx):
     smaller = xs[: len(xs) // 2]
     for close in (hereditary_closure, saturated_closure, hs_closure):
         assert set(close(g, smaller)) <= set(close(g, xs))
-
-
-# ── cycles without exits and distinguished paths ──────────────────────────────
-
-
-def test_exitless_cycle_funnel():
-    (cyc,) = cycles_without_exits(funnel_into_cycle())
-    assert cyc.source == "1"
-    assert cyc.edge_names() == ("a", "b", "c")
-
-
-def test_exitless_cycle_rose_and_loop():
-    assert cycles_without_exits(rose2()) == ()
-    (cyc,) = cycles_without_exits(single_loop())
-    assert cyc.edge_names() == ("e",)
-
-
-@settings(max_examples=60)
-@given(graphs(max_vertices=5, max_edges=8))
-def test_exitless_cycles_match_dfs_oracle(g):
-    got = {frozenset(c.edge_names()) for c in cycles_without_exits(g)}
-    assert got == oracle_exitless_cycles(g)
-
-
-@given(graphs())
-def test_exitless_cycles_disjoint(g):
-    seen = set()
-    for c in cycles_without_exits(g):
-        vs = set(c.vertex_seq())
-        assert not vs & seen
-        seen |= vs
-
-
-def test_distinguished_paths_funnel():
-    g = funnel_into_cycle()
-    at_zero = distinguished_paths(g, 0)
-    assert [p.label() for p in at_zero] == ["1", "2", "3"]
-    at_one = distinguished_paths(g, 1)
-    # sorted by (length, source, edge names): a leaves 1, c leaves 2, b leaves 3
-    assert [p.label() for p in at_one] == ["1", "2", "3", "a", "c", "b", "f1", "f2"]
-
-
-def test_distinguished_paths_rose():
-    assert distinguished_paths(rose2(), 3) == ()
-
-
-# ── restrictions ──────────────────────────────────────────────────────────────
-
-
-def test_restrict_funnel():
-    sub = restrict(funnel_into_cycle(), ["1", "2", "3"])
-    assert sub.vertices == ("1", "2", "3")
-    assert tuple(e.name for e in sub.edges) == ("a", "b", "c")
-
-
-def test_restrict_requires_hereditary():
-    with pytest.raises(ValueError):
-        restrict(funnel_into_cycle(), ["4"])
-
-
-def test_restrict_whole_graph():
-    g = funnel_into_cycle()
-    assert restrict(g, g.vertices) == g
-    assert restrict(single_loop(), ["v"]) == single_loop()
-
-
-@given(vertex_subsets())
-def test_restrict_closure_stays_inside(gx):
-    g, xs = gx
-    hs = hereditary_closure(g, xs)
-    sub = restrict(g, hs)
-    assert all(e.dst in set(hs) for e in sub.edges)
-
-
-def test_complement_funnel():
-    comp = complement_graph(funnel_into_cycle(), ["1", "2", "3"])
-    assert comp.vertices == ("4", "5")
-    assert tuple(e.name for e in comp.edges) == ("g1",)
-
-
-def test_complement_degenerate():
-    g = funnel_into_cycle()
-    assert complement_graph(g, g.vertices) == Graph((), ())
-    assert complement_graph(g, []) == g

@@ -304,31 +304,35 @@ def test_verdict_arrow():
     assert not v.no_sinks
     assert v.criterion4 is False
     assert v.criterion5 is False
-    assert v.consistent
 
 
 def test_verdict_single_loop():
     v = classify_algebra(k_summary(single_loop(), 0))
     assert v.no_sinks
     assert v.criterion4 is True and v.criterion5 is True
-    assert v.consistent
 
 
 def test_verdict_infinite_rank_note():
     v = classify_algebra(k_summary(arrow(), INF))
     assert v.criterion5 is None
-    assert v.criterion5_note == "inapplicable: infinite unit-group rank"
+    assert v.criterion4 == v.no_sinks
 
 
 def test_verdict_funnel():
     v = classify_algebra(k_summary(funnel_into_cycle(), 0))
-    assert v.no_sinks and v.consistent
+    assert v.no_sinks
+    assert v.criterion4 == v.no_sinks and v.criterion5 == v.no_sinks
+
+
+# the main theorem for finite graphs: each rank criterion holds exactly when
+# the graph has no sinks
 
 
 @settings(max_examples=80, deadline=None)
 @given(graphs(max_vertices=6, max_edges=12), st.integers(min_value=0, max_value=3))
-def test_consistency_flag_never_fires(g, r):
-    assert classify_algebra(k_summary(g, r)).consistent
+def test_consistency_on_hypothesis_graphs(g, r):
+    v = classify_algebra(k_summary(g, r))
+    assert v.criterion4 == v.no_sinks and v.criterion5 == v.no_sinks
 
 
 def test_consistency_on_seeded_batch():
@@ -337,7 +341,7 @@ def test_consistency_on_seeded_batch():
         g = random_graph(rng, max_vertices=8, max_edges=16)
         for r in (0, 1, 2, 3):
             v = classify_algebra(k_summary(g, r))
-            assert v.consistent
+            assert v.criterion4 == v.no_sinks and v.criterion5 == v.no_sinks
             assert v.no_sinks == (not classify(g).sinks)
 
 

@@ -19,13 +19,21 @@ from conftest import (
     funnel_into_cycle,
     graphs,
     random_graph,
-    rose2,
     triangle,
     two_way_line,
 )
 from leavitt.cli import run
-from leavitt.graph import Edge, Graph, PathSeq, classify, graph_hash, parse_graph, serialize_graph
-from leavitt.ktheory import k0_invariant_data
+from leavitt.graph import (
+    Edge,
+    Graph,
+    PathSeq,
+    classify,
+    graph_hash,
+    hereditary_closure,
+    parse_graph,
+    serialize_graph,
+)
+from leavitt.ktheory import k0_invariant_data, k_summary
 from leavitt.moves import (
     MoveRecord,
     MoveTrace,
@@ -35,7 +43,6 @@ from leavitt.moves import (
     eliminate_source,
     entry_paths,
     expand_hereditary,
-    expansion_preconditions,
     matrix_graph,
     parse_trace,
     replay,
@@ -123,17 +130,20 @@ def test_expand_rejects_cycle_into_set():
         expand_hereditary(g, ["2"])
 
 
-def test_preconditions_report():
-    ok = expansion_preconditions(funnel_into_cycle(), ["1", "2", "3"])
-    assert ok.ok and ok.complement_acyclic and ok.all_reach
-    # stranded vertex that never reaches H
+def test_expand_rejects_unmet_preconditions():
+    assert expand_hereditary(funnel_into_cycle(), ["1", "2", "3"]).vertices[:3] == ("1", "2", "3")
+    # stranded vertex 3, outside {1} and reaching nothing
     g = Graph(("1", "2", "3"), (Edge("l", "1", "1"), Edge("d", "2", "1")))
-    rep = expansion_preconditions(g, ["1"])
-    assert rep.complement_acyclic and not rep.all_reach and not rep.ok
-    # cycle outside H
+    with pytest.raises(ValueError, match="'3' does not reach"):
+        expand_hereditary(g, ["1"])
+    # a cycle outside {1}
     g2 = Graph(("1", "2"), (Edge("l", "2", "2"), Edge("d", "2", "1")))
-    rep2 = expansion_preconditions(g2, ["1"])
-    assert not rep2.complement_acyclic and not rep2.ok
+    with pytest.raises(ValueError, match="cycle outside"):
+        expand_hereditary(g2, ["1"])
+    # an outside cycle that does not reach {1} strands its vertex
+    g3 = Graph(("1", "2"), (Edge("l", "1", "1"), Edge("m", "2", "2")))
+    with pytest.raises(ValueError, match="'2' does not reach"):
+        expand_hereditary(g3, ["1"])
 
 
 def test_expansion_preserves_k_data():
@@ -205,6 +215,12 @@ def test_eliminate_source():
     assert "g1" not in {e.name for e in got.edges}
 
 
+def test_eliminate_source_rejects_isolated_vertex():
+    g = Graph(("u", "v"), (Edge("l", "v", "v"),))
+    with pytest.raises(ValueError, match="source 'u' emits no edge"):
+        eliminate_source(g, "u")
+
+
 @given(graphs(max_vertices=5, max_edges=8), st.integers(min_value=1, max_value=3))
 def test_subdivide_preserves_degree_profile(g, n):
     if not g.edges:
@@ -229,6 +245,48 @@ def test_pairwise_k_data_agreement():
             assert k0_invariant_data(subdivide_edge(g, e.name, n)) == k0_invariant_data(
                 attach_head(g, e.dst, n)
             )
+
+
+# ── every move preserves the algebra or refuses ───────────────────────────────
+
+
+@st.composite
+def move_graphs(draw) -> Graph:
+    """One or two random components plus up to two isolated vertices, so that
+    sinks, sources, isolated vertices and disconnected parts all occur."""
+    vertices: list[str] = []
+    edges: list[Edge] = []
+    for i, part in enumerate(draw(st.lists(graphs(4, 7), min_size=1, max_size=2))):
+        vertices += [f"p{i}{v}" for v in part.vertices]
+        edges += [Edge(f"p{i}{e.name}", f"p{i}{e.src}", f"p{i}{e.dst}") for e in part.edges]
+    vertices += [f"z{i}" for i in range(draw(st.integers(min_value=0, max_value=2)))]
+    return Graph(tuple(vertices), tuple(edges))
+
+
+def k_data(g: Graph):
+    return k0_invariant_data(g), k_summary(g, 0).rank_k1
+
+
+@settings(max_examples=200, deadline=None)
+@given(move_graphs(), st.data())
+def test_every_move_refuses_or_preserves_k_data(g, data):
+    vertex = st.sampled_from(g.vertices)
+    n = data.draw(st.integers(min_value=1, max_value=3))
+    moves = [
+        lambda: expand_hereditary(g, hereditary_closure(g, [data.draw(vertex)])),
+        lambda: attach_head(g, data.draw(vertex), n),
+        lambda: attach_sources(g, data.draw(vertex), n),
+        lambda: eliminate_source(g, data.draw(st.sampled_from(classify(g).sources or g.vertices))),
+    ]
+    if g.edges:
+        moves.append(lambda: subdivide_edge(g, data.draw(st.sampled_from(g.edges)).name, n))
+    before = k_data(g)
+    for move in moves:
+        try:
+            out = move()
+        except ValueError:
+            continue
+        assert k_data(out) == before
 
 
 # ── matrix forms ──────────────────────────────────────────────────────────────
