@@ -30,7 +30,6 @@ __all__ = [
     "PathSeq",
     "VertexClassification",
     "classify",
-    "reaches",
     "is_hereditary",
     "is_saturated",
     "hereditary_closure",
@@ -229,25 +228,6 @@ def classify(g: Graph) -> VertexClassification:
     return VertexClassification(tuple(sinks), tuple(sources))
 
 
-def reaches(g: Graph, v: str, w: str) -> bool:
-    """Whether some path (possibly of length 0) runs from ``v`` to ``w``."""
-    g.require_vertex(v)
-    g.require_vertex(w)
-    if v == w:
-        return True
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for e in g._out[u]:
-            if e.dst == w:
-                return True
-            if e.dst not in seen:
-                seen.add(e.dst)
-                queue.append(e.dst)
-    return False
-
-
 def _validated(g: Graph, xs: Iterable[str]) -> set[str]:
     s = set(xs)
     for v in s:
@@ -285,24 +265,26 @@ def saturated_closure(g: Graph, hs: Iterable[str]) -> tuple[str, ...]:
     """Smallest saturated superset: keep adding regular vertices all of whose
     edge targets already lie inside."""
     h = _validated(g, hs)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v not in h and g._out[v] and all(e.dst in h for e in g._out[v]):
-                h.add(v)
-                changed = True
+    # for each emitting vertex outside h, how many of its edges still leave h
+    leaving = {v: sum(e.dst not in h for e in g._out[v])
+               for v in g.vertices if v not in h and g._out[v]}
+    ready = [v for v, k in leaving.items() if k == 0]
+    while ready:
+        w = ready.pop()
+        h.add(w)
+        for e in g._in[w]:
+            if e.src in leaving:
+                leaving[e.src] -= 1
+                if leaving[e.src] == 0:
+                    ready.append(e.src)
     return tuple(sorted(h))
 
 
 def hs_closure(g: Graph, xs: Iterable[str]) -> tuple[str, ...]:
-    """Smallest hereditary and saturated superset (fixpoint of both closures)."""
-    cur = tuple(sorted(_validated(g, xs)))
-    while True:
-        nxt = saturated_closure(g, hereditary_closure(g, cur))
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """Smallest hereditary and saturated superset.  Saturating a hereditary
+    set keeps it hereditary, since each added vertex has all its edges
+    already inside."""
+    return saturated_closure(g, hereditary_closure(g, xs))
 
 
 # ── text format ──────────────────────────────────────────────────────────────

@@ -8,6 +8,11 @@ connects them; ``equivalent`` searches for a chain within explicit bounds and
 answers with an honest tri-state (a found chain is definitive, a missed one
 is only inconclusive).
 
+Elements are checked against the graph once, where they enter a public
+function.  Inside, ``equivalent`` works on count vectors indexed by the
+graph's vertices and ``rebalance_full`` on a vertex -> count map; both read
+each vertex's relation from ``_relation``, as ``expand`` and ``contract`` do.
+
 Text syntax: ``v1:2 v2:1`` — whitespace-separated ``vertex:multiplicity``
 pairs; ``0`` is the empty element.
 """
@@ -18,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graph import Graph, classify, hs_closure, reaches
+from .graph import Graph, classify, hs_closure
 
 __all__ = [
     "MonoidElement",
@@ -108,19 +113,23 @@ def _require_supported(g: Graph, m: MonoidElement) -> None:
         g.require_vertex(v)
 
 
+def _relation(g: Graph, v: str) -> Counter[str]:
+    """The multiset of ranges of the edges ``v`` emits: ``v`` equals its sum."""
+    out = g.out_edges(v)
+    if not out:
+        raise ValueError(f"vertex {v!r} is singular: the relation does not apply")
+    return Counter(e.dst for e in out)
+
+
 def expand(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
     """Replace one copy of ``v`` by the ranges of the edges ``v`` emits."""
     g.require_vertex(v)
     _require_supported(g, m)
     if m.get(v) < 1:
         raise ValueError(f"vertex {v!r} is not in the support")
-    out = g.out_edges(v)
-    if not out:
-        raise ValueError(f"vertex {v!r} is singular: the relation does not apply")
     c = Counter(dict(m.counts))
+    c.update(_relation(g, v))
     c[v] -= 1
-    for e in out:
-        c[e.dst] += 1
     return MonoidElement.of(c)
 
 
@@ -128,10 +137,7 @@ def contract(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
     """Inverse of :func:`expand`: swallow the out-edge ranges of ``v`` back."""
     g.require_vertex(v)
     _require_supported(g, m)
-    out = g.out_edges(v)
-    if not out:
-        raise ValueError(f"vertex {v!r} is singular: the relation does not apply")
-    need = Counter(e.dst for e in out)
+    need = _relation(g, v)
     c = Counter(dict(m.counts))
     if any(c[w] < k for w, k in need.items()):
         raise ValueError(f"the out-edge ranges of {v!r} are not contained in the element")
@@ -161,21 +167,6 @@ class NotWithinBound:
     exhausted: bool
 
 
-def _neighbours(g: Graph, m: MonoidElement, size_bound: int) -> list[MonoidElement]:
-    out: list[MonoidElement] = []
-    c = dict(m.counts)
-    for v in g.vertices:
-        edges = g.out_edges(v)
-        if not edges:
-            continue
-        if c.get(v, 0) >= 1:
-            out.append(expand(g, m, v))
-        need = Counter(e.dst for e in edges)
-        if all(c.get(w, 0) >= k for w, k in need.items()):
-            out.append(contract(g, m, v))
-    return [n for n in out if n.total <= size_bound]
-
-
 def equivalent(
     g: Graph,
     a: MonoidElement,
@@ -195,25 +186,50 @@ def equivalent(
     _require_supported(g, b)
     if a == b:
         return Equivalent(0)
-    seen: tuple[dict[MonoidElement, int], dict[MonoidElement, int]] = ({a: 0}, {b: 0})
-    frontier: list[list[MonoidElement]] = [[a], [b]]
+    # per emitting vertex: its index, its relation as (index, count) pairs
+    # and the growth of the total on expanding it.  Expand needs the vertex
+    # and contract every range: at a loop a net change would cancel these.
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rules = []
+    for v in g.vertices:
+        if g.out_edges(v):
+            need = _relation(g, v)
+            rules.append((index[v], [(index[w], k) for w, k in need.items()],
+                          sum(need.values()) - 1))
+
+    def neighbours(s: tuple[int, ...], total: int):
+        for i, need, grow in rules:
+            for sign, ok in ((1, s[i] >= 1), (-1, all(s[j] >= k for j, k in need))):
+                if ok and total + sign * grow <= size_bound:
+                    c = list(s)
+                    c[i] -= sign
+                    for j, k in need:
+                        c[j] += sign * k
+                    yield tuple(c), total + sign * grow
+
+    start = [(tuple(dict(m.counts).get(v, 0) for v in g.vertices), m.total) for m in (a, b)]
+    seen = tuple({s: 0} for s, _ in start)
+    frontier = [[x] for x in start]
     depth = [0, 0]
     while depth[0] + depth[1] < step_bound and (frontier[0] or frontier[1]):
         if frontier[0] and (depth[0] <= depth[1] or not frontier[1]):
             side = 0
         else:
             side = 1
-        grown: list[MonoidElement] = []
-        for m in frontier[side]:
-            for n in _neighbours(g, m, size_bound):
-                if n not in seen[side]:
-                    seen[side][n] = depth[side] + 1
+        grown = []
+        mine = seen[side]
+        for s, total in frontier[side]:
+            for n in neighbours(s, total):
+                if n[0] not in mine:
+                    mine[n[0]] = depth[side] + 1
                     grown.append(n)
         depth[side] += 1
         frontier[side] = grown
-        common = seen[0].keys() & seen[1].keys()
+        # before this level the sides shared no state, so a meeting is new
+        other = seen[1 - side]
+        common = [mine[s] + other[s] for s, _ in grown if s in other]
         if common:
-            return Equivalent(min(seen[0][s] + seen[1][s] for s in common))
+            return Equivalent(min(common))
     return NotWithinBound(step_bound, size_bound, not frontier[0] and not frontier[1])
 
 
@@ -244,11 +260,10 @@ def rebalance_full(g: Graph, m: MonoidElement) -> MonoidElement:
             raise ValueError(f"vertex {v!r} has no loop")
     if not is_full(g, m):
         raise ValueError("the element is not full")
-    cur = m
+    counts = Counter(dict(m.counts))
     for w in sorted(g.vertices):
-        if cur.get(w) >= 1:
+        if counts[w] >= 1:
             continue
-        v = next(u for u in cur.support if reaches(g, u, w))
         dist = {w: 0}
         layer = [w]
         while layer:
@@ -259,13 +274,15 @@ def rebalance_full(g: Graph, m: MonoidElement) -> MonoidElement:
                         dist[e.src] = dist[u] + 1
                         grown.append(e.src)
             layer = grown
-        at = v
+        # dist holds exactly the vertices that reach w
+        at = min(u for u in dist if counts[u] >= 1)
         while at != w:
             step = min(
                 e.dst
                 for e in g.out_edges(at)
                 if e.dst in dist and dist[e.dst] == dist[at] - 1
             )
-            cur = expand(g, cur, at)
+            counts.update(_relation(g, at))
+            counts[at] -= 1
             at = step
-    return cur
+    return MonoidElement.of(counts)

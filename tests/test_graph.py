@@ -1,12 +1,13 @@
 """Graph foundations: classification, closures, paths, text format.
 
-The oracles here are deliberately dumb: subset enumeration for closures and
-boolean matrix closure for reachability.  The library answers must match
-them on random graphs and match the hand-computed values frozen below.
+The oracle here is deliberately dumb: subset enumeration for closures.  The
+library answers must match it on random graphs and match the hand-computed
+values frozen below.
 """
 
 from __future__ import annotations
 
+import time
 from itertools import combinations
 
 import pytest
@@ -25,7 +26,6 @@ from leavitt.graph import (
     is_saturated,
     parse_graph,
     path_in,
-    reaches,
     saturated_closure,
     serialize_graph,
 )
@@ -65,20 +65,6 @@ def oracle_closure(g: Graph, xs, hereditary=False, saturated=False) -> set:
             continue
         result &= s
     return result
-
-
-def oracle_reaches(g: Graph):
-    """Reflexive-transitive closure by Warshall's algorithm."""
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    m = [[i == j for j in range(n)] for i in range(n)]
-    for e in g.edges:
-        m[idx[e.src]][idx[e.dst]] = True
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                m[i][j] = m[i][j] or (m[i][k] and m[k][j])
-    return lambda v, w: m[idx[v]][idx[w]]
 
 
 # ── construction and text format ──────────────────────────────────────────────
@@ -191,29 +177,6 @@ def test_classify_partitions(g):
     assert set(c.sources) == {v for v in g.vertices if not g.in_edges(v)}
 
 
-# ── reachability ──────────────────────────────────────────────────────────────
-
-
-def test_reaches_funnel():
-    g = funnel_into_cycle()
-    assert reaches(g, "5", "1")
-    assert reaches(g, "1", "1")
-    assert not reaches(g, "1", "5")
-
-
-def test_reaches_unknown_vertex():
-    with pytest.raises(ValueError):
-        reaches(funnel_into_cycle(), "1", "zz")
-
-
-@given(graphs(max_vertices=5, max_edges=10))
-def test_reaches_matches_matrix_oracle(g):
-    oracle = oracle_reaches(g)
-    for v in g.vertices:
-        for w in g.vertices:
-            assert reaches(g, v, w) == oracle(v, w)
-
-
 # ── closures ──────────────────────────────────────────────────────────────────
 
 
@@ -263,3 +226,15 @@ def test_closures_monotone(gx):
     smaller = xs[: len(xs) // 2]
     for close in (hereditary_closure, saturated_closure, hs_closure):
         assert set(close(g, smaller)) <= set(close(g, xs))
+
+
+def test_closures_of_a_long_chain_in_bounded_time():
+    # v0 -> v1 -> ... -> v4999: saturating the sink end adds one vertex per
+    # sweep of the graph, so a closure that rescans the graph is quadratic
+    n = 5000
+    names = tuple(f"v{i:04d}" for i in range(n))
+    g = Graph(names, tuple(Edge(f"e{i}", names[i], names[i + 1]) for i in range(n - 1)))
+    start = time.perf_counter()
+    assert saturated_closure(g, [names[-1]]) == names
+    assert hs_closure(g, [names[-1]]) == names
+    assert time.perf_counter() - start < 1.0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,95 @@ from leavitt.monoid import (
 
 def disjoint_loops() -> Graph:
     return Graph(("a", "b"), (Edge("la", "a", "a"), Edge("lb", "b", "b")))
+
+
+def random_looped_graph(rng: random.Random, every_vertex: bool) -> Graph:
+    """A random graph with loops added at some vertices (at every one when
+    ``every_vertex``), so that loops sit next to other out-edges."""
+    g = random_graph(rng, max_vertices=5, max_edges=8)
+    looped = [v for v in g.vertices if every_vertex or rng.random() < 0.5]
+    loops = tuple(Edge(f"l{v}", v, v) for v in looped)
+    return Graph(g.vertices, g.edges + loops)
+
+
+def random_element(rng: random.Random, g: Graph) -> MonoidElement:
+    k = rng.randint(0, 3)
+    return MonoidElement.of({rng.choice(g.vertices): rng.randint(1, 2) for _ in range(k)})
+
+
+# ── reference implementations, stepping with the public expand/contract ──────
+
+
+def reference_equivalent(g: Graph, a: MonoidElement, b: MonoidElement,
+                         step_bound: int, size_bound: int):
+    """Bidirectional breadth-first search over ``MonoidElement``s."""
+
+    def neighbours(m: MonoidElement) -> list[MonoidElement]:
+        out = []
+        for v in g.vertices:
+            if not g.out_edges(v):
+                continue
+            if m.get(v) >= 1:
+                out.append(expand(g, m, v))
+            need = {}
+            for e in g.out_edges(v):
+                need[e.dst] = need.get(e.dst, 0) + 1
+            if all(m.get(w) >= k for w, k in need.items()):
+                out.append(contract(g, m, v))
+        return [n for n in out if n.total <= size_bound]
+
+    if a == b:
+        return Equivalent(0)
+    seen = ({a: 0}, {b: 0})
+    frontier = [[a], [b]]
+    depth = [0, 0]
+    while depth[0] + depth[1] < step_bound and (frontier[0] or frontier[1]):
+        side = 0 if frontier[0] and (depth[0] <= depth[1] or not frontier[1]) else 1
+        grown = []
+        for m in frontier[side]:
+            for n in neighbours(m):
+                if n not in seen[side]:
+                    seen[side][n] = depth[side] + 1
+                    grown.append(n)
+        depth[side] += 1
+        frontier[side] = grown
+        common = seen[0].keys() & seen[1].keys()
+        if common:
+            return Equivalent(min(seen[0][s] + seen[1][s] for s in common))
+    return NotWithinBound(step_bound, size_bound, not frontier[0] and not frontier[1])
+
+
+def reference_rebalance(g: Graph, m: MonoidElement) -> MonoidElement:
+    """For each uncovered vertex in name order, expand the least covered
+    vertex that reaches it along the lexicographically least shortest path."""
+
+    def reaches(v: str, w: str) -> bool:
+        seen, queue = {v}, deque([v])
+        while queue:
+            u = queue.popleft()
+            for e in g.out_edges(u):
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    queue.append(e.dst)
+        return w in seen
+
+    cur = m
+    for w in sorted(g.vertices):
+        if cur.get(w) >= 1:
+            continue
+        at = next(u for u in cur.support if reaches(u, w))
+        dist, queue = {w: 0}, deque([w])
+        while queue:
+            u = queue.popleft()
+            for e in g.in_edges(u):
+                if e.src not in dist:
+                    dist[e.src] = dist[u] + 1
+                    queue.append(e.src)
+        while at != w:
+            step = min(e.dst for e in g.out_edges(at) if dist.get(e.dst) == dist[at] - 1)
+            cur = expand(g, cur, at)
+            at = step
+    return cur
 
 
 # ── elements and text form ────────────────────────────────────────────────────
@@ -141,6 +232,37 @@ def test_equivalent_symmetric_steps():
             assert fwd == rev
 
 
+def random_walk(rng: random.Random, g: Graph, m: MonoidElement, moves: int) -> MonoidElement:
+    """``m`` after up to ``moves`` random expand or contract moves."""
+    for _ in range(moves):
+        v = rng.choice(g.vertices)
+        try:
+            m = rng.choice((expand, contract))(g, m, v)
+        except ValueError:
+            pass
+    return m
+
+
+def test_equivalent_matches_reference_search():
+    rng = random.Random(2024)
+    for i in range(400):
+        g = random_looped_graph(rng, every_vertex=False)
+        a = random_element(rng, g)
+        # every other pair is a few moves apart, so chains are found too
+        b = random_walk(rng, g, a, 4) if i % 2 else random_element(rng, g)
+        steps, size = rng.randint(1, 5), rng.randint(1, 8)
+        assert equivalent(g, a, b, steps, size) == reference_equivalent(g, a, b, steps, size)
+
+
+def test_equivalent_keeps_preconditions_at_a_loop():
+    # at v the loop cancels v's own entry in the net change v -> w, which
+    # must not let v expand from w alone or contract w back to 0
+    g = Graph(("v", "w"), (Edge("l", "v", "v"), Edge("vw", "v", "w"), Edge("m", "w", "w")))
+    w = MonoidElement.of({"w": 1})
+    assert equivalent(g, w, MonoidElement(), 4, 8) == NotWithinBound(4, 8, True)
+    assert reference_equivalent(g, w, MonoidElement(), 4, 8) == NotWithinBound(4, 8, True)
+
+
 @settings(max_examples=60)
 @given(graphs(), st.data())
 def test_expand_stays_equivalent(g, data):
@@ -209,6 +331,32 @@ def test_rebalance_output_is_equivalent():
         cert = equivalent(g, m, out, 30, 5000)
         assert isinstance(cert, Equivalent)
         done += 1
+
+
+def test_rebalance_matches_reference_walk():
+    rng = random.Random(5)
+    done = 0
+    while done < 100:
+        g = random_looped_graph(rng, every_vertex=True)
+        m = random_element(rng, g)
+        if not m or not is_full(g, m):
+            continue
+        assert rebalance_full(g, m) == reference_rebalance(g, m)
+        done += 1
+
+
+def test_rebalance_long_looped_cycle_in_bounded_time():
+    n = 300
+    names = tuple(f"v{i:04d}" for i in range(n))
+    cycle = tuple(Edge(f"c{i}", names[i], names[(i + 1) % n]) for i in range(n))
+    loops = tuple(Edge(f"l{i}", v, v) for i, v in enumerate(names))
+    g = Graph(names, cycle + loops)
+    start = time.perf_counter()
+    out = rebalance_full(g, MonoidElement.of({"v0000": 1}))
+    assert time.perf_counter() - start < 2.0
+    # every walk starts at v0000, the least covered vertex, and runs along
+    # the cycle, so v_i is expanded once for each later vertex
+    assert out.counts == (("v0000", 1),) + tuple((names[i], n - i) for i in range(1, n))
 
 
 def test_rebalance_precondition_errors():
