@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Edge, Graph, PathSeq, path_in
+from .graph import Edge, Graph, PathSeq, _frozen, path_in
 
 __all__ = [
     "LpaElement",
@@ -54,7 +53,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LpaElement:
     """A finite sum of terms: ``terms`` maps ``(alpha, beta)`` to the nonzero
     coefficient of ``alpha beta*``, where ``r(alpha) = r(beta)``.
@@ -62,11 +60,21 @@ class LpaElement:
     Build elements from outside with :func:`element`, or from text with
     :func:`parse_element`.  ``LpaElement(terms)`` takes the map as it is and
     does not check it.  Every operation returns a fresh map and never changes
-    one it was given.  Elements hold a dict, so they are not hashable.
+    one it was given.  Elements compare by their term maps; they hold a dict,
+    so they are not hashable.
     """
 
-    terms: dict[tuple[PathSeq, PathSeq], Fraction] = field(default_factory=dict)
+    __slots__ = ("terms",)
     __hash__ = None
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, terms: dict[tuple[PathSeq, PathSeq], Fraction] | None = None) -> None:
+        object.__setattr__(self, "terms", {} if terms is None else terms)
+
+    def __eq__(self, other):
+        if type(other) is not LpaElement:
+            return NotImplemented
+        return self.terms == other.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -254,20 +262,18 @@ def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]):
 # ── Cuntz-Krieger family verification ─────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class CkFamily:
+class CkFamily(NamedTuple("CkFamily", [("vertex_images", dict[str, LpaElement]),
+                                       ("edge_images", dict[str, LpaElement])])):
     """Images of a target graph's generators inside a host algebra."""
 
-    vertex_images: Mapping[str, LpaElement]
-    edge_images: Mapping[str, LpaElement]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertex_images", dict(self.vertex_images))
-        object.__setattr__(self, "edge_images", dict(self.edge_images))
+    def __new__(cls, vertex_images: Mapping[str, LpaElement],
+                edge_images: Mapping[str, LpaElement]) -> "CkFamily":
+        return tuple.__new__(cls, (dict(vertex_images), dict(edge_images)))
 
 
-@dataclass(frozen=True)
-class CkReport:
+class CkReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 

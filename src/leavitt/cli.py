@@ -20,6 +20,9 @@ Graphs are read from files in the line-oriented text format of
 stdout or ``--output``.  Reports are ``key value`` lines.  Exit codes: 0 on
 success, 1 on a domain error (one-line diagnostic on stderr) or a failed
 verification, 2 on usage errors.
+
+Each handler imports the modules it runs, so a process pays at start-up
+only for its own command.
 """
 
 from __future__ import annotations
@@ -28,27 +31,7 @@ import argparse
 import functools
 import sys
 
-from .algebra import format_family, parse_family, verify_ck_family
-from .corners import build_forest, corner_family, corner_weights, t_corner
 from .graph import Graph, parse_graph, serialize_graph
-from .ktheory import classify_algebra, k_summary
-from .moves import (
-    attach_head,
-    attach_sources,
-    desourcify,
-    eliminate_source,
-    expand_hereditary,
-    serialize_trace,
-    subdivide_edge,
-)
-from .monoid import (
-    Equivalent,
-    equivalent,
-    format_monoid,
-    is_full,
-    parse_monoid,
-    rebalance_full,
-)
 
 __all__ = ["run", "main"]
 
@@ -195,6 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
+    from .ktheory import classify_algebra, k_summary
+
     g = _read_graph(args.graph)
     r = args.unit_rank
     summary = k_summary(g, r)
@@ -217,6 +202,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_move(args) -> int:
+    from .moves import (attach_head, attach_sources, eliminate_source,
+                        expand_hereditary, subdivide_edge)
+
     g = _read_graph(args.graph)
     if args.move == "expand-hereditary":
         out = expand_hereditary(g, args.vertices.split(","))
@@ -233,6 +221,8 @@ def _cmd_move(args) -> int:
 
 
 def _cmd_desourcify(args) -> int:
+    from .moves import desourcify, serialize_trace
+
     g = _read_graph(args.graph)
     out, trace = desourcify(g)
     if args.trace is not None:
@@ -243,9 +233,13 @@ def _cmd_desourcify(args) -> int:
 
 
 def _cmd_corner(args) -> int:
+    from .corners import build_forest, corner_family, corner_weights, t_corner
+
     g = _read_graph(args.graph)
     t = build_forest(g, args.roots.split(","))
     if args.emit_family:
+        from .algebra import format_family
+
         corner = t_corner(g, t)
         _emit(format_family(corner, corner_family(g, t)), args.output)
     elif args.emit_weights:
@@ -258,6 +252,8 @@ def _cmd_corner(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .algebra import parse_family, verify_ck_family
+
     host = _read_graph(args.graph)
     target, family = parse_family(_read_text(args.family), host)
     report = verify_ck_family(target, family, host)
@@ -268,6 +264,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_monoid(args) -> int:
+    from .monoid import (Equivalent, equivalent, format_monoid, is_full, parse_monoid,
+                         rebalance_full)
+
     g = _read_graph(args.graph)
     if args.monoid == "equiv":
         a = parse_monoid(g, args.a)

@@ -15,13 +15,13 @@ weight map below makes every ``Q_v`` degree 0 and every ``T_{e_u}`` degree 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .algebra import CkFamily, LpaElement, element
-from .graph import Edge, Graph, PathSeq, classify
-from .moves import attach_head, matrix_graph
+from .graph import Edge, Graph, PathSeq, _frozen, classify
+
+if TYPE_CHECKING:
+    from .algebra import CkFamily, LpaElement
 
 __all__ = [
     "Forest",
@@ -34,48 +34,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Forest:
     """A directed forest inside a host graph.
 
     ``roots`` must be exactly the forest vertices with no incoming forest
     edge; the forest edges must have in-degree at most one and no cycles, so
-    every forest vertex hangs from a unique root.
+    every forest vertex hangs from a unique root.  Forests compare and hash
+    by graph, roots and tree edges.
     """
 
-    graph: Graph
-    roots: tuple[str, ...]
-    tree_edges: tuple[Edge, ...]
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "roots", tuple(sorted(self.roots)))
-        object.__setattr__(
-            self, "tree_edges",
-            tuple(sorted((Edge(*e) for e in self.tree_edges), key=lambda e: e.name)),
-        )
-        g = self.graph
-        for v in self.roots:
-            g.require_vertex(v)
+    def __init__(self, graph: Graph, roots: Iterable[str], tree_edges: Iterable[Edge]) -> None:
+        roots = tuple(sorted(roots))
+        tree_edges = tuple(sorted((Edge(*e) for e in tree_edges), key=lambda e: e.name))
+        for v in roots:
+            graph.require_vertex(v)
         names = set()
-        for e in self.tree_edges:
-            if g.edge(e.name) != e:
+        for e in tree_edges:
+            if graph.edge(e.name) != e:
                 raise ValueError(f"tree edge {e.name!r} is not an edge of the host")
             if e.name in names:
                 raise ValueError(f"duplicate tree edge {e.name!r}")
             names.add(e.name)
-        if len(set(self.roots)) != len(self.roots):
+        if len(set(roots)) != len(roots):
             raise ValueError("duplicate root")
         parent: dict[str, Edge] = {}
-        for e in self.tree_edges:
+        for e in tree_edges:
             if e.dst in parent:
                 raise ValueError(f"vertex {e.dst!r} has two incoming tree edges")
             parent[e.dst] = e
-        members = set(self.roots) | {e.src for e in self.tree_edges} | set(parent)
-        rootless = {v for v in members if v not in parent} - set(self.roots)
+        members = set(roots) | {e.src for e in tree_edges} | set(parent)
+        rootless = {v for v in members if v not in parent} - set(roots)
         if rootless:
             raise ValueError(f"vertices {sorted(rootless)} have no incoming tree edge "
                              "but are not roots")
-        if set(self.roots) & set(parent):
+        if set(roots) & set(parent):
             raise ValueError("a root cannot have an incoming tree edge")
         # with in-degree <= 1 a cycle is a parent loop: walk up with a bound
         for v in members:
@@ -85,6 +79,16 @@ class Forest:
                 hops += 1
                 if hops > len(members):
                     raise ValueError("the tree edges contain a cycle")
+        vars(self).update(graph=graph, roots=roots, tree_edges=tree_edges)
+
+    def __eq__(self, other):
+        if type(other) is not Forest:
+            return NotImplemented
+        return (self.graph == other.graph and self.roots == other.roots
+                and self.tree_edges == other.tree_edges)
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.roots, self.tree_edges))
 
     @cached_property
     def vertex_set(self) -> frozenset[str]:
@@ -190,6 +194,8 @@ def t_corner(g: Graph, t: Forest) -> Graph:
 
 def corner_family(g: Graph, t: Forest) -> CkFamily:
     """Images of the corner graph's generators inside the host algebra."""
+    from .algebra import CkFamily, element
+
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
     tree_names = {e.name for e in t.tree_edges}
@@ -235,6 +241,8 @@ def full_idempotent_corner(g: Graph, m: Mapping[str, int], n: int) -> Graph:
     ``t_corner`` of the matrix form under the trivial forest on that set, up
     to the renaming of each edge ``e`` to ``e_<target>``.
     """
+    from .moves import attach_head
+
     profile = classify(g)
     if profile.sinks or profile.sources:
         raise ValueError("the host graph must have no sinks and no sources")
@@ -263,6 +271,8 @@ def se_corner(g: Graph, xs: Iterable[str], k: int) -> Graph:
     The result does not depend on the depth once every name fits and the
     root set is proper.
     """
+    from .moves import matrix_graph
+
     x = sorted(set(xs))
     if not x:
         raise ValueError("the root set must be nonempty")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -57,16 +56,24 @@ def _check_name(kind: str, name: str) -> None:
         raise ValueError(f"invalid {kind} name {name!r}: names match [A-Za-z0-9_.]+")
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of the immutable plain classes."""
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
+
+
 class Graph:
     """Immutable finite directed multigraph with named vertices and edges.
 
     Edge endpoints must be declared vertices; names are unique within their
-    kind (a vertex and an edge may share a name).
+    kind (a vertex and an edge may share a name).  Graphs compare and hash
+    by their vertex and edge tuples.
     """
 
-    vertices: tuple[str, ...] = ()
-    edges: tuple[Edge, ...] = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, vertices: Iterable[str] = (), edges: Iterable = ()) -> None:
+        vars(self).update(vertices=vertices, edges=edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -89,6 +96,14 @@ class Graph:
                 raise ValueError(f"edge {e.name!r}: unknown vertex {e.src!r}")
             if e.dst not in seen:
                 raise ValueError(f"edge {e.name!r}: unknown vertex {e.dst!r}")
+
+    def __eq__(self, other):
+        if type(other) is not Graph:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -146,28 +161,26 @@ class Graph:
             raise ValueError(f"unknown edge {name!r}") from None
 
 
-@dataclass(frozen=True)
-class PathSeq:
+class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]),
+                                     ("target", str)])):
     """A finite path: its source vertex and its edges, in order.
 
     The first edge leaves ``source`` and each later edge leaves where the one
     before it ends; with no edges this is the length-0 path at ``source``.
-    The edges are checked once, when the path is made.  Paths compare by
-    source and edges; edge names and the dotted label are only for text.
+    The edges are checked once, when the path is made, which records the
+    range as ``target``.  Paths compare as ``(source, edges, target)``
+    tuples; edge names and the dotted label are only for text.
     """
 
-    source: str
-    edges: tuple[Edge, ...] = ()
-    # the path's range, recorded by the composition check
-    target: str = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        at = self.source
-        for e in self.edges:
+    def __new__(cls, source: str, edges: tuple[Edge, ...] = ()) -> "PathSeq":
+        at = source
+        for e in edges:
             if e.src != at:
                 raise ValueError(f"edge {e.name!r} does not start where the path ends")
             at = e.dst
-        object.__setattr__(self, "target", at)
+        return tuple.__new__(cls, (source, edges, at))
 
     @classmethod
     def at(cls, v: str) -> "PathSeq":
@@ -213,8 +226,7 @@ def path_in(g: Graph, names: Iterable[str]) -> PathSeq:
     return PathSeq.of(g.edge(n) for n in names)
 
 
-@dataclass(frozen=True)
-class VertexClassification:
+class VertexClassification(NamedTuple):
     sinks: tuple[str, ...]
     sources: tuple[str, ...]
 

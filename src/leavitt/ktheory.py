@@ -8,7 +8,7 @@ no float arithmetic ever touches a finite rank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 
@@ -28,21 +28,21 @@ __all__ = [
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...])])):
     """Immutable integer matrix (row-major)."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-        widths = {len(row) for row in self.entries}
+    def __new__(cls, entries) -> "IntMatrix":
+        entries = tuple(tuple(row) for row in entries)
+        widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        for row in self.entries:
+        for row in entries:
             for x in row:
                 if not isinstance(x, int):
                     raise ValueError(f"non-integer entry {x!r}")
+        return tuple.__new__(cls, (entries,))
 
     @property
     def rows(self) -> int:
@@ -285,8 +285,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     return (1,) * ones + tuple(_elementary_factors(core, len(keep)))
 
 
-@dataclass(frozen=True)
-class KSummary:
+class KSummary(NamedTuple):
     """Exact K-theory rank data of a graph algebra over a field whose unit
     group has free rank ``unit_rank``."""
 
@@ -335,8 +334,7 @@ def k0_invariant_data(g: Graph) -> tuple[int, tuple[int, ...]]:
     return (s.rank_k0, s.torsion)
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     """Equivalent characterizations of when the algebra of a finite graph
     embeds the full family of generators with no sinks.
 

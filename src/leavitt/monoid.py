@@ -20,8 +20,7 @@ pairs; ``0`` is the empty element.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .graph import Graph, classify, hs_closure
 
@@ -39,20 +38,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MonoidElement:
+class MonoidElement(NamedTuple("MonoidElement", [("counts", tuple[tuple[str, int], ...])])):
     """A finite multiset of vertices as sorted ``(vertex, count)`` pairs."""
 
-    counts: tuple[tuple[str, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        pairs = tuple(sorted((v, int(k)) for v, k in self.counts))
+    def __new__(cls, counts: Iterable[tuple[str, int]] = ()) -> "MonoidElement":
+        pairs = tuple(sorted((v, int(k)) for v, k in counts))
         names = [v for v, _ in pairs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate vertex in monoid element")
         if any(k <= 0 for _, k in pairs):
             raise ValueError("multiplicities must be positive")
-        object.__setattr__(self, "counts", pairs)
+        return tuple.__new__(cls, (pairs,))
 
     @classmethod
     def of(cls, counts: Mapping[str, int] | Iterable[tuple[str, int]]) -> "MonoidElement":
@@ -146,15 +144,13 @@ def contract(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
     return MonoidElement.of(c)
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(NamedTuple):
     """Definitive: a chain of the stated length connects the two elements."""
 
     steps: int
 
 
-@dataclass(frozen=True)
-class NotWithinBound:
+class NotWithinBound(NamedTuple):
     """Inconclusive: no chain was found within the bounds.
 
     ``exhausted`` means both search frontiers died out, so no chain whose

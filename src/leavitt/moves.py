@@ -20,10 +20,8 @@ returns the final record's output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .algebra import CkFamily, LpaElement, element, vertex_element
 from .graph import (
     Edge,
     Graph,
@@ -32,6 +30,9 @@ from .graph import (
     graph_hash,
     is_hereditary,
 )
+
+if TYPE_CHECKING:
+    from .algebra import CkFamily, LpaElement
 
 __all__ = [
     "MoveRecord",
@@ -164,6 +165,8 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
     """Generator images showing the expanded graph's algebra inside L(g):
     vertices of the set map to themselves, each path-vertex to ``alpha alpha*``,
     kept edges to themselves, and each ``ov_`` edge to its path."""
+    from .algebra import CkFamily, element, vertex_element
+
     h = frozenset(hs)
     vertex_images: dict[str, LpaElement] = {}
     edge_images: dict[str, LpaElement] = {}
@@ -238,6 +241,8 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
     form: the head graph's generators map into L(subdivide_edge(g, e0, n)),
     with the subdivided edge sent to the whole chain and everything else to
     its renamed counterpart."""
+    from .algebra import CkFamily, element, vertex_element
+
     e = g.edge(e0)
     _check_count(n)
     host = subdivide_edge(g, e0, n)
@@ -269,22 +274,20 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    kind: str
-    params: tuple[str, ...]
-    input_hash: str
-    output_hash: str
+class MoveRecord(NamedTuple("MoveRecord", [("kind", str), ("params", tuple[str, ...]),
+                                           ("input_hash", str), ("output_hash", str)])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _ARITY:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if len(self.params) != _ARITY[self.kind]:
-            raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} parameter(s)")
+    def __new__(cls, kind: str, params: tuple[str, ...], input_hash: str,
+                output_hash: str) -> "MoveRecord":
+        if kind not in _ARITY:
+            raise ValueError(f"unknown move kind {kind!r}")
+        if len(params) != _ARITY[kind]:
+            raise ValueError(f"{kind} takes {_ARITY[kind]} parameter(s)")
+        return tuple.__new__(cls, (kind, params, input_hash, output_hash))
 
 
-@dataclass(frozen=True)
-class MoveTrace:
+class MoveTrace(NamedTuple):
     records: tuple[MoveRecord, ...] = ()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import subprocess
 import sys
 
@@ -286,3 +287,61 @@ def test_console_script_if_installed(tmp_path):
     proc = subprocess.run([exe, "analyze", graph_file], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("rank_k0 0\n")
+
+
+# ── start-up cost ─────────────────────────────────────────────────────────────
+
+# Runs one command in a fresh interpreter and prints, as its last line, the
+# exit code and the modules that importing leavitt.cli and running it added.
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import leavitt.cli
+code = leavitt.cli.run(sys.argv[1:])
+print(repr((code, sorted(set(sys.modules) - before))))
+"""
+
+# each command, and the leavitt modules it loads besides leavitt, leavitt.cli
+# and leavitt.graph; only the symbolic algebra needs fractions
+_IMPORT_BUDGET = [
+    ("analyze {funnel}", {"ktheory"}),
+    ("move expand-hereditary {funnel} 1,2,3", {"moves"}),
+    ("move attach-head {funnel} 1 1", {"moves"}),
+    ("move subdivide {funnel} a 1", {"moves"}),
+    ("move attach-sources {funnel} 1 1", {"moves"}),
+    ("move eliminate-source {funnel} 5", {"moves"}),
+    ("desourcify {funnel} --trace {trace}", {"moves"}),
+    ("corner {line} --roots v2", {"corners"}),
+    ("corner {line} --roots v2 --emit-weights", {"corners"}),
+    ("corner {line} --roots v2 --emit-family", {"corners", "algebra"}),
+    ("verify {line} {family}", {"algebra"}),
+    ("monoid equiv {pair} v:1 v:2", {"monoid"}),
+    ("monoid full {pair} v:1", {"monoid"}),
+    ("monoid rebalance {pair} v:1", {"monoid"}),
+]
+
+
+@pytest.mark.parametrize(
+    "command, extra", _IMPORT_BUDGET,
+    ids=[" ".join(t for t in c.split() if "{" not in t) for c, _ in _IMPORT_BUDGET])
+def test_each_command_imports_only_what_it_runs(tmp_path, command, extra):
+    files = {
+        "funnel": write_graph(tmp_path, funnel_into_cycle(), "funnel.txt"),
+        "line": write_graph(tmp_path, two_way_line(), "line.txt"),
+        "pair": write_graph(tmp_path, looped_pair(), "pair.txt"),
+        "trace": str(tmp_path / "trace.txt"),
+        "family": str(tmp_path / "family.txt"),
+    }
+    assert run(["corner", files["line"], "--roots", "v2", "--emit-family",
+                "--output", files["family"]]) == 0
+    argv = [token.format(**files) for token in command.split()]
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, new = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert "dataclasses" not in new and "inspect" not in new
+    loaded = {m for m in new if m == "leavitt" or m.startswith("leavitt.")}
+    assert loaded == {"leavitt", "leavitt.cli", "leavitt.graph"} | {f"leavitt.{m}" for m in extra}
+    if "algebra" not in extra:
+        assert "fractions" not in new

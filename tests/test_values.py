@@ -1,0 +1,122 @@
+"""Value semantics of the package's immutable classes.
+
+Equal fields give equal objects with equal hashes, no attribute can be set
+or deleted, the custom ``repr`` forms stay, and invalid input raises
+``ValueError``.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from leavitt.algebra import CkFamily, LpaElement, element
+from leavitt.corners import Forest
+from leavitt.graph import Edge, Graph, PathSeq
+from leavitt.ktheory import IntMatrix, KSummary
+from leavitt.monoid import MonoidElement, NotWithinBound
+from leavitt.moves import MoveRecord
+
+E = Edge("e", "v", "w")
+
+# name -> (a factory of one value, a factory of a different value)
+VALUES = {
+    "Graph": (lambda: Graph(("v", "w"), [("e", "v", "w")]),
+              lambda: Graph(("v", "w"), ())),
+    "PathSeq": (lambda: PathSeq("v", (E,)), lambda: PathSeq("v")),
+    "MonoidElement": (lambda: MonoidElement([("w", 1), ("v", 2)]),
+                      lambda: MonoidElement([("v", 2)])),
+    "MoveRecord": (lambda: MoveRecord("AttachHead", ("v", "1"), "0" * 16, "1" * 16),
+                   lambda: MoveRecord("AttachHead", ("v", "2"), "0" * 16, "1" * 16)),
+    "KSummary": (lambda: KSummary((1, 2), (2,), 1, 1, 1, 0, 0),
+                 lambda: KSummary((1, 3), (3,), 1, 1, 1, 0, 0)),
+    "IntMatrix": (lambda: IntMatrix([[1, 2], [3, 4]]), lambda: IntMatrix([[1, 2]])),
+    "Forest": (lambda: Forest(Graph(("v", "w"), (E,)), ("v",), (E,)),
+               lambda: Forest(Graph(("v", "w"), (E,)), ("v", "w"), ())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equal_fields_give_equal_objects_with_equal_hashes(name):
+    make, make_other = VALUES[name]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != make_other()
+
+
+def test_constructors_normalize_before_comparing():
+    assert Graph(("v", "w"), [("e", "v", "w")]) == Graph(("v", "w"), (E,))
+    assert MonoidElement([("w", 1), ("v", 2)]) == MonoidElement([("v", 2), ("w", 1)])
+    assert IntMatrix([[1, 2]]) == IntMatrix(((1, 2),))
+    assert PathSeq("v", (E,)).target == "w"
+
+
+def test_elements_compare_by_terms_and_are_unhashable():
+    p = PathSeq("v")
+    assert element([(1, p, p)]) == element([(1, p, p)])
+    assert element([(1, p, p)]) != element([(2, p, p)])
+    assert LpaElement() == LpaElement({}) and not LpaElement()
+    with pytest.raises(TypeError):
+        hash(element([(1, p, p)]))
+    family = CkFamily({"v": element([(1, p, p)])}, {})
+    assert family == CkFamily({"v": element([(1, p, p)])}, {})
+    assert isinstance(family.vertex_images, dict)
+
+
+MAKERS = {name: make for name, (make, _) in VALUES.items()}
+MAKERS.update(LpaElement=LpaElement, CkFamily=lambda: CkFamily({}, {}))
+
+
+@pytest.mark.parametrize("name, field", [
+    ("Graph", "vertices"), ("PathSeq", "source"), ("MonoidElement", "counts"),
+    ("MoveRecord", "kind"), ("KSummary", "rank_k0"), ("IntMatrix", "entries"),
+    ("Forest", "roots"), ("LpaElement", "terms"), ("CkFamily", "vertex_images"),
+])
+def test_attributes_cannot_be_set_or_deleted(name, field):
+    obj = MAKERS[name]()
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+def test_cached_properties_stay_read_only():
+    g = Graph(("v", "w"), (E,))
+    assert g.vertex_set == {"v", "w"}
+    with pytest.raises(AttributeError):
+        g.vertex_set = frozenset()
+    t = Forest(g, ("v",), (E,))
+    assert t.parent == {"w": E}
+    with pytest.raises(AttributeError):
+        t.parent = {}
+
+
+def test_custom_reprs():
+    assert repr(Graph(("v", "w"), (E,))) == "Graph(2 vertices, 1 edges)"
+    assert repr(PathSeq("v", (E,))) == "PathSeq('e')"
+    assert repr(MonoidElement([("v", 2)])) == "MonoidElement('v:2')"
+    assert repr(IntMatrix([[1, 2]])) == "IntMatrix(1x2)"
+    assert repr(NotWithinBound(4, 8, True)) == (
+        "NotWithinBound(step_bound=4, size_bound=8, exhausted=True)")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PathSeq("v", (E, E)),  # e ends at w, so e cannot follow it
+    lambda: MoveRecord("Teleport", ("v",), "", ""),
+    lambda: MoveRecord("AttachHead", ("v",), "", ""),
+    lambda: IntMatrix([[1, 2], [3]]),
+    lambda: IntMatrix([[1.5]]),
+    lambda: MonoidElement([("v", 1), ("v", 2)]),
+    lambda: MonoidElement([("v", 0)]),
+    lambda: Graph(("v", "v")),
+    lambda: Graph(("v",), [("e", "v", "w")]),
+    lambda: Forest(Graph(("v", "w"), (E, Edge("f", "w", "v"))), (),
+                   (E, Edge("f", "w", "v"))),
+], ids=["path", "move-kind", "move-arity", "ragged", "non-integer", "duplicate-vertex",
+        "zero-count", "graph-duplicate", "graph-endpoint", "forest-cycle"])
+def test_invalid_input_raises_value_error(make):
+    with pytest.raises(ValueError):
+        make()
