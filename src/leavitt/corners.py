@@ -16,6 +16,7 @@ weight map below makes every ``Q_v`` degree 0 and every ``T_{e_u}`` degree 1.
 from __future__ import annotations
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .graph import Edge, Graph, PathSeq, _frozen, classify
@@ -60,10 +61,12 @@ class Forest:
         if len(set(roots)) != len(roots):
             raise ValueError("duplicate root")
         parent: dict[str, Edge] = {}
+        children: dict[str, list[str]] = {}
         for e in tree_edges:
             if e.dst in parent:
                 raise ValueError(f"vertex {e.dst!r} has two incoming tree edges")
             parent[e.dst] = e
+            children.setdefault(e.src, []).append(e.dst)
         members = set(roots) | {e.src for e in tree_edges} | set(parent)
         rootless = {v for v in members if v not in parent} - set(roots)
         if rootless:
@@ -71,15 +74,19 @@ class Forest:
                              "but are not roots")
         if set(roots) & set(parent):
             raise ValueError("a root cannot have an incoming tree edge")
-        # with in-degree <= 1 a cycle is a parent loop: walk up with a bound
-        for v in members:
-            u, hops = v, 0
-            while u in parent:
-                u = parent[u].src
-                hops += 1
-                if hops > len(members):
-                    raise ValueError("the tree edges contain a cycle")
-        vars(self).update(graph=graph, roots=roots, tree_edges=tree_edges)
+        # walk down from the roots: in-degree is at most 1 and every other
+        # member has a parent, so a member the walk misses lies on a cycle
+        depth = dict.fromkeys(roots, 0)
+        order = list(roots)
+        for u in order:
+            for w in children.get(u, ()):
+                depth[w] = depth[u] + 1
+                order.append(w)
+        if len(depth) != len(members):
+            raise ValueError("the tree edges contain a cycle")
+        vars(self).update(graph=graph, roots=roots, tree_edges=tree_edges,
+                          vertex_set=frozenset(members), parent=parent,
+                          _children=children, _depth=depth)
 
     def __eq__(self, other):
         if type(other) is not Forest:
@@ -91,25 +98,9 @@ class Forest:
         return hash((self.graph, self.roots, self.tree_edges))
 
     @cached_property
-    def vertex_set(self) -> frozenset[str]:
-        ends = {v for e in self.tree_edges for v in (e.src, e.dst)}
-        return frozenset(self.roots) | ends
-
-    @cached_property
     def vertices(self) -> tuple[str, ...]:
         """Forest vertices in host declaration order."""
         return tuple(v for v in self.graph.vertices if v in self.vertex_set)
-
-    @cached_property
-    def parent(self) -> dict[str, Edge]:
-        return {e.dst: e for e in self.tree_edges}
-
-    @cached_property
-    def _children(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for e in self.tree_edges:
-            out.setdefault(e.src, []).append(e.dst)
-        return out
 
     def tau(self, v: str) -> PathSeq:
         """The unique forest path from a root down to ``v``."""
@@ -144,14 +135,18 @@ def build_forest(g: Graph, roots: Iterable[str]) -> Forest:
     if x == set(g.vertices):
         raise ValueError("the root set must be a proper subset of the vertices")
     reached = set(x)
+    # edges leaving the reached set; Edge tuples order by their unique names
+    heap = [e for v in x for e in g.out_edges(v)]
+    heapify(heap)
     chosen: list[Edge] = []
-    while True:
-        candidates = [e for e in g.edges if e.src in reached and e.dst not in reached]
-        if not candidates:
-            break
-        e = min(candidates, key=lambda e: e.name)
+    while heap:
+        e = heappop(heap)
+        if e.dst in reached:
+            continue
         chosen.append(e)
         reached.add(e.dst)
+        for f in g.out_edges(e.dst):
+            heappush(heap, f)
     return Forest(g, tuple(sorted(x)), tuple(chosen))
 
 
@@ -221,12 +216,12 @@ def corner_weights(g: Graph, t: Forest) -> dict[str, int]:
     other edge weighs 1."""
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
-    tset = t.vertex_set
+    depth = t._depth  # len(tau(v)) for each forest vertex v
     tree_names = {e.name for e in t.tree_edges}
     out: dict[str, int] = {}
     for e in g.edges:
-        if e.name not in tree_names and e.src in tset and e.dst in tset:
-            out[e.name] = t.tau(e.dst).length - t.tau(e.src).length + 1
+        if e.name not in tree_names and e.src in depth and e.dst in depth:
+            out[e.name] = depth[e.dst] - depth[e.src] + 1
         else:
             out[e.name] = 1
     return out

@@ -8,6 +8,7 @@ no float arithmetic ever touches a finite rank).
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from .graph import Graph
@@ -189,75 +190,17 @@ def _row_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
     return [p for p in piv if p is not None]
 
 
-def _swap_rows(a: list[list[int]], i: int, j: int) -> None:
-    a[i], a[j] = a[j], a[i]
-
-
-def _swap_cols(a: list[list[int]], i: int, j: int) -> None:
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _elementary_factors(a: list[list[int]], ncols: int) -> list[int]:
-    """Stage 3: elementary reduction of a dense matrix, pivoting on the
-    smallest nonzero magnitude in the trailing block."""
-    nrows = len(a)
-    factors: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        # smallest-magnitude nonzero entry of the trailing block -> pivot
-        pos = None
-        best = 0
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x and (pos is None or abs(x) < best):
-                    pos, best = (i, j), abs(x)
-        if pos is None:
-            break
-        _swap_rows(a, t, pos[0])
-        _swap_cols(a, t, pos[1])
-        while True:
-            restart = False
-            # clear column t; a nonzero remainder becomes the smaller new pivot
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        _swap_rows(a, t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        _swap_cols(a, t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # pivot must divide the whole trailing block for d1 | d2 | ...
-            viol = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t]:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
-            if viol is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[viol])]
-        factors.append(abs(a[t][t]))
-        t += 1
-    return factors
+def _diagonal_factors(core: list[list[int]]) -> list[int]:
+    """Stage 3: diagonalize the triangular core by row HNFs of its transpose,
+    alternating, then sort the diagonal into a divisibility chain."""
+    while any(x for i, row in enumerate(core) for j, x in enumerate(row) if i != j):
+        core = _row_hnf([list(col) for col in zip(*core)], len(core))
+    d = [row[i] for i, row in enumerate(core)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
@@ -275,14 +218,19 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     2. A row Hermite normal form of the remainder, whose entries stay bounded
        by its pivots (``_row_hnf``).  Zero rows drop out, so rank deficiency
        needs no special case.
-    3. Elementary reduction of the small triangular core.
+    3. Row HNFs of the transpose, alternating, until the core is diagonal
+       (Kannan-Bachem).  The first row of each new core is the old core's
+       first column, ``(d, 0, ..., 0)``, so each round either splits off the
+       first row and column (when d divides the old first row) or replaces d
+       by a proper divisor, and the loop ends.  Pairwise gcd/lcm swaps then
+       order the diagonal into a divisibility chain.
 
     Python integers keep every intermediate value exact.
     """
     ones, rest = _unit_pivots(m)
     keep = sorted({j for row in rest for j in row})
     core = _row_hnf([[row.get(j, 0) for j in keep] for row in rest], len(keep))
-    return (1,) * ones + tuple(_elementary_factors(core, len(keep)))
+    return (1,) * ones + tuple(_diagonal_factors(core))
 
 
 class KSummary(NamedTuple):

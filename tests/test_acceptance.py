@@ -294,3 +294,31 @@ def test_every_public_name_resolves_once():
         public = module.__all__
         assert len(set(public)) == len(public), name
         assert [attr for attr in public if not hasattr(module, attr)] == [], name
+
+
+def test_every_private_module_name_is_used():
+    # a private helper left behind when its last caller is deleted
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(Path(leavitt.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}:{d}" for d in defined
+                       if d.startswith("_") and not d.startswith("__") and d not in used]
+    assert unused == []

@@ -9,6 +9,7 @@ invariant that corners of sink-free hosts stay sink-free.
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -75,6 +76,27 @@ def test_descendants_match_naive_closure():
             assert t.descendants(v) == below
 
 
+def scan_forest_edges(g: Graph, roots) -> tuple[Edge, ...]:
+    """The reference greedy search: rescan every edge for each edge picked."""
+    reached = set(roots)
+    chosen = []
+    while candidates := [e for e in g.edges if e.src in reached and e.dst not in reached]:
+        e = min(candidates, key=lambda e: e.name)
+        chosen.append(e)
+        reached.add(e.dst)
+    return tuple(sorted(chosen, key=lambda e: e.name))
+
+
+def test_build_forest_matches_scan_reference():
+    rng = random.Random(59)
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=9, max_edges=20)
+        if len(g.vertices) < 2:
+            continue
+        xs = rng.sample(g.vertices, rng.randint(1, len(g.vertices) - 1))
+        assert build_forest(g, xs).tree_edges == scan_forest_edges(g, xs), serialize_graph(g)
+
+
 def test_build_forest_input_checks():
     g = two_way_line()
     with pytest.raises(ValueError):
@@ -96,6 +118,10 @@ def test_forest_validation():
         Forest(g, ("v2",), (gamma,))
     with pytest.raises(ValueError):  # gamma/delta form a cycle
         Forest(g, (), (gamma, delta))
+    beside = Graph(("r", "a", "b", "c"),
+                   (Edge("t", "r", "a"), Edge("u", "b", "c"), Edge("w", "c", "b")))
+    with pytest.raises(ValueError, match="cycle"):  # b <-> c beside the tree r -> a
+        Forest(beside, ("r",), beside.edges)
     ok = Forest(g, ("v2",), (delta, alpha))
     assert ok.tau("v1").edge_names() == ("delta",)
 
@@ -229,6 +255,23 @@ def test_corner_weights_frozen():
         "delta": 3,
         "gamma": 1,
     }
+
+
+def test_corner_weights_of_a_long_chain_in_bounded_time():
+    # a 4,000-vertex chain with an edge back to the root from every vertex:
+    # the forest is the whole chain, so tau(v) grows to 3,999 edges
+    n = 4000
+    vs = tuple(f"v{i:04d}" for i in range(n))
+    g = Graph(vs, tuple(Edge(f"c{i:04d}", vs[i], vs[i + 1]) for i in range(n - 1))
+              + tuple(Edge(f"b{i:04d}", v, vs[0]) for i, v in enumerate(vs)))
+    start = time.perf_counter()
+    t = build_forest(g, [vs[0]])
+    w = corner_weights(g, t)
+    assert time.perf_counter() - start < 1.0
+    assert len(t.tree_edges) == n - 1
+    for i in range(0, n, 97):
+        e = g.edge(f"b{i:04d}")
+        assert w[e.name] == t.tau(e.dst).length - t.tau(e.src).length + 1 == 1 - i
 
 
 def test_corner_weights_grade_family():

@@ -107,7 +107,7 @@ _dims = st.integers(min_value=1, max_value=5)
 int_matrices = st.one_of(
     st.tuples(_dims, _dims).flatmap(lambda d: _shaped(*d, st.integers(-9, 9))),
     # no ±1 entry: the sparse unit pivots find nothing, and the Hermite
-    # normal form and the elementary core do all the work
+    # normal form and the alternating transposes of its core do all the work
     st.tuples(_dims, _dims).flatmap(
         lambda d: _shaped(*d, st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6)))
     ),
@@ -166,6 +166,13 @@ def test_snf_frozen_examples():
     assert smith_normal_form(IntMatrix(((2, 0), (0, 3)))) == (1, 6)
     assert smith_normal_form(IntMatrix(((0, 0), (0, 0)))) == ()
     assert smith_normal_form(IntMatrix(((1,), (-1,)))) == (1,)
+    # no ±1 entry.  Already Hermite normal forms, so only the alternating
+    # transposes find d1: one round turns [[4, 2], [0, 3]] into
+    # [[2, 3], [0, 6]], and only a second finds d1 = 1.  Already diagonal,
+    # so only the gcd/lcm pass orders the factors.
+    assert smith_normal_form(IntMatrix(((4, 2), (0, 4)))) == (2, 8)
+    assert smith_normal_form(IntMatrix(((4, 2), (0, 3)))) == (1, 12)
+    assert smith_normal_form(IntMatrix(((6, 0, 0), (0, 4, 0), (0, 0, 10)))) == (2, 2, 60)
     # all sinks: n x 0; the empty graph: 0 x 0
     sinks = presentation_matrix(Graph(("a", "b"), ()))
     assert (sinks.rows, sinks.cols) == (2, 0) and smith_normal_form(sinks) == ()
