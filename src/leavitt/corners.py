@@ -5,7 +5,9 @@ cycles; its roots are the vertices with no incoming forest edge, and every
 forest vertex is reached from a root along a unique forest path ``tau(v)``.
 The corner graph keeps the forest vertices that emit at least one non-forest
 edge and, for each non-forest edge ``e`` emitted inside the forest, one edge
-``e_u`` for every kept vertex ``u`` below ``r(e)`` in the forest.
+``e_u`` for every kept vertex ``u`` below ``r(e)`` in the forest.  That rule
+is computed once per forest: the forest is walked in preorder, so the kept
+vertices below any vertex are one run of the kept vertices in walk order.
 
 The corner's algebra sits inside the host's as a corner by an explicit
 family: ``Q_v = tau(v) tau(v)* - sum tau(v) e e* tau(v)*`` over the forest
@@ -74,19 +76,21 @@ class Forest:
                              "but are not roots")
         if set(roots) & set(parent):
             raise ValueError("a root cannot have an incoming tree edge")
-        # walk down from the roots: in-degree is at most 1 and every other
-        # member has a parent, so a member the walk misses lies on a cycle
-        depth = dict.fromkeys(roots, 0)
-        order = list(roots)
-        for u in order:
-            for w in children.get(u, ()):
-                depth[w] = depth[u] + 1
-                order.append(w)
+        # walk down from the roots in preorder, children in list order, so
+        # that every subtree is one run of the walk (``depth`` keeps the walk's
+        # order); in-degree is at most 1 and every other member has a parent,
+        # so a member the walk misses lies on a cycle
+        depth: dict[str, int] = {}
+        stack = [(v, 0) for v in reversed(roots)]
+        while stack:
+            u, d = stack.pop()
+            depth[u] = d
+            stack.extend((w, d + 1) for w in reversed(children.get(u, ())))
         if len(depth) != len(members):
             raise ValueError("the tree edges contain a cycle")
         vars(self).update(graph=graph, roots=roots, tree_edges=tree_edges,
                           vertex_set=frozenset(members), parent=parent,
-                          _children=children, _depth=depth)
+                          _tree_names=frozenset(names), _children=children, _depth=depth)
 
     def __eq__(self, other):
         if type(other) is not Forest:
@@ -112,12 +116,33 @@ class Forest:
             v = chain[-1].src
         return PathSeq(v, tuple(reversed(chain)))
 
-    def descendants(self, v: str) -> frozenset[str]:
-        """Vertices reachable from ``v`` along tree edges (including ``v``)."""
-        out = [v]
-        for u in out:  # a forest has no cycles: each vertex below v comes once
-            out.extend(self._children.get(u, ()))
-        return frozenset(out)
+    @cached_property
+    def _corner(self) -> tuple[tuple[str, ...], list[tuple[Edge, tuple[str, ...]]]]:
+        """The corner rule, computed once: the kept vertices (those emitting
+        no edge or some non-tree edge) in host order, and each non-tree edge
+        emitted inside the forest, in host order, with the kept vertices below
+        its range in host order."""
+        g, tree = self.graph, self._tree_names
+        kept = tuple(v for v in self.vertices
+                     if not g._out[v] or any(e.name not in tree for e in g._out[v]))
+        rank = {v: i for i, v in enumerate(kept)}
+        # the kept vertices in walk order; those below v are run[slice(*span[v])]
+        run = [v for v in self._depth if v in rank]
+        span: dict[str, tuple[int, int]] = {}
+        before = len(run)  # kept vertices before v in walk order
+        for v in reversed(self._depth):
+            before -= v in rank
+            kids = self._children.get(v)
+            span[v] = (before, span[kids[-1]][1] if kids else before + (v in rank))
+        below: dict[str, tuple[str, ...]] = {}  # one entry per distinct range
+        pairs = []
+        for e in g.edges:
+            # a range outside a hand-built forest has no kept vertex below it
+            if e.src in span and e.dst in span and e.name not in tree:
+                if e.dst not in below:
+                    below[e.dst] = tuple(sorted(run[slice(*span[e.dst])], key=rank.__getitem__))
+                pairs.append((e, below[e.dst]))
+        return kept, pairs
 
 
 def build_forest(g: Graph, roots: Iterable[str]) -> Forest:
@@ -150,41 +175,12 @@ def build_forest(g: Graph, roots: Iterable[str]) -> Forest:
     return Forest(g, tuple(sorted(x)), tuple(chosen))
 
 
-def _corner_vertices(g: Graph, t: Forest) -> tuple[str, ...]:
-    tree_names = {e.name for e in t.tree_edges}
-    out = []
-    for v in t.vertices:
-        emitted = g.out_edges(v)
-        if emitted and all(e.name in tree_names for e in emitted):
-            continue  # every edge out of v is a tree edge: v is swallowed
-        out.append(v)
-    return tuple(out)
-
-
-def _corner_edges(g: Graph, t: Forest) -> list[tuple[Edge, str]]:
-    """(host edge, kept vertex below its range) pairs, in declaration order."""
-    tset = t.vertex_set
-    tree_names = {e.name for e in t.tree_edges}
-    kept = _corner_vertices(g, t)
-    kept_set = set(kept)
-    pairs: list[tuple[Edge, str]] = []
-    for e in g.edges:
-        if e.src not in tset or e.name in tree_names:
-            continue
-        below = t.descendants(e.dst)
-        for u in t.vertices:
-            if u in kept_set and u in below:
-                pairs.append((e, u))
-    return pairs
-
-
 def t_corner(g: Graph, t: Forest) -> Graph:
     """The corner graph cut out by the forest."""
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
-    kept = _corner_vertices(g, t)
-    edges = tuple(Edge(f"{e.name}_{u}", e.src, u) for e, u in _corner_edges(g, t))
-    return Graph(kept, edges)
+    kept, pairs = t._corner
+    return Graph(kept, tuple(Edge(f"{e.name}_{u}", e.src, u) for e, below in pairs for u in below))
 
 
 def corner_family(g: Graph, t: Forest) -> CkFamily:
@@ -193,20 +189,21 @@ def corner_family(g: Graph, t: Forest) -> CkFamily:
 
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
-    tree_names = {e.name for e in t.tree_edges}
+    kept, pairs = t._corner
     q: dict[str, LpaElement] = {}
-    for v in _corner_vertices(g, t):
+    for v in kept:
         tv = t.tau(v)
         terms = [(1, tv, tv)]
         for e in g.out_edges(v):
-            if e.name in tree_names:
+            if e.name in t._tree_names:
                 ext = tv.extend(e)
                 terms.append((-1, ext, ext))
         q[v] = element(terms)
     td: dict[str, LpaElement] = {}
-    for e, u in _corner_edges(g, t):
+    for e, below in pairs:
         stem = element([(1, t.tau(e.src).extend(e), t.tau(e.dst))])
-        td[f"{e.name}_{u}"] = stem * q[u]
+        for u in below:
+            td[f"{e.name}_{u}"] = stem * q[u]
     return CkFamily(q, td)
 
 
@@ -216,15 +213,10 @@ def corner_weights(g: Graph, t: Forest) -> dict[str, int]:
     other edge weighs 1."""
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
-    depth = t._depth  # len(tau(v)) for each forest vertex v
-    tree_names = {e.name for e in t.tree_edges}
-    out: dict[str, int] = {}
-    for e in g.edges:
-        if e.name not in tree_names and e.src in depth and e.dst in depth:
-            out[e.name] = depth[e.dst] - depth[e.src] + 1
-        else:
-            out[e.name] = 1
-    return out
+    depth, tree = t._depth, t._tree_names  # depth[v] = len(tau(v))
+    return {e.name: depth[e.dst] - depth[e.src] + 1
+            if e.name not in tree and e.src in depth and e.dst in depth else 1
+            for e in g.edges}
 
 
 def full_idempotent_corner(g: Graph, m: Mapping[str, int], n: int) -> Graph:

@@ -57,21 +57,16 @@ __all__ = [
 # ── hereditary expansion ──────────────────────────────────────────────────────
 
 
-def entry_paths(g: Graph, hs: Iterable[str]) -> tuple[PathSeq, ...]:
-    """All paths entering the hereditary set through their final edge.
+def entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
+    """All paths entering the hereditary set through their final edge, as
+    ``(label, path)`` pairs sorted by label; each label is joined once.
 
     Every vertex of such a path except its range lies outside the set.  This
     raises unless every vertex outside the set reaches it and no cycle lies
     outside it: the hypotheses under which hereditary expansion preserves
-    the algebra, and under which the collection is finite.  Sorted by path
-    label.
+    the algebra, and under which the collection is finite.  Two paths may
+    share a label, since names may contain dots.
     """
-    return tuple(p for _, p in _labelled_entry_paths(g, hs))
-
-
-def _labelled_entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
-    """``(label, path)`` for each of :func:`entry_paths`, in the same order;
-    each label is joined once."""
     h = frozenset(hs)
     if not is_hereditary(g, h):  # which also rejects unknown vertices
         raise ValueError("the vertex set is not hereditary")
@@ -153,7 +148,7 @@ def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
     vertex to the path's range.
     """
     h = frozenset(hs)
-    paths = _labelled_entry_paths(g, h)
+    paths = entry_paths(g, h)
     vertices = tuple(v for v in g.vertices if v in h) + tuple(name for name, _ in paths)
     edges = tuple(e for e in g.edges if e.src in h) + tuple(
         Edge(f"ov_{name}", name, p.target) for name, p in paths
@@ -173,7 +168,7 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
     for v in g.vertices:
         if v in h:
             vertex_images[v] = vertex_element(g, v)
-    for name, p in _labelled_entry_paths(g, h):
+    for name, p in entry_paths(g, h):
         vertex_images[name] = element([(1, p, p)])
         edge_images[f"ov_{name}"] = element([(1, p, PathSeq.at(p.target))])
     for e in g.edges:

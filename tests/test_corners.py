@@ -62,20 +62,6 @@ def test_build_forest_spans_hereditary_closure():
         assert set(build_forest(g, xs).vertices) == set(hereditary_closure(g, xs))
 
 
-def test_descendants_match_naive_closure():
-    rng = random.Random(47)
-    for _ in range(60):
-        g = random_graph(rng, max_vertices=8, max_edges=16)
-        if len(g.vertices) < 2:
-            continue
-        t = build_forest(g, rng.sample(g.vertices, rng.randint(1, len(g.vertices) - 1)))
-        for v in t.vertices:
-            below = {v}
-            while more := {e.dst for e in t.tree_edges if e.src in below} - below:
-                below |= more
-            assert t.descendants(v) == below
-
-
 def scan_forest_edges(g: Graph, roots) -> tuple[Edge, ...]:
     """The reference greedy search: rescan every edge for each edge picked."""
     reached = set(roots)
@@ -152,6 +138,51 @@ def test_corner_loops_and_chords_frozen():
         ("gamma_4", "4", "4"),
     ]
     assert classify(c).sources == ("2",)
+
+
+def naive_corner(g: Graph, roots) -> Graph:
+    """The reference corner: the kept rule, "below" as a fixpoint over the
+    tree edges, and the pairs in host order."""
+    t = build_forest(g, roots)
+    tree = set(t.tree_edges)
+    kept = [v for v in t.vertices if not g.out_edges(v) or not tree.issuperset(g.out_edges(v))]
+    edges = []
+    for e in g.edges:
+        if e.src not in t.vertex_set or e in tree:
+            continue
+        below = {e.dst}
+        while more := {f.dst for f in tree if f.src in below} - below:
+            below |= more
+        edges += [Edge(f"{e.name}_{u}", e.src, u) for u in kept if u in below]
+    return Graph(kept, edges)
+
+
+def test_corner_matches_naive_reference():
+    rng = random.Random(47)
+    checked = 0
+    while checked < 150:
+        g = random_graph(rng, max_vertices=9, max_edges=20)
+        if len(g.vertices) < 2:
+            continue
+        xs = rng.sample(g.vertices, rng.randint(1, len(g.vertices) - 1))
+        assert t_corner(g, build_forest(g, xs)) == naive_corner(g, xs), serialize_graph(g)
+        checked += 1
+
+
+def test_corner_of_a_long_chain_in_bounded_time():
+    # a 6,000-vertex chain with an edge from every vertex to the last one:
+    # each of those edges has the last vertex alone below its range
+    n = 6000
+    vs = tuple(f"v{i:04d}" for i in range(n))
+    g = Graph(vs, tuple(Edge(f"a{i:04d}", vs[i], vs[i + 1]) for i in range(n - 1))
+              + tuple(Edge(f"b{i:04d}", v, vs[-1]) for i, v in enumerate(vs)))
+    start = time.perf_counter()
+    t = build_forest(g, [vs[0]])
+    c = t_corner(g, t)
+    assert time.perf_counter() - start < 1.0
+    assert len(t.tree_edges) == n - 1  # the forest is the whole chain
+    assert c.vertices == vs
+    assert [(e.src, e.dst) for e in c.edges] == [(v, vs[-1]) for v in vs]
 
 
 def test_corner_rejects_foreign_forest():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, prod
 
 import pytest
@@ -178,6 +178,16 @@ def test_snf_frozen_examples():
     assert (sinks.rows, sinks.cols) == (2, 0) and smith_normal_form(sinks) == ()
     empty = presentation_matrix(Graph((), ()))
     assert (empty.rows, empty.cols) == (0, 0) and smith_normal_form(empty) == ()
+
+
+def test_snf_matches_oracle_on_every_small_2x2():
+    # every [[a, b], [c, d]] over {0, ±2, ±3, ±4, ±6}: few of these need the
+    # second transpose round or the gcd/lcm pass, too few for hypothesis to
+    # reach reliably, so sweep them all
+    values = (0, 2, -2, 3, -3, 4, -4, 6, -6)
+    for entries in product(values, repeat=4):
+        m = (entries[:2], entries[2:])
+        assert smith_normal_form(IntMatrix(m)) == oracle_invariant_factors(m), m
 
 
 @settings(max_examples=150)

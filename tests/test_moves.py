@@ -55,13 +55,23 @@ from leavitt.moves import (
 
 
 def test_entry_paths_funnel():
-    labels = [p.label() for p in entry_paths(funnel_into_cycle(), ["1", "2", "3"])]
-    assert labels == ["f1", "f2", "g1.f1", "g1.f2"]
+    pairs = entry_paths(funnel_into_cycle(), ["1", "2", "3"])
+    assert [label for label, _ in pairs] == ["f1", "f2", "g1.f1", "g1.f2"]
+    assert all(label == p.label() for label, p in pairs)
+
+
+def test_entry_labels_that_collide_are_rejected():
+    # the path a.b and the edge a.b both enter {h} with the label "a.b"
+    g = Graph(("x", "y", "h"), (Edge("a", "x", "y"), Edge("b", "y", "h"),
+                                Edge("a.b", "x", "h"), Edge("l", "h", "h")))
+    assert [label for label, _ in entry_paths(g, ["h"])] == ["a.b", "a.b", "b"]
+    with pytest.raises(ValueError, match="duplicate vertex 'a.b'"):
+        expand_hereditary(g, ["h"])
 
 
 def test_expand_joins_each_entry_label_once(monkeypatch):
     g, hs = funnel_into_cycle(), ["1", "2", "3"]
-    paths = entry_paths(g, hs)
+    paths = [p for _, p in entry_paths(g, hs)]
     joined = []
     real_label = PathSeq.label
     monkeypatch.setattr(PathSeq, "label", lambda p: joined.append(p) or real_label(p))
