@@ -228,7 +228,7 @@ def full_idempotent_corner(g: Graph, m: Mapping[str, int], n: int) -> Graph:
     ``t_corner`` of the matrix form under the trivial forest on that set, up
     to the renaming of each edge ``e`` to ``e_<target>``.
     """
-    from .moves import attach_head
+    from .moves import _with_heads
 
     profile = classify(g)
     if profile.sinks or profile.sources:
@@ -242,11 +242,7 @@ def full_idempotent_corner(g: Graph, m: Mapping[str, int], n: int) -> Graph:
             raise ValueError(f"multiplicity of {v!r} must be a positive integer")
     if not isinstance(n, int) or n < max(m.values()):
         raise ValueError("the matrix size must be at least every multiplicity")
-    induced = g
-    for v in g.vertices:
-        if m[v] > 1:
-            induced = attach_head(induced, v, m[v] - 1)
-    return induced
+    return _with_heads(g, [(v, m[v] - 1) for v in g.vertices])
 
 
 def se_corner(g: Graph, xs: Iterable[str], k: int) -> Graph:

@@ -7,7 +7,8 @@ names joined with dots and its edge is ``ov_<path>``; a head attached at
 ``e0`` by ``n`` uses vertices ``e0.v1..e0.vn`` and edges ``e0.e1..e0.e(n+1)``;
 sources attached at ``v`` use vertices ``v.s1..v.sn`` and edges
 ``v.f1..v.fn``.  Name collisions with existing vertices or edges are caught
-by the graph constructor.
+by the graph constructor.  Each entry path is labelled by the walk that finds
+it, and the matrix forms attach all their heads in one graph build.
 
 A ``MoveTrace`` is a replayable certificate: each record carries the move
 kind, its parameters, and FNV-1a hashes of its input and output graphs.
@@ -59,7 +60,7 @@ __all__ = [
 
 def entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
     """All paths entering the hereditary set through their final edge, as
-    ``(label, path)`` pairs sorted by label; each label is joined once.
+    ``(label, path)`` pairs sorted by label.
 
     Every vertex of such a path except its range lies outside the set.  This
     raises unless every vertex outside the set reaches it and no cycle lies
@@ -81,31 +82,16 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
     if len(can_reach) + len(h) < len(g.vertices):
         v = next(v for v in g.vertices if v not in h and v not in can_reach)
         raise ValueError(f"vertex {v!r} does not reach the hereditary set")
-    out = [(p.label(), p) for b in boundary
-           for p in map(PathSeq.of, _paths_ending_with(g, b))]
+    # walk back from each boundary edge, one edge and label segment per step;
+    # pushing in reverse pops in depth-first preorder (declaration order),
+    # which the stable sort keeps among equal labels
+    out = []
+    stack = [(b.src, (b,), b.name) for b in reversed(boundary)]
+    while stack:
+        at, edges, label = stack.pop()
+        out.append((label, PathSeq(at, edges)))
+        stack += [(e.src, (e,) + edges, f"{e.name}.{label}") for e in reversed(g._in[at])]
     out.sort(key=lambda lp: lp[0])
-    return out
-
-
-def _paths_ending_with(g: Graph, b: Edge) -> list[tuple[Edge, ...]]:
-    """Every path whose last edge is ``b``, in depth-first preorder of the
-    backward walk from ``b`` (in-edges in declaration order).
-
-    The graph behind ``b`` must be acyclic.  The walk is iterative and costs
-    time proportional to its output, however long the paths are.
-    """
-    trail = [b]  # the current path, read backwards from b
-    frames = [iter(g._in[b.src])]
-    out = [(b,)]
-    while frames:
-        e = next(frames[-1], None)
-        if e is None:
-            frames.pop()
-            trail.pop()
-        else:
-            trail.append(e)
-            out.append(tuple(reversed(trail)))
-            frames.append(iter(g._in[e.src]))
     return out
 
 
@@ -185,14 +171,22 @@ def _check_count(n: int) -> None:
         raise ValueError("the length must be a positive integer")
 
 
+def _with_heads(g: Graph, heads: Iterable[tuple[str, int]]) -> Graph:
+    """``g`` with a head of length ``n`` attached at each ``(v, n)`` in turn,
+    built as one graph; ``g`` itself when every length is 0."""
+    vertices, edges = list(g.vertices), list(g.edges)
+    for v, n in heads:
+        vertices += (f"{v}.h{i}" for i in range(1, n + 1))
+        edges += (Edge(f"{v}.e{i}", f"{v}.h{i}", f"{v}.h{i - 1}" if i > 1 else v)
+                  for i in range(1, n + 1))
+    return Graph(vertices, edges) if len(vertices) > len(g.vertices) else g
+
+
 def attach_head(g: Graph, v0: str, n: int) -> Graph:
     """Attach a chain of ``n`` new vertices feeding into ``v0``."""
     g.require_vertex(v0)
     _check_count(n)
-    heads = tuple(f"{v0}.h{i}" for i in range(1, n + 1))
-    new_edges = [Edge(f"{v0}.e1", f"{v0}.h1", v0)]
-    new_edges += [Edge(f"{v0}.e{i}", f"{v0}.h{i}", f"{v0}.h{i - 1}") for i in range(2, n + 1)]
-    return Graph(g.vertices + heads, g.edges + tuple(new_edges))
+    return _with_heads(g, [(v0, n)])
 
 
 def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
@@ -260,12 +254,13 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
 
 # ── traces ────────────────────────────────────────────────────────────────────
 
-_ARITY = {
-    "ExpandHereditary": 1,
-    "AttachHead": 2,
-    "SubdivideEdge": 2,
-    "AttachSources": 2,
-    "EliminateSource": 1,
+# kind -> (move, one reader per text parameter)
+_MOVES = {
+    "ExpandHereditary": (expand_hereditary, (lambda vs: vs.split(",") if vs else (),)),
+    "AttachHead": (attach_head, (str, int)),
+    "SubdivideEdge": (subdivide_edge, (str, int)),
+    "AttachSources": (attach_sources, (str, int)),
+    "EliminateSource": (eliminate_source, (str,)),
 }
 
 
@@ -275,10 +270,11 @@ class MoveRecord(NamedTuple("MoveRecord", [("kind", str), ("params", tuple[str, 
 
     def __new__(cls, kind: str, params: tuple[str, ...], input_hash: str,
                 output_hash: str) -> "MoveRecord":
-        if kind not in _ARITY:
+        if kind not in _MOVES:
             raise ValueError(f"unknown move kind {kind!r}")
-        if len(params) != _ARITY[kind]:
-            raise ValueError(f"{kind} takes {_ARITY[kind]} parameter(s)")
+        arity = len(_MOVES[kind][1])
+        if len(params) != arity:
+            raise ValueError(f"{kind} takes {arity} parameter(s)")
         return tuple.__new__(cls, (kind, params, input_hash, output_hash))
 
 
@@ -287,17 +283,10 @@ class MoveTrace(NamedTuple):
 
 
 def apply_move(g: Graph, kind: str, params: tuple[str, ...]) -> Graph:
-    if kind == "ExpandHereditary":
-        return expand_hereditary(g, params[0].split(",") if params[0] else ())
-    if kind == "AttachHead":
-        return attach_head(g, params[0], int(params[1]))
-    if kind == "SubdivideEdge":
-        return subdivide_edge(g, params[0], int(params[1]))
-    if kind == "AttachSources":
-        return attach_sources(g, params[0], int(params[1]))
-    if kind == "EliminateSource":
-        return eliminate_source(g, params[0])
-    raise ValueError(f"unknown move kind {kind!r}")
+    if kind not in _MOVES:
+        raise ValueError(f"unknown move kind {kind!r}")
+    move, readers = _MOVES[kind]
+    return move(g, *(read(p) for read, p in zip(readers, params)))
 
 
 def replay(trace: MoveTrace, g: Graph) -> Graph:
@@ -335,10 +324,9 @@ def parse_trace(text: str) -> MoveTrace:
         if parts[0] != "move" or len(parts) < 2:
             raise ValueError(f"line {lineno}: expected 'move <kind> <params...> <in> <out>'")
         kind = parts[1]
-        arity = _ARITY.get(kind)
-        if arity is None or len(parts) != 2 + arity + 2:
+        if kind not in _MOVES or len(parts) != 2 + len(_MOVES[kind][1]) + 2:
             raise ValueError(f"line {lineno}: malformed {kind} record")
-        records.append(MoveRecord(kind, tuple(parts[2:2 + arity]), parts[-2], parts[-1]))
+        records.append(MoveRecord(kind, tuple(parts[2:-2]), parts[-2], parts[-1]))
     return MoveTrace(tuple(records))
 
 
@@ -385,11 +373,10 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     expanded = expand_hereditary(g, core.vertices)
     record("ExpandHereditary", (",".join(sorted(core.vertices)),), g, expanded)
     cur = expanded
+    # the expansion's only sources are its path-vertices, each emitting one
+    # edge into the core; eliminations and subdivisions add no source
     for v in sorted(core.vertices):
-        aimed = sorted(
-            w for w in classify(cur).sources
-            if cur.out_edges(w) and all(e.dst == v for e in cur.out_edges(w))
-        )
+        aimed = sorted(e.src for e in expanded.in_edges(v) if e.src not in core.vertex_set)
         if not aimed:
             continue
         n = len(aimed)
@@ -411,8 +398,4 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
 def matrix_graph(g: Graph, n: int) -> Graph:
     """Attach a head of length n-1 at every vertex (the n x n matrix form)."""
     _check_count(n)
-    cur = g
-    if n > 1:
-        for v in g.vertices:
-            cur = attach_head(cur, v, n - 1)
-    return cur
+    return _with_heads(g, [(v, n - 1) for v in g.vertices])

@@ -360,6 +360,22 @@ def test_full_idempotent_corner_is_matrix_form_corner():
         done += 1
 
 
+def test_full_idempotent_corner_is_iterated_heads():
+    rng = random.Random(59)
+    done = 0
+    while done < 40:
+        g = random_graph(rng, max_vertices=5, max_edges=10, no_sinks=True)
+        if classify(g).sources:
+            continue
+        m = {v: rng.randint(1, 3) for v in g.vertices}
+        want = g
+        for v in g.vertices:
+            if m[v] > 1:
+                want = attach_head(want, v, m[v] - 1)
+        assert serialize_graph(full_idempotent_corner(g, m, max(m.values()))) == serialize_graph(want)
+        done += 1
+
+
 def test_full_idempotent_corner_argument_checks():
     g = rose2()
     with pytest.raises(ValueError):

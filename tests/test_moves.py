@@ -7,7 +7,10 @@ cross-checked through the independent K-theory module.
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -70,16 +73,77 @@ def test_entry_labels_that_collide_are_rejected():
 
 
 def test_expand_joins_each_entry_label_once(monkeypatch):
+    # the walk that finds a path grows its label one edge at a time, so
+    # neither caller joins a path's edge names again
     g, hs = funnel_into_cycle(), ["1", "2", "3"]
-    paths = [p for _, p in entry_paths(g, hs)]
+    pairs = entry_paths(g, hs)
+    assert all(label == p.label() for label, p in pairs)
     joined = []
     real_label = PathSeq.label
     monkeypatch.setattr(PathSeq, "label", lambda p: joined.append(p) or real_label(p))
     expand_hereditary(g, hs)
-    assert sorted(joined, key=PathSeq.sort_key) == sorted(paths, key=PathSeq.sort_key)
-    joined.clear()
     leavitt.moves.expansion_family(g, hs)
-    assert sorted(joined, key=PathSeq.sort_key) == sorted(paths, key=PathSeq.sort_key)
+    assert joined == []
+
+
+def feeder_into_core(rng: random.Random) -> tuple[Graph, tuple[str, ...]]:
+    """An acyclic random feeder, some of its edges with dotted names, hanging
+    into a core in which every vertex is looped.  Some graphs also get the
+    paths ``a b`` and ``a.b`` into the core, or ``p q r`` and ``p.q r``, whose
+    labels collide."""
+    core = tuple(f"c{i}" for i in range(rng.randint(1, 3)))
+    feed = tuple(f"f{i}" for i in range(rng.randint(1, 6)))
+    ends = []
+    for v in core:
+        ends.append((v, v))
+        ends.append((v, rng.choice(core)))
+    for i, v in enumerate(feed):
+        later = feed[i + 1:] + core
+        # the last feeder vertex has only the core later, so every one reaches it
+        ends += [(v, rng.choice(later)) for _ in range(rng.randint(1, 3))]
+    names = ["c", "b.c", "a.b.c", "c.a"]
+    rng.shuffle(names)
+    edges = [Edge(names.pop() if names and rng.random() < 0.5 else f"e{k}", src, dst)
+             for k, (src, dst) in enumerate(ends)]
+    if len(feed) > 1 and rng.random() < 0.5:
+        u, w = sorted(rng.sample(feed, 2))
+        c = rng.choice(core)
+        edges += [Edge("a", u, w), Edge("b", w, c), Edge("a.b", u, c)]
+    if len(feed) > 2 and rng.random() < 0.5:
+        # p q r and p.q r collide on one boundary edge r
+        u, x, w = sorted(rng.sample(feed, 3))
+        edges += [Edge("p", u, x), Edge("q", x, w), Edge("p.q", u, w),
+                  Edge("r", w, rng.choice(core))]
+    vertices = list(core + feed)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return Graph(tuple(vertices), tuple(edges)), core
+
+
+def test_entry_paths_match_forward_enumeration():
+    rng = random.Random(53)
+    collided = 0
+    for _ in range(250):
+        g, core = feeder_into_core(rng)
+        # forward from each outside vertex, stopping at the edge that enters the core
+        want = []
+        stack = [(v, ()) for v in g.vertices if v not in core]
+        while stack:
+            at, names = stack.pop()
+            for e in g.out_edges(at):
+                if e.dst in core:
+                    want.append((".".join(names + (e.name,)), names + (e.name,)))
+                else:
+                    stack.append((e.dst, names + (e.name,)))
+        got = [(label, p.edge_names()) for label, p in entry_paths(g, core)]
+        assert Counter(got) == Counter(want)
+        assert [label for label, _ in got] == sorted(label for label, _ in want)
+        # equal labels keep the depth-first preorder of the backward walk, in
+        # which a path read from its last edge back follows declaration order
+        position = {e.name: i for i, e in enumerate(g.edges)}
+        assert got == sorted(want, key=lambda lw: (lw[0], [position[x] for x in reversed(lw[1])]))
+        collided += len(got) > len({label for label, _ in got})
+    assert collided >= 50, collided
 
 
 def test_expand_funnel_frozen():
@@ -311,6 +375,18 @@ def test_matrix_graph_sizes():
     assert matrix_graph(tri, 2) == headed
 
 
+def test_matrix_graph_of_a_long_cycle_in_bounded_time():
+    n = 1000
+    cycle = Graph(tuple(f"v{i}" for i in range(n)),
+                  tuple(Edge(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)))
+    start = time.perf_counter()
+    m3 = matrix_graph(cycle, 3)
+    elapsed = time.perf_counter() - start
+    assert (len(m3.vertices), len(m3.edges)) == (3 * n, 3 * n)
+    assert m3.vertices[n:n + 2] == ("v0.h1", "v0.h2")
+    assert elapsed < 0.5, elapsed
+
+
 def test_matrix_graph_preserves_k_data():
     tri = triangle()
     for n in (2, 3, 4):
@@ -368,6 +444,23 @@ def test_desourcify_preserves_k_data_seeded():
         assert prof.sources == () and prof.sinks == ()
         assert k0_invariant_data(core) == k0_invariant_data(g)
         done += 1
+
+
+def test_desourcify_bytes_pinned():
+    # digest of every output graph and trace (or error), recorded before the
+    # move layer derived each path and graph once
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        g = random_graph(rng, max_vertices=7, max_edges=14, no_sinks=True)
+        try:
+            core, trace = desourcify(g)
+            text = serialize_graph(core) + serialize_trace(trace)
+        except ValueError as exc:
+            text = f"error: {exc}\n"
+        digest.update(text.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == (
+        "ea264328f0341177c0ad3f5c2728b5aa511535783b8a349457ca5c5c04e3e0c4")
 
 
 # ── traces ────────────────────────────────────────────────────────────────────
