@@ -76,10 +76,21 @@ class Graph:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(
-            self, "edges", tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
-        )
+        vertices = tuple(self.vertices)
+        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        names = [e.name for e in edges]
+        try:
+            vset = set(vertices)
+            if (all(map(NAME_RE.match, vertices)) and len(vset) == len(vertices)
+                    and all(map(NAME_RE.match, names)) and len(set(names)) == len(names)
+                    and vset.issuperset([e.src for e in edges])
+                    and vset.issuperset([e.dst for e in edges])):
+                return
+        except TypeError:  # a name that is not a str
+            pass
+        # some check fails: find the first failure in declaration order
         seen: set[str] = set()
         for v in self.vertices:
             _check_name("vertex", v)

@@ -133,13 +133,18 @@ def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
     a vertex named by each entry path, and an edge ``ov_<path>`` from that
     vertex to the path's range.
     """
-    h = frozenset(hs)
+    return _expansion(g, frozenset(hs))[0]
+
+
+def _expansion(g: Graph, h: frozenset[str]) -> tuple[Graph, list[tuple[str, PathSeq]]]:
+    """The expanded graph and the entry paths it was built from.  Building
+    the graph rejects entry labels that collide."""
     paths = entry_paths(g, h)
     vertices = tuple(v for v in g.vertices if v in h) + tuple(name for name, _ in paths)
     edges = tuple(e for e in g.edges if e.src in h) + tuple(
         Edge(f"ov_{name}", name, p.target) for name, p in paths
     )
-    return Graph(vertices, edges)
+    return Graph(vertices, edges), paths
 
 
 def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
@@ -149,12 +154,13 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
     from .algebra import CkFamily, element, vertex_element
 
     h = frozenset(hs)
+    _, paths = _expansion(g, h)  # raises as expand_hereditary does
     vertex_images: dict[str, LpaElement] = {}
     edge_images: dict[str, LpaElement] = {}
     for v in g.vertices:
         if v in h:
             vertex_images[v] = vertex_element(g, v)
-    for name, p in entry_paths(g, h):
+    for name, p in paths:
         vertex_images[name] = element([(1, p, p)])
         edge_images[f"ov_{name}"] = element([(1, p, PathSeq.at(p.target))])
     for e in g.edges:

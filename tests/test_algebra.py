@@ -18,7 +18,9 @@ from conftest import arrow, funnel_into_cycle, random_graph, rose2, single_loop,
 from leavitt.algebra import (
     NON_HOMOGENEOUS,
     CkFamily,
+    CkReport,
     LpaElement,
+    _meeting,
     degree,
     designated_edge,
     element,
@@ -35,6 +37,7 @@ from leavitt.algebra import (
     vertex_element,
     zero,
 )
+from leavitt.corners import build_forest, corner_family, t_corner
 from leavitt.graph import Edge, Graph, PathSeq, path_in
 from leavitt.moves import attach_head, expand_hereditary, expansion_family, subdivide_edge, subdivision_family
 
@@ -443,6 +446,139 @@ def test_family_ck2_flagged():
     report = verify_ck_family(g, CkFamily(fam.vertex_images, ei), g)
     assert not report.ok
     assert any(f.startswith("CK-2: v") for f in report.failures)
+
+
+# ── the products verify skips ─────────────────────────────────────────────────
+
+
+def all_pairs_verify(target: Graph, family: CkFamily, host: Graph) -> CkReport:
+    """The relation checker with every (v, w) and (e, f) product formed: the
+    reference that ``verify_ck_family``, which skips the pairs that cannot
+    meet, must agree with line for line."""
+    q, t = family.vertex_images, family.edge_images
+    fails = [f"nonzero: vertex image {v} reduces to 0"
+             for v in target.vertices if not normal_form(host, q[v])]
+    for v in target.vertices:
+        for w in target.vertices:
+            if not equals(host, q[v] * q[w], q[v] if v == w else zero()):
+                fails.append(f"orthogonal idempotents: {v},{w}")
+    for e in target.edges:
+        te, se = t[e.name], star(t[e.name])
+        if not equals(host, q[e.src] * te, te) or not equals(host, te * q[e.dst], te):
+            fails.append(f"absorption: {e.name}")
+        if not equals(host, q[e.dst] * se, se) or not equals(host, se * q[e.src], se):
+            fails.append(f"ghost absorption: {e.name}")
+    for e in target.edges:
+        for f in target.edges:
+            want = q[e.dst] if e.name == f.name else zero()
+            if not equals(host, star(t[e.name]) * t[f.name], want):
+                fails.append(f"CK-1: {e.name},{f.name}")
+    for v in target.vertices:
+        outs = target.out_edges(v)
+        if outs:
+            total = zero()
+            for e in outs:
+                total = total + t[e.name] * star(t[e.name])
+            if not equals(host, q[v], total):
+                fails.append(f"CK-2: {v}")
+    return CkReport(ok=not fails, failures=tuple(fails))
+
+
+def verify_cases(seed: int) -> list[tuple[Graph, CkFamily, Graph]]:
+    """Seeded ``(target, family, host)`` triples: corner families of random
+    sink-free hosts, each also with one edge image doubled (CK-1 at (e, e)
+    and CK-2 at s(e) break), and families of random elements, which fail
+    most relations and whose products are often nonzero."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 24:
+        g = random_graph(rng, max_vertices=7, max_edges=14, no_sinks=True)
+        try:
+            t = build_forest(g, rng.sample(g.vertices, rng.randint(1, 2)))
+        except ValueError:  # every vertex a root, or fewer than two vertices
+            continue
+        target = t_corner(g, t)
+        if not target.edges:
+            continue
+        fam = corner_family(g, t)
+        cases.append((target, fam, g))
+        e = rng.choice(target.edges)
+        doubled = dict(fam.edge_images, **{e.name: fam.edge_images[e.name].scaled(2)})
+        cases.append((target, CkFamily(fam.vertex_images, doubled), g))
+    for _ in range(24):
+        host = random_graph(rng, max_vertices=4, max_edges=8)
+        target = random_graph(rng, max_vertices=4, max_edges=6)
+        cases.append((target, CkFamily(
+            {v: random_element(host, rng) for v in target.vertices},
+            {e.name: random_element(host, rng) for e in target.edges},
+        ), host))
+    return cases
+
+
+def test_verify_skips_only_zero_products():
+    skipped = met = 0
+    for target, fam, host in verify_cases(23):
+        q = [fam.vertex_images[v] for v in target.vertices]
+        t = [fam.edge_images[e.name] for e in target.edges]
+        for lefts, rights in ((q, q), ([star(x) for x in t], t)):
+            for i, meets in enumerate(_meeting(lefts, rights)):
+                for j, y in enumerate(rights):
+                    if j in meets:
+                        met += i != j
+                        continue
+                    product = lefts[i] * y
+                    assert not normal_form(host, product), (i, j)
+                    assert product == zero()  # no term pair meets, so not a single term
+                    skipped += i != j
+    # both kinds of off-diagonal pair occur, so neither branch is vacuous
+    assert skipped > 1000 and met > 100, (skipped, met)
+
+
+def test_verify_matches_all_pairs_reference():
+    failing = 0
+    for target, fam, host in verify_cases(29):
+        report = verify_ck_family(target, fam, host)
+        assert report == all_pairs_verify(target, fam, host)
+        failing += not report.ok
+    assert failing >= 36  # the doubled corner families and the random ones
+
+
+def test_verify_products_linear_in_family_size(monkeypatch):
+    # a seeded single-root corner family of 159 edges, on which checking
+    # every pair forms V^2 + E^2 + 5E = 26,220 products
+    rng = random.Random(0)
+    n = rng.randint(8, 16)
+    vs = [f"v{i}" for i in range(n)]
+    es = [Edge(f"c{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    es += [Edge(f"r{k}", rng.choice(vs), rng.choice(vs)) for k in range(rng.randint(n, 2 * n))]
+    g = Graph(vs, es)
+    t = build_forest(g, ["v0"])
+    target, fam = t_corner(g, t), corner_family(g, t)
+    v, e = len(target.vertices), len(target.edges)
+    assert (v, e) == (12, 159)
+
+    calls = []
+    real_mul = LpaElement.__mul__
+    monkeypatch.setattr(LpaElement, "__mul__", lambda x, y: calls.append(1) or real_mul(x, y))
+    assert verify_ck_family(target, fam, g).ok
+
+    def nested(us) -> int:
+        """Ordered pairs of distinct forest vertices, one above the other."""
+        paths = [t.tau(u) for u in us]
+        return sum(a != b and a.source == b.source and (a.edges == b.edges[:len(a.edges)]
+                                                        or b.edges == a.edges[:len(b.edges)])
+                   for a in paths for b in paths)
+
+    below: dict[str, list[str]] = {}  # host edge -> the u of its corner edges e_u
+    for x in target.edges:
+        name, u = x.name.rsplit("_", 1)
+        below.setdefault(name, []).append(u)
+    # V diagonal orthogonality, 4E absorption, E diagonal CK-1 and E CK-2
+    # products, plus exactly the pairs whose images meet: q_u q_w and
+    # T_{e_u}* T_{e_w} for u above w or below it
+    meeting = nested(target.vertices) + sum(nested(us) for us in below.values())
+    assert len(calls) == v + 6 * e + meeting
+    assert 10 * len(calls) < e * e
 
 
 # ── element text syntax ───────────────────────────────────────────────────────

@@ -259,6 +259,16 @@ def test_corner_families_verify():
         assert report.ok, report.failures
 
 
+def test_corner_edge_names_that_collide_are_rejected():
+    # both loops at r reach z and y_z: x_y with u = z and x with u = y_z
+    # both name their corner edge x_y_z
+    g = Graph(("r", "z", "y_z"), (Edge("a", "r", "z"), Edge("b", "r", "y_z"),
+                                  Edge("c", "z", "r"), Edge("d", "y_z", "r"),
+                                  Edge("x", "r", "r"), Edge("x_y", "r", "r")))
+    with pytest.raises(ValueError, match="duplicate edge 'x_y_z'"):
+        t_corner(g, build_forest(g, ["r"]))
+
+
 def test_corner_projections_orthogonal():
     g = two_way_line()
     t = build_forest(g, ["v2"])

@@ -92,6 +92,25 @@ def test_rejects_bad_name():
         Graph(("a",), (Edge("e!", "a", "a"),))
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    # the first failure in declaration order wins, whichever check it is
+    (("a", "a", "b c"), (), "duplicate vertex 'a'"),
+    (("b c", "a", "a"), (), "invalid vertex name 'b c'"),
+    (("a", 7), (), "invalid vertex name 7"),
+    (("a", ["a"]), (), "invalid vertex name ['a']"),
+    (("a",), (("e", "a", "z"), ("e", "a", "a")), "edge 'e': unknown vertex 'z'"),
+    (("a",), (("e", "a", "a"), ("e", "z", "a")), "duplicate edge 'e'"),
+    (("a",), (("e", "z", "y"),), "edge 'e': unknown vertex 'z'"),
+    (("a",), (("e", "a", "y"),), "edge 'e': unknown vertex 'y'"),
+    (("a", "a"), (("e!", "a", "a"),), "duplicate vertex 'a'"),
+    (("a",), (("e", "a", "a"), (None, "a", "a")), "invalid edge name None"),
+])
+def test_construction_reports_the_first_failure(vertices, edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(vertices, edges)
+    assert str(err.value).startswith(message)
+
+
 def test_parse_rejects_malformed_line():
     with pytest.raises(ValueError):
         parse_graph("vertex a\nedge e a\n")

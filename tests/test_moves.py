@@ -72,6 +72,15 @@ def test_entry_labels_that_collide_are_rejected():
         expand_hereditary(g, ["h"])
 
 
+def test_expansion_family_rejects_colliding_entry_labels():
+    # the family of the graph above would map the vertex a.b twice, one
+    # image overwriting the other
+    g = Graph(("x", "y", "h"), (Edge("a", "x", "y"), Edge("b", "y", "h"),
+                                Edge("a.b", "x", "h"), Edge("l", "h", "h")))
+    with pytest.raises(ValueError, match="duplicate vertex 'a.b'"):
+        leavitt.moves.expansion_family(g, ["h"])
+
+
 def test_expand_joins_each_entry_label_once(monkeypatch):
     # the walk that finds a path grows its label one edge at a time, so
     # neither caller joins a path's edge names again
