@@ -18,7 +18,6 @@ edges, in declaration order; parsing its output reproduces the graph exactly.
 from __future__ import annotations
 
 import re
-from collections import deque
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -271,17 +270,24 @@ def is_saturated(g: Graph, hs: Iterable[str]) -> bool:
     return True
 
 
+def _reach(g: Graph, starts: Iterable[str], backward: bool = False) -> dict[str, int]:
+    """Breadth-first search from ``starts``: each vertex they reach, along the
+    edges or (``backward``) against them, mapped to its distance."""
+    adj, end = (g._in, 1) if backward else (g._out, 2)  # Edge fields: name, src, dst
+    dist = dict.fromkeys(starts, 0)
+    queue = list(dist)
+    for u in queue:  # the queue grows as it is read
+        d = dist[u] + 1
+        for e in adj[u]:
+            if e[end] not in dist:
+                dist[e[end]] = d
+                queue.append(e[end])
+    return dist
+
+
 def hereditary_closure(g: Graph, xs: Iterable[str]) -> tuple[str, ...]:
     """Smallest hereditary superset: everything reachable from ``xs``."""
-    seen = _validated(g, xs)
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for e in g._out[u]:
-            if e.dst not in seen:
-                seen.add(e.dst)
-                queue.append(e.dst)
-    return tuple(sorted(seen))
+    return tuple(sorted(_reach(g, _validated(g, xs))))
 
 
 def saturated_closure(g: Graph, hs: Iterable[str]) -> tuple[str, ...]:

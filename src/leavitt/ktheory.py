@@ -73,14 +73,13 @@ def presentation_matrix(g: Graph) -> IntMatrix:
     Rows run over all vertices, columns over the regular (emitting) ones,
     both in declaration order.  The cokernel of this matrix presents K0.
     """
-    a = adjacency(g).entries
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    reg = [v for v in g.vertices if g.out_edges(v)]
-    rows = []
-    for v in g.vertices:
-        i = idx[v]
-        rows.append(tuple((1 if idx[w] == i else 0) - a[idx[w]][i] for w in reg))
-    return IntMatrix(tuple(rows))
+    col = {v: j for j, v in enumerate(v for v in g.vertices if g._out[v])}
+    rows = {v: [0] * len(col) for v in g.vertices}
+    for v, j in col.items():
+        rows[v][j] = 1
+    for e in g.edges:
+        rows[e.dst][col[e.src]] -= 1
+    return IntMatrix(rows.values())
 
 
 def _unit_pivots(m: IntMatrix) -> tuple[int, list[dict[int, int]]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Graph, classify, hs_closure
+from .graph import Graph, _reach, classify, hs_closure
 
 __all__ = [
     "MonoidElement",
@@ -260,17 +260,7 @@ def rebalance_full(g: Graph, m: MonoidElement) -> MonoidElement:
     for w in sorted(g.vertices):
         if counts[w] >= 1:
             continue
-        dist = {w: 0}
-        layer = [w]
-        while layer:
-            grown = []
-            for u in layer:
-                for e in g.in_edges(u):
-                    if e.src not in dist:
-                        dist[e.src] = dist[u] + 1
-                        grown.append(e.src)
-            layer = grown
-        # dist holds exactly the vertices that reach w
+        dist = _reach(g, [w], backward=True)  # exactly the vertices that reach w
         at = min(u for u in dist if counts[u] >= 1)
         while at != w:
             step = min(

@@ -9,6 +9,8 @@ sources attached at ``v`` use vertices ``v.s1..v.sn`` and edges
 ``v.f1..v.fn``.  Name collisions with existing vertices or edges are caught
 by the graph constructor.  Each entry path is labelled by the walk that finds
 it, and the matrix forms attach all their heads in one graph build.
+``desourcify`` eliminates sources one at a time, always the least-named
+source of the current graph.
 
 A ``MoveTrace`` is a replayable certificate: each record carries the move
 kind, its parameters, and FNV-1a hashes of its input and output graphs.
@@ -21,12 +23,14 @@ returns the final record's output.
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .graph import (
     Edge,
     Graph,
     PathSeq,
+    _reach,
     classify,
     graph_hash,
     is_hereditary,
@@ -73,9 +77,9 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
         raise ValueError("the vertex set is not hereditary")
     boundary = [e for e in g.edges if e.src not in h and e.dst in h]
     # h is hereditary, so every edge into an outside vertex starts outside
-    can_reach = _coreachable(g, {e.src for e in boundary})
+    can_reach = _reach(g, [e.src for e in boundary], backward=True)
     # a cycle outside h that reaches a boundary source makes the family infinite
-    if _has_cycle(can_reach, [e for v in can_reach for e in g._in[v]]):
+    if len(_peel(can_reach, [e for v in can_reach for e in g._in[v]])) < len(can_reach):
         raise ValueError("a cycle outside the hereditary set reaches it: "
                          "infinitely many entry paths")
     # so when every outside vertex reaches h, the graph outside h is acyclic
@@ -95,34 +99,27 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
     return out
 
 
-def _coreachable(g: Graph, targets: set[str]) -> set[str]:
-    """Vertices with a path (possibly of length 0) into ``targets``."""
-    seen = set(targets)
-    stack = list(targets)
-    while stack:
-        for e in g._in[stack.pop()]:
-            if e.src not in seen:
-                seen.add(e.src)
-                stack.append(e.src)
-    return seen
-
-
-def _has_cycle(vertices: Iterable[str], edges: list[Edge]) -> bool:
-    """Kahn's algorithm in O(V + E): a cycle is what never reaches in-degree 0."""
+def _peel(vertices: Iterable[str], edges: Iterable[Edge]) -> list[str]:
+    """Kahn's algorithm on a heap, in O((V + E) log V): keep removing the
+    least-named vertex with no incoming edge left.  A vertex on a cycle, or
+    downstream of one, is never removed, so the order is shorter than the
+    vertex list exactly when the edges hold a cycle."""
     indeg = dict.fromkeys(vertices, 0)
     succ: dict[str, list[str]] = {v: [] for v in indeg}
     for e in edges:
         indeg[e.dst] += 1
         succ[e.src].append(e.dst)
-    queue = [v for v, d in indeg.items() if d == 0]
-    removed = 0
-    while queue:
-        removed += 1
-        for w in succ[queue.pop()]:
+    heap = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        v = heapq.heappop(heap)
+        order.append(v)
+        for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                queue.append(w)
-    return removed < len(indeg)
+                heapq.heappush(heap, w)
+    return order
 
 
 def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
@@ -225,10 +222,13 @@ def eliminate_source(g: Graph, v: str) -> Graph:
         raise ValueError(f"vertex {v!r} is not a source")
     if not g._out[v]:
         raise ValueError(f"source {v!r} emits no edge")
-    return Graph(
-        tuple(w for w in g.vertices if w != v),
-        tuple(e for e in g.edges if e.src != v),
-    )
+    return _without(g, v)
+
+
+def _without(g: Graph, v: str) -> Graph:
+    """``g`` less the vertex ``v`` and the edges it emits."""
+    return Graph(tuple(w for w in g.vertices if w != v),
+                 tuple(e for e in g.edges if e.src != v))
 
 
 def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
@@ -342,9 +342,10 @@ def parse_trace(text: str) -> MoveTrace:
 def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     """Remove all sources while preserving the algebra up to isomorphism.
 
-    Pipeline: iterate source eliminations to find the source-free core F;
-    apply one hereditary expansion with the core's vertex set to the ORIGINAL
-    graph (its entry-path vertices are the only sources of the result); then
+    Pipeline: eliminate the least-named source of the current graph until
+    none is left, which leaves the source-free core F; apply one hereditary
+    expansion with the core's vertex set to the ORIGINAL graph (its
+    entry-path vertices are the only sources of the result); then
     per core vertex, in name order, eliminate the path-vertex sources aimed
     at it, record the equivalent head form, and absorb the head by
     subdividing the lexicographically least edge into that vertex.  A graph
@@ -367,32 +368,34 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
                 hashes[x] = graph_hash(x)
         records.append(MoveRecord(kind, params, hashes[src], hashes[out]))
 
-    cur, srcs = g, profile.sources
-    while srcs:
-        nxt = eliminate_source(cur, srcs[0])
-        record("EliminateSource", (srcs[0],), cur, nxt)
-        cur = nxt
-        srcs = classify(cur).sources
-    core = cur
+    def eliminate(cur: Graph, sources: Iterable[str]) -> Graph:
+        # each is a source of cur that emits an edge (no edge runs into a
+        # source, so peeling a sink-free graph leaves no sink, and each path
+        # vertex emits one edge), so eliminate_source's checks are left to replay
+        for v in sources:
+            nxt = _without(cur, v)
+            record("EliminateSource", (v,), cur, nxt)
+            cur = nxt
+        return cur
+
+    core = eliminate(g, _peel(g.vertices, g.edges))
     if not core.vertices:
         raise AssertionError("a finite sink-free graph keeps a cycle; the core cannot be empty")
     expanded = expand_hereditary(g, core.vertices)
     record("ExpandHereditary", (",".join(sorted(core.vertices)),), g, expanded)
     cur = expanded
     # the expansion's only sources are its path-vertices, each emitting one
-    # edge into the core; eliminations and subdivisions add no source
+    # edge into the core; eliminations and subdivisions add no source, and
+    # leave each later core vertex's in-edges as they are in the expansion
     for v in sorted(core.vertices):
-        aimed = sorted(e.src for e in expanded.in_edges(v) if e.src not in core.vertex_set)
+        into = expanded._in[v]
+        aimed = sorted(e.src for e in into if e.src not in core.vertex_set)
         if not aimed:
             continue
         n = len(aimed)
-        for w in aimed:
-            nxt = eliminate_source(cur, w)
-            record("EliminateSource", (w,), cur, nxt)
-            cur = nxt
-        base = cur
+        base = eliminate(cur, aimed)
         record("AttachHead", (v, str(n)), base, attach_head(base, v, n))
-        e0 = min(e.name for e in base.in_edges(v))
+        e0 = min(e.name for e in into if e.src in core.vertex_set)
         cur = subdivide_edge(base, e0, n)
         record("SubdivideEdge", (e0, str(n)), base, cur)
     return cur, MoveTrace(tuple(records))

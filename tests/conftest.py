@@ -125,6 +125,25 @@ def random_graph(
     return Graph(vertices, tuple(edges))
 
 
+def shaped_multigraph(rng: random.Random) -> Graph:
+    """A random multigraph with loops, parallel edges and sinks, fed by a
+    chain of sources and by a tree of sources; vertices are declared in
+    shuffled order, so name order and declaration order differ."""
+    n = rng.randint(1, 6)
+    body = [f"v{i}" for i in range(1, n + 1)]
+    pairs = []
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.choice(body), rng.choice(body)  # a loop when a == b
+        pairs += [(a, b)] * rng.choice((1, 1, 2))  # sometimes a parallel pair
+    chain = [f"c{i}" for i in range(1, rng.randint(0, 4) + 1)]
+    pairs += zip(chain, chain[1:] + [rng.choice(body)])
+    tree = [f"t{i}" for i in range(1, rng.randint(0, 5) + 1)]
+    pairs += [(t, rng.choice(tree[:i]) if i else rng.choice(body)) for i, t in enumerate(tree)]
+    vertices = body + chain + tree
+    rng.shuffle(vertices)
+    return Graph(vertices, [Edge(f"e{i}", a, b) for i, (a, b) in enumerate(pairs, 1)])
+
+
 # ── hypothesis strategies ─────────────────────────────────────────────────────
 
 

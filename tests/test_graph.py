@@ -7,17 +7,28 @@ values frozen below.
 
 from __future__ import annotations
 
+import random
 import time
+from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import arrow, funnel_into_cycle, graphs, single_loop, triangle, vertex_subsets
+from conftest import (
+    arrow,
+    funnel_into_cycle,
+    graphs,
+    shaped_multigraph,
+    single_loop,
+    triangle,
+    vertex_subsets,
+)
 from leavitt.graph import (
     Edge,
     Graph,
     PathSeq,
+    _reach,
     classify,
     graph_hash,
     hereditary_closure,
@@ -257,3 +268,30 @@ def test_closures_of_a_long_chain_in_bounded_time():
     assert saturated_closure(g, [names[-1]]) == names
     assert hs_closure(g, [names[-1]]) == names
     assert time.perf_counter() - start < 1.0
+
+
+def reference_bfs(g: Graph, start: str, backward: bool) -> dict[str, int]:
+    """Distances from one start, one layer of the edge list at a time."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for e in g.edges:
+            src, dst = (e.dst, e.src) if backward else (e.src, e.dst)
+            if src == u and dst not in dist:
+                dist[dst] = dist[u] + 1
+                queue.append(dst)
+    return dist
+
+
+def test_reach_matches_per_start_reference_bfs():
+    rng = random.Random(61)
+    for _ in range(300):
+        g = shaped_multigraph(rng)
+        starts = rng.sample(g.vertices, rng.randint(0, min(3, len(g.vertices))))
+        for backward in (False, True):
+            expected: dict[str, int] = {}
+            for s in starts:
+                for v, d in reference_bfs(g, s, backward).items():
+                    expected[v] = min(d, expected.get(v, d))
+            assert _reach(g, starts, backward) == expected

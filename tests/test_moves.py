@@ -22,6 +22,7 @@ from conftest import (
     funnel_into_cycle,
     graphs,
     random_graph,
+    shaped_multigraph,
     triangle,
     two_way_line,
 )
@@ -40,6 +41,7 @@ from leavitt.ktheory import k0_invariant_data, k_summary
 from leavitt.moves import (
     MoveRecord,
     MoveTrace,
+    _peel,
     attach_head,
     attach_sources,
     desourcify,
@@ -455,6 +457,39 @@ def test_desourcify_preserves_k_data_seeded():
         done += 1
 
 
+def test_desourcify_classifies_once(monkeypatch):
+    # s01 -> s02 -> ... -> s40 -> c, with a loop at c: one source at a time
+    calls = []
+    original = leavitt.moves.classify
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(leavitt.moves, "classify", counting)
+    chain = [f"s{i:02d}" for i in range(1, 41)] + ["c"]
+    g = Graph(chain, [Edge(f"a{i:02d}", u, w) for i, (u, w) in enumerate(zip(chain, chain[1:]), 1)]
+              + [Edge("lp", "c", "c")])
+    core, trace = desourcify(g)
+    assert calls == [g]
+    assert [r.params for r in trace.records[:40]] == [(v,) for v in chain[:40]]
+    assert replay(trace, g) == core
+
+
+def test_desourcify_traces_replay_seeded():
+    # replay runs the checked eliminate_source on every recorded elimination,
+    # which desourcify itself builds without repeating the checks
+    rng = random.Random(47)
+    done = 0
+    while done < 200:
+        g = random_graph(rng, max_vertices=7, max_edges=14, no_sinks=True)
+        if not classify(g).sources:
+            continue
+        core, trace = desourcify(g)
+        assert replay(parse_trace(serialize_trace(trace)), g) == core
+        done += 1
+
+
 def test_desourcify_bytes_pinned():
     # digest of every output graph and trace (or error), recorded before the
     # move layer derived each path and graph once
@@ -541,3 +576,41 @@ def test_desourcify_hashes_each_graph_once(monkeypatch):
     hashed.clear()
     desourcify(funnel_into_cycle())
     assert len(set(hashed)) == len(hashed)
+
+
+# ── the source peel ───────────────────────────────────────────────────────────
+
+
+def reference_peel(g: Graph) -> list[str]:
+    """Remove the least-named vertex with no in-edge from a vertex still left."""
+    left, order = set(g.vertices), []
+    while free := [v for v in left if not any(e.dst == v and e.src in left for e in g.edges)]:
+        order.append(min(free))
+        left.remove(order[-1])
+    return order
+
+
+def has_cycle_by_dfs(g: Graph) -> bool:
+    state: dict[str, str] = {}  # "open" while on the DFS path, then "done"
+
+    def visit(v: str) -> bool:
+        state[v] = "open"
+        for e in g.out_edges(v):
+            if state.get(e.dst) == "open" or (e.dst not in state and visit(e.dst)):
+                return True
+        state[v] = "done"
+        return False
+
+    return any(v not in state and visit(v) for v in g.vertices)
+
+
+def test_peel_matches_reference_loop_and_finds_cycles():
+    rng = random.Random(59)
+    cyclic = 0
+    for _ in range(300):
+        g = shaped_multigraph(rng)
+        order = _peel(g.vertices, g.edges)
+        assert order == reference_peel(g)
+        assert (len(order) < len(g.vertices)) == has_cycle_by_dfs(g)
+        cyclic += len(order) < len(g.vertices)
+    assert 0 < cyclic < 300
