@@ -41,7 +41,6 @@ __all__ = [
     "designated_edge",
     "normal_form",
     "equals",
-    "NON_HOMOGENEOUS",
     "degree",
     "CkFamily",
     "CkReport",
@@ -163,14 +162,14 @@ def element(terms: Iterable[tuple]) -> LpaElement:
 
 def vertex_element(g: Graph, v: str) -> LpaElement:
     g.require_vertex(v)
-    p = PathSeq.at(v)
+    p = PathSeq(v)
     return LpaElement({(p, p): Fraction(1)})
 
 
 def path_element(g: Graph, names: Iterable[str]) -> LpaElement:
     """The element of a real path (no ghost part): alpha r(alpha)*."""
     p = path_in(g, names)
-    return LpaElement({(p, PathSeq.at(p.target)): Fraction(1)})
+    return LpaElement({(p, PathSeq(p.target)): Fraction(1)})
 
 
 def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaElement:
@@ -179,7 +178,7 @@ def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaE
     def resolve(part) -> PathSeq:
         if isinstance(part, str):
             g.require_vertex(part)
-            return PathSeq.at(part)
+            return PathSeq(part)
         return path_in(g, part)
 
     return element([(coeff, resolve(alpha), resolve(beta))])
@@ -226,18 +225,8 @@ def equals(g: Graph, x: LpaElement, y: LpaElement) -> bool:
     return not normal_form(g, x - y)
 
 
-class _NonHomogeneous:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "NonHomogeneous"
-
-
-NON_HOMOGENEOUS = _NonHomogeneous()
-
-
-def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]):
-    """Total weight if ``normal_form(x)`` is homogeneous, else NON_HOMOGENEOUS.
+def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]) -> int | None:
+    """Total weight if ``normal_form(x)`` is homogeneous, else None.
 
     A term weighs the sum over its left path minus the sum over its right
     path; the zero element has degree 0 by convention.
@@ -254,9 +243,7 @@ def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]):
         except KeyError as exc:
             raise ValueError(f"weight map is missing edge {exc.args[0]!r}") from None
         degs.add(d)
-    if len(degs) == 1:
-        return degs.pop()
-    return NON_HOMOGENEOUS
+    return degs.pop() if len(degs) == 1 else None
 
 
 # ── Cuntz-Krieger family verification ─────────────────────────────────────────
@@ -329,19 +316,21 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
     ts = {name: star(te) for name, te in t.items()}
     fails: list[str] = []
 
+    def pairs(kind, names, lefts, rights, diagonal) -> None:
+        # lefts[i] * rights[j] must be diagonal[i] when i == j and 0 otherwise.
+        # An off-diagonal pair whose factors do not meet multiplies to exactly
+        # 0, as it should; visiting the rest in index order keeps the failures
+        # in (i, j) order.
+        for i, meets in enumerate(_meeting(lefts, rights)):
+            for j in sorted(meets | {i}):
+                if not equals(host, lefts[i] * rights[j], diagonal[i] if i == j else zero()):
+                    fails.append(f"{kind}: {names[i]},{names[j]}")
+
     for v in vs:
         if not normal_form(host, q[v]):
             fails.append(f"nonzero: vertex image {v} reduces to 0")
-    # an off-diagonal pair whose factors do not meet multiplies to exactly 0,
-    # which equals the 0 it should be; visiting the rest in index order keeps
-    # the failures in (v, w) order
     qs = [q[v] for v in vs]
-    for i, (v, meets) in enumerate(zip(vs, _meeting(qs, qs))):
-        for j in sorted(meets | {i}):
-            w = vs[j]
-            want = q[v] if i == j else zero()
-            if not equals(host, q[v] * q[w], want):
-                fails.append(f"orthogonal idempotents: {v},{w}")
+    pairs("orthogonal idempotents", vs, qs, qs, qs)
     for e in es:
         te = t[e.name]
         if not equals(host, q[e.src] * te, te) or not equals(host, te * q[e.dst], te):
@@ -349,13 +338,8 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
         se = ts[e.name]
         if not equals(host, q[e.dst] * se, se) or not equals(host, se * q[e.src], se):
             fails.append(f"ghost absorption: {e.name}")
-    for i, (e, meets) in enumerate(zip(es, _meeting([ts[e.name] for e in es],
-                                                    [t[e.name] for e in es]))):
-        for j in sorted(meets | {i}):
-            f = es[j]
-            want = q[e.dst] if i == j else zero()
-            if not equals(host, ts[e.name] * t[f.name], want):
-                fails.append(f"CK-1: {e.name},{f.name}")
+    names = [e.name for e in es]
+    pairs("CK-1", names, [ts[n] for n in names], [t[n] for n in names], [q[e.dst] for e in es])
     for v in vs:
         outs = target.out_edges(v)
         if not outs:
@@ -378,13 +362,15 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
 # range of the real one.  "0" (no vertex of that name) and "" denote zero.
 
 _COEFF_RE = re.compile(r"(\d+(?:/\d+)?)\*")
+_TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")  # no term is empty
+_SIGNED_TERM_RE = re.compile(r"([+-]?)([^+-]+)")
 
 
 def _parse_path(g: Graph, token: str) -> PathSeq:
     if not token:
         raise ValueError("empty path")
     if token in g.vertex_set:
-        return PathSeq.at(token)
+        return PathSeq(token)
     by_name, longest = g._edge_by_name, g._longest_edge_name
     n = len(token)
     cuts = [i for i, ch in enumerate(token) if ch == "."] + [n]
@@ -429,25 +415,11 @@ def parse_element(g: Graph, text: str) -> LpaElement:
     s = "".join(text.split())
     if not s or (s == "0" and "0" not in g.vertex_set):
         return zero()
-    # split into signed terms
-    terms: list[tuple[int, str]] = []
-    sign, pos = 1, 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    start = pos
-    while pos <= len(s):
-        if pos == len(s) or s[pos] in "+-":
-            if start == pos:
-                raise ValueError("empty term")
-            terms.append((sign, s[start:pos]))
-            if pos < len(s):
-                sign = -1 if s[pos] == "-" else 1
-            start = pos + 1
-        pos += 1
+    if not _TERMS_RE.fullmatch(s):
+        raise ValueError("empty term")
     out: list[tuple[Fraction, PathSeq, PathSeq]] = []
-    for sgn, term in terms:
-        coeff = Fraction(sgn)
+    for sign, term in _SIGNED_TERM_RE.findall(s):
+        coeff = Fraction(-1 if sign == "-" else 1)
         m = _COEFF_RE.match(term)
         if m:
             try:
@@ -461,7 +433,7 @@ def parse_element(g: Graph, text: str) -> LpaElement:
             beta = _parse_path(g, b_text)
         else:
             alpha = _parse_path(g, term)
-            beta = PathSeq.at(alpha.target)
+            beta = PathSeq(alpha.target)
         if alpha.target != beta.target:
             raise ValueError(f"term {term!r}: paths do not share a range")
         out.append((coeff, alpha, beta))
@@ -481,7 +453,7 @@ def format_element(x: LpaElement) -> str:
     parts: list[str] = []
     for i, ((left, right), c) in enumerate(sorted(x.terms.items(), key=_term_order)):
         body = left.label()
-        if right.length:
+        if right.edges:
             body += f" ; {right.label()}"
         mag = abs(c)
         if mag != 1:

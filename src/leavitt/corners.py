@@ -219,14 +219,15 @@ def corner_weights(g: Graph, t: Forest) -> dict[str, int]:
             for e in g.edges}
 
 
-def full_idempotent_corner(g: Graph, m: Mapping[str, int], n: int) -> Graph:
-    """The corner of the n x n matrix form cut by heads of length m(v)-1.
+def full_idempotent_corner(g: Graph, m: Mapping[str, int]) -> Graph:
+    """The corner of the matrix forms cut by heads of length m(v)-1.
 
-    ``m`` assigns every vertex a multiplicity >= 1 with ``n >= max(m)``.  The
-    chosen vertex set is hereditary in the matrix form, so the corner is just
-    the graph with a head of length m(v)-1 attached at each vertex: it equals
-    ``t_corner`` of the matrix form under the trivial forest on that set, up
-    to the renaming of each edge ``e`` to ``e_<target>``.
+    ``m`` assigns every vertex a multiplicity >= 1.  The result is the corner
+    of every n x n matrix form with ``n >= max(m)``: the chosen vertex set is
+    hereditary in that form, so the corner is just the graph with a head of
+    length m(v)-1 attached at each vertex.  It equals ``t_corner`` of the
+    matrix form under the trivial forest on that set, up to the renaming of
+    each edge ``e`` to ``e_<target>``.
     """
     from .moves import _with_heads
 
@@ -240,8 +241,6 @@ def full_idempotent_corner(g: Graph, m: Mapping[str, int], n: int) -> Graph:
         g.require_vertex(v)
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"multiplicity of {v!r} must be a positive integer")
-    if not isinstance(n, int) or n < max(m.values()):
-        raise ValueError("the matrix size must be at least every multiplicity")
     return _with_heads(g, [(v, m[v] - 1) for v in g.vertices])
 
 

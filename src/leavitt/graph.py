@@ -193,10 +193,6 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
         return tuple.__new__(cls, (source, edges, at))
 
     @classmethod
-    def at(cls, v: str) -> "PathSeq":
-        return cls(v)
-
-    @classmethod
     def of(cls, edges: Iterable[Edge]) -> "PathSeq":
         """The path along ``edges``, which must be nonempty."""
         edges = tuple(edges)
@@ -204,16 +200,9 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
             raise ValueError("a length-0 path needs a base vertex")
         return cls(edges[0].src, edges)
 
-    @property
-    def length(self) -> int:
-        return len(self.edges)
-
-    def edge_names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.edges)
-
     def label(self) -> str:
         """Edge names joined with dots; the vertex of a length-0 path."""
-        return ".".join(self.edge_names()) or self.source
+        return ".".join(e.name for e in self.edges) or self.source
 
     def extend(self, e: Edge) -> "PathSeq":
         return PathSeq(self.source, self.edges + (e,))
@@ -251,9 +240,10 @@ def classify(g: Graph) -> VertexClassification:
 
 
 def _validated(g: Graph, xs: Iterable[str]) -> set[str]:
+    """``xs`` as a set of vertices; the least unknown name, if any, raises."""
     s = set(xs)
-    for v in s:
-        g.require_vertex(v)
+    if not s <= g.vertex_set:
+        g.require_vertex(min(s - g.vertex_set, key=str))
     return s
 
 

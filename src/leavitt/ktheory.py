@@ -16,7 +16,6 @@ from .graph import Graph
 __all__ = [
     "INF",
     "IntMatrix",
-    "adjacency",
     "presentation_matrix",
     "smith_normal_form",
     "KSummary",
@@ -55,16 +54,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
-
-
-def adjacency(g: Graph) -> IntMatrix:
-    """A[v][w] = number of edges v -> w, vertices in declaration order."""
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    a = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        a[idx[e.src]][idx[e.dst]] += 1
-    return IntMatrix(tuple(tuple(row) for row in a))
 
 
 def presentation_matrix(g: Graph) -> IntMatrix:

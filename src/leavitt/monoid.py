@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Graph, _reach, classify, hs_closure
+from .graph import Graph, _reach, _validated, classify, hs_closure
 
 __all__ = [
     "MonoidElement",
@@ -106,11 +106,6 @@ def format_monoid(m: MonoidElement) -> str:
     return " ".join(f"{v}:{k}" for v, k in m.counts)
 
 
-def _require_supported(g: Graph, m: MonoidElement) -> None:
-    for v in m.support:
-        g.require_vertex(v)
-
-
 def _relation(g: Graph, v: str) -> Counter[str]:
     """The multiset of ranges of the edges ``v`` emits: ``v`` equals its sum."""
     out = g.out_edges(v)
@@ -122,7 +117,7 @@ def _relation(g: Graph, v: str) -> Counter[str]:
 def expand(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
     """Replace one copy of ``v`` by the ranges of the edges ``v`` emits."""
     g.require_vertex(v)
-    _require_supported(g, m)
+    _validated(g, m.support)
     if m.get(v) < 1:
         raise ValueError(f"vertex {v!r} is not in the support")
     c = Counter(dict(m.counts))
@@ -134,7 +129,7 @@ def expand(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
 def contract(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
     """Inverse of :func:`expand`: swallow the out-edge ranges of ``v`` back."""
     g.require_vertex(v)
-    _require_supported(g, m)
+    _validated(g, m.support)
     need = _relation(g, v)
     c = Counter(dict(m.counts))
     if any(c[w] < k for w, k in need.items()):
@@ -178,8 +173,8 @@ def equivalent(
     """
     if step_bound < 1 or size_bound < 1:
         raise ValueError("bounds must be at least 1")
-    _require_supported(g, a)
-    _require_supported(g, b)
+    _validated(g, a.support)
+    _validated(g, b.support)
     if a == b:
         return Equivalent(0)
     # per emitting vertex: its index, its relation as (index, count) pairs
@@ -231,7 +226,7 @@ def equivalent(
 
 def is_full(g: Graph, m: MonoidElement) -> bool:
     """Whether the support's hereditary-saturated closure is every vertex."""
-    _require_supported(g, m)
+    _validated(g, m.support)
     if not m:
         raise ValueError("the zero element is never full")
     return set(hs_closure(g, m.support)) == g.vertex_set

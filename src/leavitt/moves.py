@@ -159,10 +159,10 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
             vertex_images[v] = vertex_element(g, v)
     for name, p in paths:
         vertex_images[name] = element([(1, p, p)])
-        edge_images[f"ov_{name}"] = element([(1, p, PathSeq.at(p.target))])
+        edge_images[f"ov_{name}"] = element([(1, p, PathSeq(p.target))])
     for e in g.edges:
         if e.src in h:
-            edge_images[e.name] = element([(1, PathSeq.of((e,)), PathSeq.at(e.dst))])
+            edge_images[e.name] = element([(1, PathSeq.of((e,)), PathSeq(e.dst))])
     return CkFamily(vertex_images, edge_images)
 
 
@@ -249,12 +249,12 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
     for x in g.edges:
         if x.name != e0:
             px = PathSeq.of((host.edge(x.name),))
-            edge_images[x.name] = element([(1, px, PathSeq.at(x.dst))])
+            edge_images[x.name] = element([(1, px, PathSeq(x.dst))])
     chain = PathSeq.of(host.edge(f"{e0}.e{i}") for i in range(n + 1, 0, -1))
-    edge_images[e0] = element([(1, chain, PathSeq.at(chain.target))])
+    edge_images[e0] = element([(1, chain, PathSeq(chain.target))])
     for i in range(1, n + 1):
         pe = PathSeq.of((host.edge(f"{e0}.e{i}"),))
-        edge_images[f"{v0}.e{i}"] = element([(1, pe, PathSeq.at(pe.target))])
+        edge_images[f"{v0}.e{i}"] = element([(1, pe, PathSeq(pe.target))])
     return CkFamily(vertex_images, edge_images)
 
 

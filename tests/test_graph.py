@@ -30,6 +30,7 @@ from leavitt.graph import (
     PathSeq,
     _reach,
     classify,
+    fnv1a64,
     graph_hash,
     hereditary_closure,
     hs_closure,
@@ -149,21 +150,32 @@ def test_hash_is_stable_hex(g):
     assert len(h) == 16 and h == graph_hash(parse_graph(serialize_graph(g)))
 
 
+def test_hash_matches_published_fnv1a64_vectors():
+    # move traces record these hashes, so a trace stays replayable only while
+    # the function is exactly 64-bit FNV-1a
+    assert fnv1a64(b"") == 0xCBF29CE484222325
+    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
+    assert fnv1a64(b"foobar") == 0x85944171F73967E8
+    line = parse_graph("vertex v1\nvertex v2\nvertex v3\nedge gamma v2 v1\n"
+                       "edge delta v1 v2\nedge alpha v2 v3\nedge beta v3 v2\n")
+    assert graph_hash(line) == "b2fa9e490635ae24"  # the README's line.txt
+
+
 # ── paths ─────────────────────────────────────────────────────────────────────
 
 
 def test_path_composition_checked():
     g = funnel_into_cycle()
     p = path_in(g, ["g1", "f1"])
-    assert p.source == "5" and p.target == "1" and p.length == 2
+    assert p.source == "5" and p.target == "1" and len(p.edges) == 2
     assert p.label() == "g1.f1"
     with pytest.raises(ValueError):
         path_in(g, ["f1", "g1"])
 
 
 def test_trivial_path():
-    p = PathSeq.at("v")
-    assert p.length == 0 and p.source == "v" and p.target == "v"
+    p = PathSeq("v")
+    assert p.edges == () and p.source == "v" and p.target == "v"
     assert p.label() == "v"
 
 
@@ -177,8 +189,8 @@ def test_path_rejects_edges_that_do_not_compose():
     with pytest.raises(ValueError):
         PathSeq.of(())
     with pytest.raises(ValueError):
-        PathSeq.at("5").extend(f1)
-    assert PathSeq.at("5").extend(g1).extend(f1) == path_in(g, ["g1", "f1"])
+        PathSeq("5").extend(f1)
+    assert PathSeq("5").extend(g1).extend(f1) == path_in(g, ["g1", "f1"])
 
 
 # ── classification ────────────────────────────────────────────────────────────
@@ -221,6 +233,14 @@ def test_saturated_closure_examples():
     assert saturated_closure(arrow(), ["2"]) == ("1", "2")
     assert saturated_closure(arrow(), []) == ()
     assert saturated_closure(triangle(), ["w"]) == ("u", "v", "w")
+
+
+def test_vertex_sets_report_their_least_unknown_name():
+    g = funnel_into_cycle()
+    xs = frozenset(["1", "zz", "q7", "q1", "x", "q3", "y9", "q2"])
+    for check in (is_hereditary, is_saturated, hereditary_closure, saturated_closure, hs_closure):
+        with pytest.raises(ValueError, match=r"^unknown vertex 'q1'$"):
+            check(g, xs)
 
 
 def test_hs_closure_examples():

@@ -26,7 +26,6 @@ from leavitt.graph import Edge, Graph, classify, serialize_graph
 from leavitt.ktheory import (
     INF,
     IntMatrix,
-    adjacency,
     classify_algebra,
     k0_invariant_data,
     k_summary,
@@ -145,12 +144,6 @@ def test_int_matrix_rejects_ragged():
 def test_int_matrix_rejects_non_integer():
     with pytest.raises(ValueError):
         IntMatrix(((1.5,),))
-
-
-def test_adjacency_examples():
-    assert adjacency(arrow()).entries == ((0, 1), (0, 0))
-    assert adjacency(single_loop()).entries == ((1,),)
-    assert adjacency(rose2()).entries == ((2,),)
 
 
 def test_presentation_examples():
