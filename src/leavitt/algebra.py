@@ -2,9 +2,9 @@
 
 An element is a finite rational combination of terms ``alpha beta*`` where
 ``alpha`` and ``beta`` are paths with a common range.  ``LpaElement.terms``
-maps each pair ``(alpha, beta)`` to its nonzero ``Fraction`` coefficient;
-there is no per-term object and no order on the map.  Products reduce by
-prefix cancellation (``e* f = 0`` for distinct edges, ``e* e = r(e)``), so the
+maps each pair ``(alpha, beta)`` to its nonzero coefficient; there is no
+per-term object and no order on the map.  Products reduce by prefix
+cancellation (``e* f = 0`` for distinct edges, ``e* e = r(e)``), so the
 product of two terms is again a term or zero.  ``normal_form`` applies the
 relation ``v = sum_{s(e)=v} e e*`` at the designated (least-named) edge of
 each emitting vertex, rewriting every term whose two paths share that
@@ -16,7 +16,9 @@ with ``v = s(d)``.  The surviving terms form a spanning basis, so two
 elements are equal in the algebra exactly when their normal forms have the
 same term map.
 
-Coefficients are ``fractions.Fraction`` — everything is exact.  Structural
+Everything is exact: a coefficient is an ``int`` when it is integral and a
+``fractions.Fraction`` only when it is not, so each value has one spelling
+and families with integer coefficients multiply on plain ints.  Structural
 ``==`` on elements compares term maps; use ``equals`` for equality in the
 algebra.  Terms are ordered only in text, by :func:`format_element`.
 """
@@ -54,7 +56,8 @@ __all__ = [
 
 class LpaElement:
     """A finite sum of terms: ``terms`` maps ``(alpha, beta)`` to the nonzero
-    coefficient of ``alpha beta*``, where ``r(alpha) = r(beta)``.
+    coefficient of ``alpha beta*``, where ``r(alpha) = r(beta)``; the
+    coefficient is an ``int``, or a ``Fraction`` whose denominator is not 1.
 
     Build elements from outside with :func:`element`, or from text with
     :func:`parse_element`.  ``LpaElement(terms)`` takes the map as it is and
@@ -67,7 +70,7 @@ class LpaElement:
     __hash__ = None
     __setattr__ = __delattr__ = _frozen
 
-    def __init__(self, terms: dict[tuple[PathSeq, PathSeq], Fraction] | None = None) -> None:
+    def __init__(self, terms: dict[tuple[PathSeq, PathSeq], int | Fraction] | None = None) -> None:
         object.__setattr__(self, "terms", {} if terms is None else terms)
 
     def __eq__(self, other):
@@ -90,7 +93,7 @@ class LpaElement:
     def __mul__(self, other):
         if not isinstance(other, LpaElement):
             return self.scaled(other)
-        acc: dict[tuple[PathSeq, PathSeq], Fraction] = {}
+        acc: dict[tuple[PathSeq, PathSeq], int | Fraction] = {}
         for (alpha, beta), c in self.terms.items():
             for (gamma, delta), d in other.terms.items():
                 key = _term_product(alpha, beta, gamma, delta)
@@ -102,18 +105,26 @@ class LpaElement:
         return self.scaled(other)
 
     def scaled(self, c) -> "LpaElement":
-        c = Fraction(c)
-        if c == 0:
-            return LpaElement()
-        return LpaElement({k: v * c for k, v in self.terms.items()})
+        c = _scalar(c)
+        return _nonzero({k: v * c for k, v in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"LpaElement({format_element(self)!r})"
 
 
+def _scalar(c) -> int | Fraction:
+    """``c`` as a coefficient: an ``int``, or a ``Fraction`` that is not integral."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"a coefficient is an int or a Fraction, not {type(c).__name__}")
+
+
 def _nonzero(acc: dict) -> LpaElement:
-    """The element of an accumulated term map, its zero coefficients dropped."""
-    return LpaElement({k: c for k, c in acc.items() if c})
+    """The element of an accumulated term map, its zero coefficients dropped
+    and each integral ``Fraction`` turned into its ``int``."""
+    return LpaElement({k: c if type(c) is int else _scalar(c) for k, c in acc.items() if c})
 
 
 def _combine(x: LpaElement, y: LpaElement, op) -> LpaElement:
@@ -146,11 +157,12 @@ def zero() -> LpaElement:
 
 
 def element(terms: Iterable[tuple]) -> LpaElement:
-    """Build an element from ``(coeff, alpha, beta)`` triples: check each
-    term, merge like terms and drop the sums that cancel."""
-    acc: dict[tuple[PathSeq, PathSeq], Fraction] = {}
+    """Build an element from ``(coeff, alpha, beta)`` triples, each ``coeff``
+    an ``int`` or a ``Fraction``: check each term, merge like terms and drop
+    the sums that cancel."""
+    acc: dict[tuple[PathSeq, PathSeq], int | Fraction] = {}
     for coeff, alpha, beta in terms:
-        coeff = Fraction(coeff)
+        coeff = _scalar(coeff)
         if coeff == 0:
             raise ValueError("zero coefficient")
         if alpha.target != beta.target:
@@ -163,13 +175,13 @@ def element(terms: Iterable[tuple]) -> LpaElement:
 def vertex_element(g: Graph, v: str) -> LpaElement:
     g.require_vertex(v)
     p = PathSeq(v)
-    return LpaElement({(p, p): Fraction(1)})
+    return LpaElement({(p, p): 1})
 
 
 def path_element(g: Graph, names: Iterable[str]) -> LpaElement:
     """The element of a real path (no ghost part): alpha r(alpha)*."""
     p = path_in(g, names)
-    return LpaElement({(p, PathSeq(p.target)): Fraction(1)})
+    return LpaElement({(p, PathSeq(p.target)): 1})
 
 
 def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaElement:
@@ -205,7 +217,7 @@ def normal_form(g: Graph, x: LpaElement) -> LpaElement:
     """
     designated, out = g._designated, g._out
     work = list(x.terms.items())
-    acc: dict[tuple[PathSeq, PathSeq], Fraction] = {}
+    acc: dict[tuple[PathSeq, PathSeq], int | Fraction] = {}
     while work:
         key, c = work.pop()
         a, b = key
@@ -417,9 +429,9 @@ def parse_element(g: Graph, text: str) -> LpaElement:
         return zero()
     if not _TERMS_RE.fullmatch(s):
         raise ValueError("empty term")
-    out: list[tuple[Fraction, PathSeq, PathSeq]] = []
+    out: list[tuple[int | Fraction, PathSeq, PathSeq]] = []
     for sign, term in _SIGNED_TERM_RE.findall(s):
-        coeff = Fraction(-1 if sign == "-" else 1)
+        coeff = -1 if sign == "-" else 1
         m = _COEFF_RE.match(term)
         if m:
             try:

@@ -44,10 +44,12 @@ class MonoidElement(NamedTuple("MonoidElement", [("counts", tuple[tuple[str, int
     __slots__ = ()
 
     def __new__(cls, counts: Iterable[tuple[str, int]] = ()) -> "MonoidElement":
-        pairs = tuple(sorted((v, int(k)) for v, k in counts))
+        pairs = tuple(sorted(((v, k) for v, k in counts), key=lambda p: p[0]))
         names = [v for v, _ in pairs]
         if len(set(names)) != len(names):
             raise ValueError("duplicate vertex in monoid element")
+        if any(type(k) is not int for _, k in pairs):
+            raise ValueError("multiplicities must be integers")
         if any(k <= 0 for _, k in pairs):
             raise ValueError("multiplicities must be positive")
         return tuple.__new__(cls, (pairs,))

@@ -47,9 +47,10 @@ from leavitt.moves import attach_head, expand_hereditary, expansion_family, subd
 # ── independent reduction oracle ──────────────────────────────────────────────
 
 
-def oracle_reduce(g: Graph, x: LpaElement, rng: random.Random) -> LpaElement:
-    """Rewrite to a fixpoint, choosing the trigger at random each step."""
-    terms = dict(x.terms)
+def oracle_terms(g: Graph, terms: dict, rng: random.Random) -> dict:
+    """Rewrite a term map to a fixpoint, choosing the trigger at random each
+    step; every coefficient is converted with Fraction."""
+    terms = {k: Fraction(c) for k, c in terms.items()}
 
     def bump(key, delta):
         new = terms.get(key, Fraction(0)) + delta
@@ -74,7 +75,11 @@ def oracle_reduce(g: Graph, x: LpaElement, rng: random.Random) -> LpaElement:
         for e in g.out_edges(f.src):
             if e.name != f.name:
                 bump((a.drop_last().extend(e), b.drop_last().extend(e)), -coeff)
-    return element((c, a, b) for (a, b), c in terms.items())
+    return terms
+
+
+def oracle_reduce(g: Graph, x: LpaElement, rng: random.Random) -> LpaElement:
+    return element((c, a, b) for (a, b), c in oracle_terms(g, x.terms, rng).items())
 
 
 def random_path(g: Graph, rng: random.Random, max_len: int = 3) -> PathSeq:
@@ -111,10 +116,12 @@ def random_element(g: Graph, rng: random.Random, max_terms: int = 3) -> LpaEleme
 
 def assert_canonical(x: LpaElement) -> None:
     """The form every element is built in; the constructor does not check it:
-    each coefficient is a nonzero Fraction, each pair of paths shares its
-    range, and the text does not depend on the order the terms went in."""
+    each coefficient is a nonzero int or a Fraction whose denominator is not
+    1 (one spelling per value), each pair of paths shares its range, and the
+    text does not depend on the order the terms went in."""
     for (a, b), c in x.terms.items():
-        assert isinstance(c, Fraction) and c != 0, format_element(x)
+        assert c != 0, format_element(x)
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (c, format_element(x))
         assert a.target == b.target, format_element(x)
     reversed_in = LpaElement(dict(reversed(list(x.terms.items()))))
     assert format_element(reversed_in) == format_element(x)
@@ -144,6 +151,105 @@ def test_every_operation_returns_sorted_merged_elements():
                 normal_form(g, x * y), parsed,
             ):
                 assert_canonical(z)
+
+
+# ── coefficients: an int, or a Fraction only when not integral ────────────────
+#
+# The reference below computes every term map with each coefficient converted
+# with Fraction, as the algebra once stored them; the library must agree with
+# it in value and in text.
+
+
+def ref_element(triples) -> dict:
+    acc: dict = {}
+    for c, a, b in triples:
+        acc[a, b] = acc.get((a, b), Fraction(0)) + Fraction(c)
+    return {k: c for k, c in acc.items() if c}
+
+
+def ref_combine(x: dict, y: dict, sign: int) -> dict:
+    return ref_element([(c, a, b) for (a, b), c in x.items()]
+                       + [(sign * Fraction(c), a, b) for (a, b), c in y.items()])
+
+
+def ref_scaled(x: dict, s) -> dict:
+    return ref_element([(Fraction(s) * c, a, b) for (a, b), c in x.items()])
+
+
+def ref_star(x: dict) -> dict:
+    return {(b, a): Fraction(c) for (a, b), c in x.items()}
+
+
+def ref_mul(x: dict, y: dict) -> dict:
+    """Products of terms by prefix cancellation, written out afresh."""
+    out = []
+    for (a, b), c in x.items():
+        for (p, q), d in y.items():
+            if b.source != p.source:
+                continue
+            m, k = len(b.edges), len(p.edges)
+            if p.edges[:m] == b.edges:
+                out.append((Fraction(c) * Fraction(d), PathSeq(a.source, a.edges + p.edges[m:]), q))
+            elif b.edges[:k] == p.edges:
+                out.append((Fraction(c) * Fraction(d), a, PathSeq(q.source, q.edges + b.edges[k:])))
+    return ref_element(out)
+
+
+def test_coefficients_match_fraction_reference():
+    rng = random.Random(53)
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(4, 2)]
+    kinds = Counter()
+    for g in (funnel_into_cycle(), two_way_line(), rose2()):
+        for _ in range(40):
+            xs, refs = [], []
+            for _ in range(2):
+                triples = [(rng.choice(coeffs), a, b) for _, a, b in (random_monomial(g, rng) for _ in range(4))]
+                triples += triples[:2]  # repeated terms, so halves also sum to integers
+                xs.append(element(triples))
+                refs.append(ref_element(triples))
+                pieces = unmerged_text(*(element([t]) for t in triples))
+                assert parse_element(g, pieces).terms == refs[-1]
+            (x, y), (rx, ry) = xs, refs
+            s = rng.choice(coeffs + [0])
+            cases = [
+                (x, rx), (x + y, ref_combine(rx, ry, 1)), (x - y, ref_combine(rx, ry, -1)),
+                (x + x, ref_combine(rx, rx, 1)), (-x, ref_scaled(rx, -1)),
+                (x * y, ref_mul(rx, ry)), (x.scaled(s), ref_scaled(rx, s)), (s * x, ref_scaled(rx, s)),
+                (x.scaled(2), ref_scaled(rx, 2)), (star(x), ref_star(rx)),
+                (normal_form(g, x * y), oracle_terms(g, ref_mul(rx, ry), rng)),
+                (parse_element(g, format_element(x)), rx),
+            ]
+            for got, want in cases:
+                assert_canonical(got)
+                assert got.terms == want
+                assert format_element(got) == format_element(LpaElement(want))
+                kinds.update("integral" if c.denominator == 1 else "half" for c in want.values())
+    # both spellings occur, so neither half of the invariant is vacuous
+    assert kinds["integral"] > 1000 and kinds["half"] > 500, kinds
+    v = PathSeq("v")
+    [c] = parse_element(rose2(), "1/2 * v + 1/2 * v").terms.values()
+    assert type(c) is int and c == 1
+    [c] = element([(Fraction(1, 2), v, v), (Fraction(1, 2), v, v)]).terms.values()
+    assert type(c) is int and c == 1
+    [c] = element([(Fraction(3, 2), v, v)]).scaled(Fraction(2, 3)).terms.values()
+    assert type(c) is int and c == 1
+
+
+def test_coefficients_must_be_exact():
+    # a float or a string used to go through Fraction(): 0.1 became
+    # 3602879701896397/36028797018963968 and "3/2" was parsed
+    g = rose2()
+    x = vertex_element(g, "v")
+    v = PathSeq("v")
+    for bad in (0.1, 1.0, "3/2", True, None):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            x * bad
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            x.scaled(bad)
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            element([(bad, v, v)])
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            monomial(g, bad, "v", "v")
 
 
 def test_sort_key_orders_paths_as_edge_names_do():
@@ -544,9 +650,9 @@ def test_verify_matches_all_pairs_reference():
     assert failing >= 36  # the doubled corner families and the random ones
 
 
-def test_verify_products_linear_in_family_size(monkeypatch):
-    # a seeded single-root corner family of 159 edges, on which checking
-    # every pair forms V^2 + E^2 + 5E = 26,220 products
+def corner_case_159():
+    """A seeded single-root corner family of 159 edges, all its coefficients
+    ±1: ``(host, forest, corner graph, family)``."""
     rng = random.Random(0)
     n = rng.randint(8, 16)
     vs = [f"v{i}" for i in range(n)]
@@ -554,7 +660,13 @@ def test_verify_products_linear_in_family_size(monkeypatch):
     es += [Edge(f"r{k}", rng.choice(vs), rng.choice(vs)) for k in range(rng.randint(n, 2 * n))]
     g = Graph(vs, es)
     t = build_forest(g, ["v0"])
-    target, fam = t_corner(g, t), corner_family(g, t)
+    return g, t, t_corner(g, t), corner_family(g, t)
+
+
+def test_verify_products_linear_in_family_size(monkeypatch):
+    # checking every pair of the 159-edge corner family forms
+    # V^2 + E^2 + 5E = 26,220 products
+    g, t, target, fam = corner_case_159()
     v, e = len(target.vertices), len(target.edges)
     assert (v, e) == (12, 159)
 
@@ -580,6 +692,27 @@ def test_verify_products_linear_in_family_size(monkeypatch):
     meeting = nested(target.vertices) + sum(nested(us) for us in below.values())
     assert len(calls) == v + 6 * e + meeting
     assert 10 * len(calls) < e * e
+
+
+def test_verify_builds_no_fraction_on_integer_family(monkeypatch):
+    # integer coefficients stay machine ints through every product and
+    # normal form; the same family with each coefficient a Fraction gets
+    # the same report, so the counter below is not vacuous
+    g, _, target, fam = corner_case_159()
+    as_fractions = CkFamily(*({k: LpaElement({key: Fraction(c) for key, c in x.terms.items()})
+                               for k, x in images.items()} for images in fam))
+    made = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **kw: made.append(a) or real_new(cls, *a, **kw)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # how Fraction arithmetic builds results from 3.12
+        real_from = Fraction._from_coprime_ints.__func__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(lambda cls, n, d: made.append((n, d)) or real_from(cls, n, d)))
+    report = verify_ck_family(target, fam, g)
+    assert report.ok and made == []
+    assert verify_ck_family(target, as_fractions, g) == report
+    assert made
 
 
 # ── element text syntax ───────────────────────────────────────────────────────

@@ -135,6 +135,16 @@ def test_element_basics():
         MonoidElement((("a", -1),))
 
 
+def test_element_rejects_non_integer_multiplicities():
+    # a multiplicity is never truncated: 2.5 used to become 2
+    for k in (2.5, 2.0, "2", True):
+        with pytest.raises(ValueError, match="must be integers"):
+            MonoidElement([("v", k)])
+    assert MonoidElement([("v", 2)]).counts == (("v", 2),)
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        MonoidElement([("v", 1), ("v", "x")])
+
+
 def test_parse_format_round_trip():
     g = rose2()
     assert parse_monoid(g, "0") == MonoidElement.of({})
