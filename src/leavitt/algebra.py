@@ -373,7 +373,7 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
 # ignored.  When the ghost path is omitted it is the length-0 path at the
 # range of the real one.  "0" (no vertex of that name) and "" denote zero.
 
-_COEFF_RE = re.compile(r"(\d+(?:/\d+)?)\*")
+_COEFF_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)\*")
 _TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")  # no term is empty
 _SIGNED_TERM_RE = re.compile(r"([+-]?)([^+-]+)")
 
@@ -383,21 +383,27 @@ def _parse_path(g: Graph, token: str) -> PathSeq:
         raise ValueError("empty path")
     if token in g.vertex_set:
         return PathSeq(token)
-    by_name, longest = g._edge_by_name, g._longest_edge_name
+    by_name, dots = g._edge_by_name, g._edge_name_dots
+    if not dots:  # no name holds a dot, so the one reading cuts at every dot
+        edges = [by_name.get(name) for name in token.split(".")]
+        if None not in edges:
+            try:
+                return PathSeq.of(edges)
+            except ValueError:  # the edges do not connect
+                pass
+        raise ValueError(f"cannot read {token!r} as a vertex or path")
     n = len(token)
     cuts = [i for i, ch in enumerate(token) if ch == "."] + [n]
     # Names may contain dots, so a reading cuts the token at some of its dots.
     # Dynamic programming over (where the next name starts, target of the last
     # edge, None before the first) counts the readings, capped at 2, and keeps
     # a back pointer (start, last, edge) to one of them.  A name spans at most
-    # ``longest`` characters, so the time is linear in the token's length
-    # however many readings there are.
+    # ``dots + 1`` dot-separated pieces, so the time is linear in the token's
+    # length however many readings there are.
     reads: dict[int, dict[str | None, tuple[int, tuple | None]]] = {0: {None: (1, None)}}
     for i, start in enumerate([0] + [c + 1 for c in cuts[:-1]]):
         here = reads.get(start, {})
-        for end in cuts[i:i + longest + 1]:  # every cut a name could reach
-            if end - start > longest:
-                break
+        for end in cuts[i:i + dots + 1]:  # every cut a name could reach
             e = by_name.get(token[start:end])
             if e is None:
                 continue

@@ -31,7 +31,7 @@ import argparse
 import functools
 import sys
 
-from .graph import Graph, parse_graph, serialize_graph
+from .graph import Graph, _decimal, parse_graph, serialize_graph
 
 __all__ = ["run", "main"]
 
@@ -58,7 +58,7 @@ def _unit_rank(text: str):
     if text == "inf":
         return float("inf")
     try:
-        r = int(text)
+        r = _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             "unit rank must be a nonnegative integer or 'inf'"
@@ -70,7 +70,7 @@ def _unit_rank(text: str):
 
 def _positive_int(text: str) -> int:
     try:
-        n = int(text)
+        n = _decimal(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected a positive integer") from None
     if n < 1:

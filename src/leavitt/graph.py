@@ -55,6 +55,14 @@ def _check_name(kind: str, name: str) -> None:
         raise ValueError(f"invalid {kind} name {name!r}: names match [A-Za-z0-9_.]+")
 
 
+def _decimal(text: str) -> int:
+    """``int(text)`` for ASCII digits after an optional minus sign only;
+    ``int`` alone also reads ``+``, ``_``, spaces and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _frozen(self, name: str, *value) -> None:
     """``__setattr__`` and ``__delattr__`` of the immutable plain classes."""
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
@@ -147,8 +155,8 @@ class Graph:
         return {v: min(es, key=lambda e: e.name) for v, es in self._out.items() if es}
 
     @cached_property
-    def _longest_edge_name(self) -> int:
-        return max((len(e.name) for e in self.edges), default=0)
+    def _edge_name_dots(self) -> int:
+        return max((e.name.count(".") for e in self.edges), default=0)
 
     def require_vertex(self, v: str) -> None:
         if v not in self.vertex_set:

@@ -9,9 +9,12 @@ answers with an honest tri-state (a found chain is definitive, a missed one
 is only inconclusive).
 
 Elements are checked against the graph once, where they enter a public
-function.  Inside, ``equivalent`` works on count vectors indexed by the
-graph's vertices and ``rebalance_full`` on a vertex -> count map; both read
-each vertex's relation from ``_relation``, as ``expand`` and ``contract`` do.
+function.  Inside, ``equivalent`` packs each state into one ``int``, a field
+of W bits per vertex in the graph's vertex order, with W chosen so that no
+count or edge multiplicity reaches the field's top bit; that guard bit lets
+one subtraction test a whole contraction.  ``rebalance_full`` works on a
+vertex -> count map.  Both read each vertex's relation from ``_relation``, as
+``expand`` and ``contract`` do.
 
 Text syntax: ``v1:2 v2:1`` — whitespace-separated ``vertex:multiplicity``
 pairs; ``0`` is the empty element.
@@ -22,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Graph, _reach, _validated, classify, hs_closure
+from .graph import Graph, _decimal, _reach, _validated, classify, hs_closure
 
 __all__ = [
     "MonoidElement",
@@ -93,7 +96,7 @@ def parse_monoid(g: Graph, text: str) -> MonoidElement:
             raise ValueError(f"expected vertex:multiplicity, got {tok!r}")
         g.require_vertex(name)
         try:
-            k = int(mult)
+            k = _decimal(mult)
         except ValueError:
             raise ValueError(f"multiplicity of {name!r} must be an integer") from None
         if k < 0:
@@ -179,44 +182,41 @@ def equivalent(
     _validated(g, b.support)
     if a == b:
         return Equivalent(0)
-    # per emitting vertex: its index, its relation as (index, count) pairs
-    # and the growth of the total on expanding it.  Expand needs the vertex
-    # and contract every range: at a loop a net change would cancel these.
-    index = {v: i for i, v in enumerate(g.vertices)}
+    # Bits [i*W, (i+1)*W) of a state count the i-th vertex.  No count or edge
+    # multiplicity reaches 2**(W-1), so that top bit of each field is a guard.
+    needs = {v: _relation(g, v) for v in g.vertices if g.out_edges(v)}
+    width = max(size_bound, a.total, b.total,
+                *(k for need in needs.values() for k in need.values())).bit_length() + 1
+    shift = {v: i * width for i, v in enumerate(g.vertices)}
+    low, guard = (1 << width) - 1, sum(1 << s + width - 1 for s in shift.values())
+    # per emitting vertex: its shift, the packed change on expanding it, the
+    # packed ranges contracting it needs and the growth of the total.  Expand
+    # needs the vertex and contract every range: at a loop a net change would
+    # cancel these.
     rules = []
-    for v in g.vertices:
-        if g.out_edges(v):
-            need = _relation(g, v)
-            rules.append((index[v], [(index[w], k) for w, k in need.items()],
-                          sum(need.values()) - 1))
-
-    def neighbours(s: tuple[int, ...], total: int):
-        for i, need, grow in rules:
-            for sign, ok in ((1, s[i] >= 1), (-1, all(s[j] >= k for j, k in need))):
-                if ok and total + sign * grow <= size_bound:
-                    c = list(s)
-                    c[i] -= sign
-                    for j, k in need:
-                        c[j] += sign * k
-                    yield tuple(c), total + sign * grow
-
-    start = [(tuple(dict(m.counts).get(v, 0) for v in g.vertices), m.total) for m in (a, b)]
+    for v, need in needs.items():
+        ranges = sum(k << shift[w] for w, k in need.items())
+        rules.append((shift[v], ranges - (1 << shift[v]), ranges, sum(need.values()) - 1))
+    start = [(sum(k << shift[v] for v, k in m.counts), m.total) for m in (a, b)]
     seen = tuple({s: 0} for s, _ in start)
     frontier = [[x] for x in start]
     depth = [0, 0]
     while depth[0] + depth[1] < step_bound and (frontier[0] or frontier[1]):
-        if frontier[0] and (depth[0] <= depth[1] or not frontier[1]):
-            side = 0
-        else:
-            side = 1
+        side = 0 if frontier[0] and (depth[0] <= depth[1] or not frontier[1]) else 1
         grown = []
         mine = seen[side]
+        d = depth[side] + 1
         for s, total in frontier[side]:
-            for n in neighbours(s, total):
-                if n[0] not in mine:
-                    mine[n[0]] = depth[side] + 1
-                    grown.append(n)
-        depth[side] += 1
+            guarded = s | guard
+            for at, delta, ranges, grow in rules:
+                if s >> at & low and total + grow <= size_bound and (n := s + delta) not in mine:
+                    mine[n] = d
+                    grown.append((n, total + grow))
+                if (total - grow <= size_bound and (guarded - ranges) & guard == guard
+                        and (n := s - delta) not in mine):
+                    mine[n] = d
+                    grown.append((n, total - grow))
+        depth[side] = d
         frontier[side] = grown
         # before this level the sides shared no state, so a meeting is new
         other = seen[1 - side]

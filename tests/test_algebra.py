@@ -777,6 +777,39 @@ def test_parse_long_path_of_move_generated_names():
         parse_element(g, ".".join(names[1:] + ["e"]))
 
 
+def test_parse_path_split_matches_dynamic_program():
+    # a host with no dot in an edge name reads a token by splitting it at its
+    # dots; the same host plus a disjoint loop named "z.z" reads it through
+    # the dynamic program, which must give the same path or the same error
+    rng = random.Random(53)
+    outcomes = Counter()
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=6, max_edges=12)
+        dp = Graph(g.vertices + ("zz",), g.edges + (Edge("z.z", "zz", "zz"),))
+        assert (g._edge_name_dots, dp._edge_name_dots) == (0, 1)
+        for _ in range(20):
+            if g.edges and rng.random() < 0.4:  # a path, often connected
+                walk = [rng.choice(g.edges)]
+                while rng.random() < 0.7 and g.out_edges(walk[-1].dst):
+                    walk.append(rng.choice(g.out_edges(walk[-1].dst)))
+                pieces = [e.name for e in walk]
+            else:  # unknown names, empty pieces, vertices, edges out of order
+                pool = [e.name for e in g.edges] + list(g.vertices) + ["", "q", "e1x"]
+                pieces = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            token = ".".join(pieces)
+            try:
+                want = ("ok", _parse_path(dp, token))
+            except ValueError as err:
+                want = ("error", str(err))
+            try:
+                got = ("ok", _parse_path(g, token))
+            except ValueError as err:
+                got = ("error", str(err))
+            assert got == want, token
+            outcomes[want[0] if want[0] == "ok" else want[1].split()[0]] += 1
+    assert min(outcomes["ok"], outcomes["cannot"], outcomes["empty"]) > 50, outcomes
+
+
 def test_vertex_name_shadows_edge_name():
     g = Graph(("e",), (Edge("e", "e", "e"),))
     assert parse_element(g, "e") == vertex_element(g, "e")
@@ -793,6 +826,9 @@ def test_parse_rejects_garbage():
         parse_element(g, "a ; b")  # ranges differ: v vs w
     with pytest.raises(ValueError, match="zero denominator"):
         parse_element(g, "3/0 * u")
+    for text in ("\u0663*u", "1/\u0662*u", "\uff12*u"):  # digits of other scripts
+        with pytest.raises(ValueError, match="cannot read"):
+            parse_element(g, text)
 
 
 def parse_element_reference(g: Graph, text: str) -> LpaElement:

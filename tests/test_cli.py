@@ -71,6 +71,25 @@ def test_analyze_rejects_bad_unit_rank(tmp_path, capsys):
     capsys.readouterr()
 
 
+# int() alone also reads a sign, underscores, surrounding spaces and the
+# digits of other scripts
+NOT_ASCII_DECIMAL = ("+2", "1_0", " 3", "\u0663", "\uff12")
+
+
+def test_counts_are_ascii_decimal_digits(tmp_path, capsys):
+    path = write_graph(tmp_path, rose2())
+    for text in NOT_ASCII_DECIMAL:
+        assert run(["analyze", path, "--unit-rank", text]) == 2
+        assert "unit rank must be a nonnegative integer or 'inf'" in capsys.readouterr().err
+        assert run(["move", "attach-head", path, "v", text]) == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert run(["monoid", "equiv", path, "v:1", "v:1", "--steps", text]) == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        if text.strip() == text:
+            assert run(["monoid", "full", path, f"v:{text}"]) == 1
+            assert capsys.readouterr().err == "error: multiplicity of 'v' must be an integer\n"
+
+
 # ── moves ─────────────────────────────────────────────────────────────────────
 
 

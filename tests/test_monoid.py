@@ -156,8 +156,11 @@ def test_parse_format_round_trip():
         parse_monoid(g, "v")
     with pytest.raises(ValueError):
         parse_monoid(g, "v:x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         parse_monoid(g, "v:-1")
+    for mult in ("+2", "1_0", "\u0661", "\uff12"):  # all read by int()
+        with pytest.raises(ValueError, match="must be an integer"):
+            parse_monoid(g, f"v:{mult}")
     with pytest.raises(ValueError):
         parse_monoid(g, "w:1")
 
@@ -253,6 +256,15 @@ def random_walk(rng: random.Random, g: Graph, m: MonoidElement, moves: int) -> M
     return m
 
 
+def expanded(rng: random.Random, g: Graph, m: MonoidElement, moves: int) -> MonoidElement:
+    """``m`` after up to ``moves`` expansions, each of which changes it."""
+    for _ in range(moves):
+        movable = [v for v in m.support if any(e.dst != v for e in g.out_edges(v))]
+        if movable:
+            m = expand(g, m, rng.choice(movable))
+    return m
+
+
 def test_equivalent_matches_reference_search():
     rng = random.Random(2024)
     for i in range(400):
@@ -262,6 +274,54 @@ def test_equivalent_matches_reference_search():
         b = random_walk(rng, g, a, 4) if i % 2 else random_element(rng, g)
         steps, size = rng.randint(1, 5), rng.randint(1, 8)
         assert equivalent(g, a, b, steps, size) == reference_equivalent(g, a, b, steps, size)
+
+
+def test_equivalent_matches_reference_at_packing_edges():
+    # ``equivalent`` packs a state into W-bit fields, W set by the bounds,
+    # the start totals and the edge multiplicities; these are the cases
+    # where a field could overflow or borrow
+    rng = random.Random(16)
+    for size in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32):
+        for i in range(8):
+            g = random_looped_graph(rng, every_vertex=False)
+            vs, es = list(g.vertices) + ["s"], list(g.edges)
+            # a sink, and more parallel edges into one target than the bound
+            u, w = rng.choice(g.vertices), rng.choice(vs)
+            es += [Edge(f"p{k}", u, w) for k in range(rng.randint(size + 1, 2 * size + 2))]
+            es.append(Edge("ts", rng.choice(g.vertices), "s"))
+            g = Graph(tuple(vs), tuple(es))
+            a = MonoidElement.of({rng.choice(vs[:-1]): rng.randint(1, 2), "s": rng.randint(0, 1)})
+            if i % 4 == 0:  # a start total above the bound
+                a = MonoidElement.of({rng.choice(vs): size + rng.randint(1, 3)})
+            b = random_element(rng, g)
+            if i % 2:  # a few expansions away; half the time, contractions
+                b = expanded(rng, g, a, rng.randint(1, 3))
+                a, b = (b, a) if i % 4 == 1 else (a, b)
+            steps = rng.randint(1, 6)
+            assert equivalent(g, a, b, steps, size) == reference_equivalent(g, a, b, steps, size)
+    # a 24-vertex graph, every other vertex looped
+    vs = tuple(f"v{i}" for i in range(24))
+    es = [Edge(f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(40)]
+    g = Graph(vs, tuple(es + [Edge(f"l{v}", v, v) for v in vs[::2]]))
+    for _ in range(20):
+        a = MonoidElement.of({rng.choice(vs): 1 for _ in range(2)})
+        b = expanded(rng, g, a, rng.randint(1, 3))
+        assert equivalent(g, a, b, 6, 8) == reference_equivalent(g, a, b, 6, 8)
+
+
+def test_equivalent_matches_reference_on_long_searches():
+    # 16 steps at size 16 on 9-vertex graphs with a loop at every vertex:
+    # about 1,500 states and no chain on one, a 10-step chain on the other
+    for seed, found in ((0, False), (16, True)):
+        rng = random.Random(seed)
+        vs = tuple(f"m{i}" for i in range(9))
+        es = [Edge(f"l{v}", v, v) for v in vs]
+        es += [Edge(f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(13)]
+        g = Graph(vs, tuple(es))
+        a, b = MonoidElement.of({"m0": 1}), MonoidElement.of({"m0": 2})
+        out = equivalent(g, a, b, 16, 16)
+        assert out == reference_equivalent(g, a, b, 16, 16)
+        assert out == (Equivalent(10) if found else NotWithinBound(16, 16, False))
 
 
 def test_equivalent_keeps_preconditions_at_a_loop():
