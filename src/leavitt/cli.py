@@ -3,13 +3,14 @@
 Subcommands::
 
     analyze <graph> [--unit-rank r]
-    move expand-hereditary <graph> <v1,v2,...>
-    move attach-head <graph> <vertex> <n>
-    move subdivide <graph> <edge> <n>
-    move attach-sources <graph> <vertex> <n>
-    move eliminate-source <graph> <vertex>
-    desourcify <graph> [--trace PATH]
-    corner <graph> --roots v1,v2 [--emit-family | --emit-weights]
+    move expand-hereditary <graph> <v1,v2,...> [--output PATH]
+    move attach-head <graph> <vertex> <n> [--output PATH]
+    move subdivide <graph> <edge> <n> [--output PATH]
+    move attach-sources <graph> <vertex> <n> [--output PATH]
+    move eliminate-source <graph> <vertex> [--output PATH]
+    move matrix <graph> <n> [--output PATH]
+    desourcify <graph> [--trace PATH] [--output PATH]
+    corner <graph> --roots v1,v2 [--emit-family | --emit-weights] [--output PATH]
     verify <graph> <family-file>
     monoid equiv <graph> <a> <b> [--steps N] [--size N]
     monoid full <graph> <element>
@@ -132,6 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
     m.add_argument("vertex")
     m.add_argument("--output")
 
+    m = movesub.add_parser("matrix", help="the n x n matrix form: a head of "
+                           "length n-1 at every vertex")
+    m.add_argument("graph")
+    m.add_argument("n", type=_positive_int)
+    m.add_argument("--output")
+
     p = sub.add_parser("desourcify", help="eliminate all sources, then repair the "
                        "head degrees by subdivision")
     p.add_argument("graph")
@@ -203,7 +210,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_move(args) -> int:
     from .moves import (attach_head, attach_sources, eliminate_source,
-                        expand_hereditary, subdivide_edge)
+                        expand_hereditary, matrix_graph, subdivide_edge)
 
     g = _read_graph(args.graph)
     if args.move == "expand-hereditary":
@@ -214,6 +221,8 @@ def _cmd_move(args) -> int:
         out = subdivide_edge(g, args.edge, args.n)
     elif args.move == "attach-sources":
         out = attach_sources(g, args.vertex, args.n)
+    elif args.move == "matrix":
+        out = matrix_graph(g, args.n)
     else:
         out = eliminate_source(g, args.vertex)
     _emit(serialize_graph(out), args.output)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable
 
-from .graph import Edge, Graph, PathSeq, _frozen, classify
+from .graph import Edge, Graph, PathSeq, _frozen
 
 if TYPE_CHECKING:
     from .algebra import CkFamily, LpaElement
@@ -32,8 +32,6 @@ __all__ = [
     "t_corner",
     "corner_family",
     "corner_weights",
-    "full_idempotent_corner",
-    "se_corner",
 ]
 
 
@@ -218,55 +216,3 @@ def corner_weights(g: Graph, t: Forest) -> dict[str, int]:
             if e.name not in tree and e.src in depth and e.dst in depth else 1
             for e in g.edges}
 
-
-def full_idempotent_corner(g: Graph, m: Mapping[str, int]) -> Graph:
-    """The corner of the matrix forms cut by heads of length m(v)-1.
-
-    ``m`` assigns every vertex a multiplicity >= 1.  The result is the corner
-    of every n x n matrix form with ``n >= max(m)``: the chosen vertex set is
-    hereditary in that form, so the corner is just the graph with a head of
-    length m(v)-1 attached at each vertex.  It equals ``t_corner`` of the
-    matrix form under the trivial forest on that set, up to the renaming of
-    each edge ``e`` to ``e_<target>``.
-    """
-    from .moves import _with_heads
-
-    profile = classify(g)
-    if profile.sinks or profile.sources:
-        raise ValueError("the host graph must have no sinks and no sources")
-    missing = [v for v in g.vertices if v not in m]
-    if missing:
-        raise ValueError(f"multiplicity map is missing vertices: {', '.join(missing)}")
-    for v, k in m.items():
-        g.require_vertex(v)
-        if not isinstance(k, int) or k < 1:
-            raise ValueError(f"multiplicity of {v!r} must be a positive integer")
-    return _with_heads(g, [(v, m[v] - 1) for v in g.vertices])
-
-
-def se_corner(g: Graph, xs: Iterable[str], k: int) -> Graph:
-    """Corner of the stabilized graph, computed in its depth-k truncation.
-
-    The depth-k truncation of the fully stabilized graph is the graph with
-    a head of length k at every vertex; depth 0 is the graph itself.  ``xs``
-    names vertices of the fragment (head coordinates like ``v.h2`` allowed).
-    The result does not depend on the depth once every name fits and the
-    root set is proper.
-    """
-    from .moves import matrix_graph
-
-    x = sorted(set(xs))
-    if not x:
-        raise ValueError("the root set must be nonempty")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("the depth must be a nonnegative integer")
-    frag = matrix_graph(g, k + 1)
-    for v in x:
-        if v not in frag.vertex_set:
-            raise ValueError(
-                f"vertex {v!r} is not in the depth-{k} stabilization fragment; "
-                "increase the depth or fix the name"
-            )
-    if len(x) == len(frag.vertices):
-        raise ValueError("the root set exhausts the fragment; increase the depth")
-    return t_corner(frag, build_forest(frag, x))

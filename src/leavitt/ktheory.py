@@ -20,7 +20,6 @@ __all__ = [
     "smith_normal_form",
     "KSummary",
     "k_summary",
-    "k0_invariant_data",
     "ClassificationVerdict",
     "classify_algebra",
 ]
@@ -262,12 +261,6 @@ def k_summary(g: Graph, unit_rank: "int | float" = 0) -> KSummary:
         singular_count=n - n_reg,
         unit_rank=unit_rank,
     )
-
-
-def k0_invariant_data(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """(free rank of K0, nonunit invariant factors) — the move-invariant data."""
-    s = k_summary(g, 0)
-    return (s.rank_k0, s.torsion)
 
 
 class ClassificationVerdict(NamedTuple):

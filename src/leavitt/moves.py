@@ -30,6 +30,7 @@ from .graph import (
     Edge,
     Graph,
     PathSeq,
+    _decimal,
     _reach,
     classify,
     graph_hash,
@@ -263,9 +264,9 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
 # kind -> (move, one reader per text parameter)
 _MOVES = {
     "ExpandHereditary": (expand_hereditary, (lambda vs: vs.split(",") if vs else (),)),
-    "AttachHead": (attach_head, (str, int)),
-    "SubdivideEdge": (subdivide_edge, (str, int)),
-    "AttachSources": (attach_sources, (str, int)),
+    "AttachHead": (attach_head, (str, _decimal)),
+    "SubdivideEdge": (subdivide_edge, (str, _decimal)),
+    "AttachSources": (attach_sources, (str, _decimal)),
     "EliminateSource": (eliminate_source, (str,)),
 }
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import strategies as st
 
 from leavitt.graph import Edge, Graph
+from leavitt.ktheory import k_summary
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -142,6 +143,15 @@ def shaped_multigraph(rng: random.Random) -> Graph:
     vertices = body + chain + tree
     rng.shuffle(vertices)
     return Graph(vertices, [Edge(f"e{i}", a, b) for i, (a, b) in enumerate(pairs, 1)])
+
+
+# ── invariants ────────────────────────────────────────────────────────────────
+
+
+def k0_data(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """(free rank of K0, nonunit invariant factors): the data every move keeps."""
+    s = k_summary(g, 0)
+    return s.rank_k0, s.torsion
 
 
 # ── hypothesis strategies ─────────────────────────────────────────────────────

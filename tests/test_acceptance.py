@@ -16,6 +16,7 @@ from pathlib import Path
 
 from conftest import (
     funnel_into_cycle,
+    k0_data,
     loops_and_chords,
     random_graph,
     rose2,
@@ -29,7 +30,7 @@ from leavitt.algebra import CkFamily, degree, verify_ck_family
 from leavitt.cli import run
 from leavitt.corners import build_forest, corner_family, corner_weights, t_corner
 from leavitt.graph import Edge, Graph, classify, graph_hash, hs_closure, serialize_graph
-from leavitt.ktheory import INF, IntMatrix, classify_algebra, k0_invariant_data, k_summary, smith_normal_form
+from leavitt.ktheory import INF, IntMatrix, classify_algebra, k_summary, smith_normal_form
 from leavitt.monoid import Equivalent, MonoidElement, NotWithinBound, equivalent, is_full, rebalance_full
 from leavitt.moves import (
     attach_head,
@@ -131,21 +132,21 @@ def test_criterion_06_move_invariance_suite(capsys):
         rng = random.Random(601)
         for _ in range(200):
             g = random_graph(rng, max_vertices=8, max_edges=16, no_sinks=True)
-            data = k0_invariant_data(g)
+            data = k0_data(g)
 
             desourced, trace = desourcify(g)
             shape = classify(desourced)
             assert shape.sinks == () and shape.sources == ()
-            assert k0_invariant_data(desourced) == data
+            assert k0_data(desourced) == data
             assert replay(trace, g) == desourced
 
             v = rng.choice(g.vertices)
             n = rng.randint(1, 3)
-            assert k0_invariant_data(attach_sources(g, v, n)) == k0_invariant_data(
+            assert k0_data(attach_sources(g, v, n)) == k0_data(
                 attach_head(g, v, n)
             )
             e = rng.choice(g.edges)
-            assert k0_invariant_data(subdivide_edge(g, e.name, n)) == k0_invariant_data(
+            assert k0_data(subdivide_edge(g, e.name, n)) == k0_data(
                 attach_head(g, e.dst, n)
             )
 

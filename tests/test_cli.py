@@ -19,7 +19,7 @@ from conftest import (
 )
 from leavitt.cli import run
 from leavitt.graph import Edge, Graph, graph_hash, parse_graph, serialize_graph
-from leavitt.moves import attach_head, parse_trace, replay
+from leavitt.moves import attach_head, matrix_graph, parse_trace, replay
 
 
 def write_graph(tmp_path, g, name="graph.txt"):
@@ -151,6 +151,24 @@ def test_desourcify_writes_replayable_trace(tmp_path, capsys):
     trace = parse_trace(trace_file.read_text(encoding="utf-8"))
     assert replay(trace, with_src) == out_graph
     assert trace.records[-1].output_hash == graph_hash(out_graph)
+
+
+def test_move_matrix_then_corner_is_the_corner_corollary(tmp_path, capsys):
+    # the paper's closing corollary through the commands: the family of a
+    # corner of the 2 x 2 matrix form verifies inside L(M_2 E)
+    line = write_graph(tmp_path, two_way_line(), "line.txt")
+    m2, fam = str(tmp_path / "m2.txt"), str(tmp_path / "fam.txt")
+    assert run(["move", "matrix", line, "2", "--output", m2]) == 0
+    assert (tmp_path / "m2.txt").read_text(encoding="utf-8") == serialize_graph(
+        matrix_graph(two_way_line(), 2))
+    assert run(["corner", m2, "--roots", "v2.h1", "--emit-family", "--output", fam]) == 0
+    assert run(["verify", m2, fam]) == 0
+    assert capsys.readouterr().out == "ok true\n"
+    assert run(["move", "matrix", line, "1"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "line.txt").read_text(encoding="utf-8")
+    for n in ("0", "x", "1_0"):
+        assert run(["move", "matrix", line, n]) == 2
+        assert "expected a positive integer" in capsys.readouterr().err
 
 
 # ── corners ───────────────────────────────────────────────────────────────────
@@ -329,6 +347,7 @@ _IMPORT_BUDGET = [
     ("move subdivide {funnel} a 1", {"moves"}),
     ("move attach-sources {funnel} 1 1", {"moves"}),
     ("move eliminate-source {funnel} 5", {"moves"}),
+    ("move matrix {funnel} 2", {"moves"}),
     ("desourcify {funnel} --trace {trace}", {"moves"}),
     ("corner {line} --roots v2", {"corners"}),
     ("corner {line} --roots v2 --emit-weights", {"corners"}),

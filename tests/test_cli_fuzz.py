@@ -131,6 +131,7 @@ def commands(rng: random.Random, tmp, graph_txt) -> list[list[str]]:
         ["move", "subdivide", graph, pick(edges), small(), "--output", out],
         ["move", "attach-sources", graph, pick(vertices), small()],
         ["move", "eliminate-source", graph, pick(vertices)],
+        ["move", "matrix", graph, small()],
         ["desourcify", graph, "--trace", trace] + rng.choice([[], ["--output", out]]),
         ["corner", graph, "--roots", some(vertices)]
         + rng.choice([[], ["--emit-family"], ["--emit-weights"], ["--emit-family", "--emit-weights"]]),
@@ -175,7 +176,7 @@ def test_every_command_survives_seeded_random_inputs(tmp_path, capsys):
     # the inputs reach success, domain errors and usage errors, and every
     # command succeeds on some of them
     assert min(codes.values()) > 200, codes
-    assert len(succeeded) == 12, sorted(succeeded)
+    assert len(succeeded) == 13, sorted(succeeded)
 
 
 def test_unknown_vertices_are_reported_the_same_under_any_string_hashing(tmp_path):

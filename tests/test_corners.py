@@ -14,19 +14,17 @@ from itertools import combinations
 
 import pytest
 
-from conftest import arrow, loops_and_chords, random_graph, rose2, triangle, two_way_line
-from leavitt.algebra import degree, equals, format_element, verify_ck_family
-from leavitt.corners import (
-    Forest,
-    build_forest,
-    corner_family,
-    corner_weights,
-    full_idempotent_corner,
-    se_corner,
-    t_corner,
+from conftest import k0_data, loops_and_chords, random_graph, rose2, triangle, two_way_line
+from leavitt.algebra import (
+    degree,
+    equals,
+    format_element,
+    format_family,
+    parse_family,
+    verify_ck_family,
 )
+from leavitt.corners import Forest, build_forest, corner_family, corner_weights, t_corner
 from leavitt.graph import Edge, Graph, classify, hereditary_closure, hs_closure, serialize_graph
-from leavitt.ktheory import k0_invariant_data
 from leavitt.moves import attach_head, matrix_graph
 
 
@@ -219,7 +217,7 @@ def test_full_corner_preserves_k_data():
         if set(xs) == set(g.vertices) or set(hs_closure(g, xs)) != set(g.vertices):
             continue
         c = t_corner(g, build_forest(g, xs))
-        assert k0_invariant_data(c) == k0_invariant_data(g)
+        assert k0_data(c) == k0_data(g)
         done += 1
 
 
@@ -327,82 +325,76 @@ def test_corner_weights_grade_family():
 
 
 # ── matrix-form corners ───────────────────────────────────────────────────────
+#
+# L(M_nE) is M_n(L(E)), so the corners of M_n(L(E)), among them those cut
+# by a full idempotent of multiplicities m(v) <= n, are corners of
+# matrix_graph(g, n): the ``move matrix`` and ``corner`` commands in turn.
 
 
-def test_full_idempotent_corner_identity_multiplicities():
+def matrix_corner(g: Graph, n: int, roots) -> Graph:
+    mn = matrix_graph(g, n)
+    return t_corner(mn, build_forest(mn, roots))
+
+
+def heads_corner(g: Graph, m: dict[str, int]) -> Graph:
+    """The corner of matrix_graph(g, max(m) + 1) cut at each vertex v and its
+    first m(v) - 1 head vertices: a hereditary root set, so a trivial forest."""
+    picked = [f"{v}.h{i}" if i else v for v in g.vertices for i in range(m[v])]
+    return matrix_corner(g, max(m.values()) + 1, picked)
+
+
+def renamed(g: Graph) -> Graph:
+    """``g`` with each edge e renamed e_<target>, as a trivial forest's corner names it."""
+    return Graph(g.vertices, tuple(Edge(f"{e.name}_{e.dst}", e.src, e.dst) for e in g.edges))
+
+
+def test_heads_corner_identity_multiplicities():
     g = rose2()
-    assert full_idempotent_corner(g, {"v": 1}) == g
+    assert heads_corner(g, {"v": 1}) == renamed(g)
 
 
-def test_full_idempotent_corner_single_loop():
+def test_heads_corner_single_loop():
     g = Graph(("v",), (Edge("e", "v", "v"),))
-    out = full_idempotent_corner(g, {"v": 3})
-    assert out == attach_head(g, "v", 2)
+    assert heads_corner(g, {"v": 3}) == renamed(attach_head(g, "v", 2))
 
 
-def test_full_idempotent_corner_k_data():
+def test_heads_corner_k_data():
     g = loops_and_chords()
-    out = full_idempotent_corner(g, {"1": 2, "2": 1, "3": 3, "4": 2})
-    assert k0_invariant_data(out) == k0_invariant_data(g)
+    out = heads_corner(g, {"1": 2, "2": 1, "3": 3, "4": 2})
+    assert k0_data(out) == k0_data(g)
 
 
-def test_full_idempotent_corner_is_matrix_form_corner():
+def test_heads_corner_is_matrix_form_corner():
     # the corner of every n x n matrix form with n >= max(m) under the
-    # trivial forest on the picked vertices, with each edge e renamed e_<target>
+    # trivial forest on the picked vertices
     rng = random.Random(47)
-    done = 0
-    while done < 20:
+    for _ in range(20):
         g = random_graph(rng, max_vertices=5, max_edges=10, no_sinks=True)
-        if classify(g).sources:
-            continue
         m = {v: rng.randint(1, 3) for v in g.vertices}
         n = max(m.values()) + rng.randint(0, 1)
-        out = full_idempotent_corner(g, m)
         mn = matrix_graph(g, n)
         picked = set(g.vertices) | {f"{v}.h{i}" for v in g.vertices for i in range(1, m[v])}
         roots = tuple(v for v in mn.vertices if v in picked)
         corner = t_corner(mn, Forest(mn, roots, ()))
-        renamed = Graph(
-            out.vertices,
-            tuple(Edge(f"{e.name}_{e.dst}", e.src, e.dst) for e in out.edges),
-        )
-        assert serialize_graph(corner) == serialize_graph(renamed)
-        done += 1
+        assert serialize_graph(corner) == serialize_graph(heads_corner(g, m))
 
 
-def test_full_idempotent_corner_is_iterated_heads():
+def test_heads_corner_is_iterated_heads():
     rng = random.Random(59)
-    done = 0
-    while done < 40:
+    for _ in range(40):
         g = random_graph(rng, max_vertices=5, max_edges=10, no_sinks=True)
-        if classify(g).sources:
-            continue
         m = {v: rng.randint(1, 3) for v in g.vertices}
         want = g
         for v in g.vertices:
             if m[v] > 1:
                 want = attach_head(want, v, m[v] - 1)
-        assert serialize_graph(full_idempotent_corner(g, m)) == serialize_graph(want)
-        done += 1
+        assert serialize_graph(heads_corner(g, m)) == serialize_graph(renamed(want))
 
 
-def test_full_idempotent_corner_argument_checks():
+def test_matrix_corner_core_roots():
     g = rose2()
-    with pytest.raises(ValueError):
-        full_idempotent_corner(g, {"v": 0})
-    with pytest.raises(ValueError):
-        full_idempotent_corner(g, {})
-    with pytest.raises(ValueError):
-        full_idempotent_corner(arrow(), {"1": 1, "2": 1})
-
-
-# ── stabilized corners ────────────────────────────────────────────────────────
-
-
-def test_se_corner_core_roots():
-    g = rose2()
-    for k in (1, 2, 3):
-        c = se_corner(g, ["v"], k)
+    for n in (2, 3, 4):
+        c = matrix_corner(g, n, ["v"])
         assert c.vertices == ("v",)
         assert [(e.name, e.src, e.dst) for e in c.edges] == [
             ("e_v", "v", "v"),
@@ -410,14 +402,14 @@ def test_se_corner_core_roots():
         ]
 
 
-def test_se_corner_deep_head_collapses():
-    c = se_corner(rose2(), ["v.h2"], 2)
+def test_matrix_corner_deep_head_collapses():
+    c = matrix_corner(rose2(), 3, ["v.h2"])
     assert c.vertices == ("v",)
     assert sorted(e.name for e in c.edges) == ["e_v", "f_v"]
 
 
-def test_se_corner_mixed_roots():
-    c = se_corner(rose2(), ["v", "v.h1"], 2)
+def test_matrix_corner_mixed_roots():
+    c = matrix_corner(rose2(), 3, ["v", "v.h1"])
     assert c.vertices == ("v", "v.h1")
     assert [(e.name, e.src, e.dst) for e in c.edges] == [
         ("e_v", "v", "v"),
@@ -426,26 +418,49 @@ def test_se_corner_mixed_roots():
     ]
 
 
-def test_se_corner_independent_of_depth():
+def test_matrix_corner_independent_of_size():
     rng = random.Random(53)
     done = 0
     while done < 40:
         g = random_graph(rng, max_vertices=5, max_edges=10)
-        k = rng.randint(0, 2)
-        frag = matrix_graph(g, k + 1)
-        if len(frag.vertices) < 2:
+        n = rng.randint(1, 3)
+        mn = matrix_graph(g, n)
+        if len(mn.vertices) < 2:
             continue
-        xs = rng.sample(frag.vertices, rng.randint(1, min(3, len(frag.vertices) - 1)))
-        assert serialize_graph(se_corner(g, xs, k)) == serialize_graph(se_corner(g, xs, k + 1))
+        xs = rng.sample(mn.vertices, rng.randint(1, min(3, len(mn.vertices) - 1)))
+        assert serialize_graph(matrix_corner(g, n, xs)) == serialize_graph(matrix_corner(g, n + 1, xs))
         done += 1
 
 
-def test_se_corner_depth_errors():
-    with pytest.raises(ValueError, match="increase the depth"):
-        se_corner(rose2(), ["v.h2"], 1)
-    with pytest.raises(ValueError, match="increase the depth"):
-        se_corner(rose2(), ["v"], 0)
-    with pytest.raises(ValueError):
-        se_corner(rose2(), [], 1)
-    with pytest.raises(ValueError, match="nonnegative integer"):
-        se_corner(rose2(), ["v"], -1)
+def test_matrix_corner_errors():
+    with pytest.raises(ValueError, match="unknown vertex 'v.h2'"):
+        matrix_corner(rose2(), 2, ["v.h2"])
+    with pytest.raises(ValueError, match="proper subset"):
+        matrix_corner(rose2(), 1, ["v"])
+    with pytest.raises(ValueError, match="nonempty"):
+        matrix_corner(rose2(), 2, [])
+    with pytest.raises(ValueError, match="positive integer"):
+        matrix_graph(rose2(), 0)
+
+
+def test_matrix_form_corners_verify_have_no_sinks_and_keep_k0():
+    # the paper's closing corollary: a corner of the matrix form of a
+    # sink-free graph is again an algebraic Cuntz-Krieger algebra, and a full
+    # corner has the K-theory of the graph itself
+    rng = random.Random(61)
+    full = 0
+    for _ in range(300):
+        g = random_graph(rng, max_vertices=5, max_edges=10, no_sinks=True)
+        mn = matrix_graph(g, rng.choice((2, 3)))
+        roots = rng.sample(mn.vertices, rng.randint(1, min(3, len(mn.vertices) - 1)))
+        t = build_forest(mn, roots)
+        corner = t_corner(mn, t)
+        # the text round trip that ``corner --emit-family`` and ``verify`` make
+        target, family = parse_family(format_family(corner, corner_family(mn, t)), mn)
+        report = verify_ck_family(target, family, mn)
+        assert report.ok, (serialize_graph(g), roots, report.failures)
+        assert classify(corner).sinks == (), (serialize_graph(g), roots)
+        if set(hs_closure(mn, roots)) == set(mn.vertices):
+            assert k0_data(corner) == k0_data(g), (serialize_graph(g), roots)
+            full += 1
+    assert full > 200

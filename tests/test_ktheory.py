@@ -27,7 +27,6 @@ from leavitt.ktheory import (
     INF,
     IntMatrix,
     classify_algebra,
-    k0_invariant_data,
     k_summary,
     presentation_matrix,
     smith_normal_form,
@@ -286,7 +285,6 @@ def test_rank_identity(g, r):
 def test_cstar_rank_equality(g):
     s = k_summary(g, 0)
     assert s.rank_k1_cstar == s.rank_k1
-    assert k0_invariant_data(g) == (s.rank_k0, s.torsion)
 
 
 def test_torsion_example():

@@ -21,8 +21,10 @@ from conftest import (
     arrow,
     funnel_into_cycle,
     graphs,
+    k0_data,
     random_graph,
     shaped_multigraph,
+    single_loop,
     triangle,
     two_way_line,
 )
@@ -37,7 +39,7 @@ from leavitt.graph import (
     parse_graph,
     serialize_graph,
 )
-from leavitt.ktheory import k0_invariant_data, k_summary
+from leavitt.ktheory import k_summary
 from leavitt.moves import (
     MoveRecord,
     MoveTrace,
@@ -233,7 +235,7 @@ def test_expand_rejects_unmet_preconditions():
 
 def test_expansion_preserves_k_data():
     g = funnel_into_cycle()
-    assert k0_invariant_data(expand_hereditary(g, ["1", "2", "3"])) == k0_invariant_data(g)
+    assert k0_data(expand_hereditary(g, ["1", "2", "3"])) == k0_data(g)
 
 
 # ── heads, subdivisions, sources ──────────────────────────────────────────────
@@ -322,12 +324,12 @@ def test_pairwise_k_data_agreement():
         g = random_graph(rng, max_vertices=6, max_edges=10)
         v = rng.choice(g.vertices)
         n = rng.randint(1, 3)
-        assert k0_invariant_data(attach_sources(g, v, n)) == k0_invariant_data(
+        assert k0_data(attach_sources(g, v, n)) == k0_data(
             attach_head(g, v, n)
         )
         if g.edges:
             e = rng.choice(g.edges)
-            assert k0_invariant_data(subdivide_edge(g, e.name, n)) == k0_invariant_data(
+            assert k0_data(subdivide_edge(g, e.name, n)) == k0_data(
                 attach_head(g, e.dst, n)
             )
 
@@ -349,7 +351,7 @@ def move_graphs(draw) -> Graph:
 
 
 def k_data(g: Graph):
-    return k0_invariant_data(g), k_summary(g, 0).rank_k1
+    return k0_data(g), k_summary(g, 0).rank_k1
 
 
 @settings(max_examples=200, deadline=None)
@@ -401,7 +403,7 @@ def test_matrix_graph_of_a_long_cycle_in_bounded_time():
 def test_matrix_graph_preserves_k_data():
     tri = triangle()
     for n in (2, 3, 4):
-        assert k0_invariant_data(matrix_graph(tri, n)) == k0_invariant_data(tri)
+        assert k0_data(matrix_graph(tri, n)) == k0_data(tri)
 
 
 # ── desourcification ──────────────────────────────────────────────────────────
@@ -453,7 +455,7 @@ def test_desourcify_preserves_k_data_seeded():
         core, _ = desourcify(g)
         prof = classify(core)
         assert prof.sources == () and prof.sinks == ()
-        assert k0_invariant_data(core) == k0_invariant_data(g)
+        assert k0_data(core) == k0_data(g)
         done += 1
 
 
@@ -536,6 +538,21 @@ def test_replay_verifies_hashes():
         replay(bad, g)
     with pytest.raises(ValueError):
         replay(trace, triangle())  # wrong starting graph: no hash matches
+
+
+def test_trace_counts_are_ascii_decimal_digits():
+    # int() alone also reads underscores, a plus sign and the digits of
+    # other scripts; a trace reads counts as the command line does
+    g = single_loop()
+    for kind, move, target in (("AttachHead", attach_head, "v"),
+                               ("SubdivideEdge", subdivide_edge, "e"),
+                               ("AttachSources", attach_sources, "v")):
+        hashes = f"{graph_hash(g)} {graph_hash(move(g, target, 10))}"
+        line = f"move {kind} {target} {{}} {hashes}\n"
+        assert replay(parse_trace(line.format("10")), g) == move(g, target, 10)
+        for count in ("1_0", "+10", "\u0661\u0660"):
+            with pytest.raises(ValueError, match="not a decimal integer"):
+                replay(parse_trace(line.format(count)), g)
 
 
 def test_record_arity_checked():

@@ -1,9 +1,13 @@
-"""The README's Library snippets, run against its worked example's line.txt."""
+"""The README's Library snippets, run against its worked example's line.txt,
+and its command synopsis, checked against the command-line parser."""
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
+
+from leavitt import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,3 +40,35 @@ def test_library_snippets_print_what_the_readme_says(tmp_path, monkeypatch, caps
     assert len(comments) == len(printed)
     for value, comment in zip(printed, comments):
         assert comment == value or comment.startswith(value + ":"), (value, comment)
+
+
+def _synopsis(parser: argparse.ArgumentParser, path: tuple[str, ...] = ()):
+    """Each command path of the parser, with its optional flags."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, {o for a in parser._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"}
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _synopsis(child, path + (name,))
+
+
+def _usage_block(lines: list[str]) -> dict[tuple[str, ...], set[str]]:
+    commands = {}
+    for line in lines:
+        words = line.split()
+        path = tuple(w for w in words[:3] if w[0] not in "<[-")
+        assert path not in commands, line
+        commands[path] = set(re.findall(r"--[a-z][a-z-]*", line))
+    return commands
+
+
+def test_usage_synopses_list_every_command_and_flag():
+    readme = README.read_text(encoding="utf-8").split("\n## Command-line usage\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", readme, re.S).group(1).splitlines()
+    assert all(line.startswith("leavitt ") for line in block)
+    block = [line.removeprefix("leavitt ") for line in block]
+    assert _usage_block(block) == dict(_synopsis(cli._build_parser()))
+    # the module docstring repeats the synopsis
+    docstring = cli.__doc__.split("Subcommands::\n\n", 1)[1].split("\n\n", 1)[0]
+    assert [line.strip() for line in docstring.splitlines()] == block
