@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 from .graph import Edge, Graph, PathSeq, _frozen
@@ -178,7 +179,8 @@ def t_corner(g: Graph, t: Forest) -> Graph:
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
     kept, pairs = t._corner
-    return Graph(kept, tuple(Edge(f"{e.name}_{u}", e.src, u) for e, below in pairs for u in below))
+    return Graph(kept, map(tuple.__new__, repeat(Edge),
+                           [(f"{e.name}_{u}", e.src, u) for e, below in pairs for u in below]))
 
 
 def corner_family(g: Graph, t: Forest) -> CkFamily:

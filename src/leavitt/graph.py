@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -40,6 +42,8 @@ __all__ = [
 ]
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
+_NAME_CHARS = re.compile(r"[A-Za-z0-9_.]*\Z")  # NAME_RE for nonempty names run together
+_name, _src, _dst = itemgetter(0), itemgetter(1), itemgetter(2)  # the fields of an Edge
 
 
 class Edge(NamedTuple):
@@ -84,18 +88,20 @@ class Graph:
 
     def __post_init__(self) -> None:
         vertices = tuple(self.vertices)
-        edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in self.edges)
+        edges = tuple(self.edges)
+        if not all(map(isinstance, edges, repeat(Edge))):
+            edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
-        names = [e.name for e in edges]
+        names = list(map(_name, edges))
         try:
             vset = set(vertices)
-            if (all(map(NAME_RE.match, vertices)) and len(vset) == len(vertices)
-                    and all(map(NAME_RE.match, names)) and len(set(names)) == len(names)
-                    and vset.issuperset([e.src for e in edges])
-                    and vset.issuperset([e.dst for e in edges])):
+            if (all(vertices) and all(names)
+                    and _NAME_CHARS.match("".join(vertices) + "".join(names))
+                    and len(vset) == len(vertices) and len(set(names)) == len(names)
+                    and vset.issuperset(map(_src, edges)) and vset.issuperset(map(_dst, edges))):
                 return
-        except TypeError:  # a name that is not a str
+        except TypeError:  # a name or endpoint that is not a str
             pass
         # some check fails: find the first failure in declaration order
         seen: set[str] = set()
@@ -110,10 +116,9 @@ class Graph:
             if e.name in enames:
                 raise ValueError(f"duplicate edge {e.name!r}")
             enames.add(e.name)
-            if e.src not in seen:
-                raise ValueError(f"edge {e.name!r}: unknown vertex {e.src!r}")
-            if e.dst not in seen:
-                raise ValueError(f"edge {e.name!r}: unknown vertex {e.dst!r}")
+            for end in e[1:]:  # seen holds only str, so no unhashable end is looked up
+                if not isinstance(end, str) or end not in seen:
+                    raise ValueError(f"edge {e.name!r}: unknown vertex {end!r}")
 
     def __eq__(self, other):
         if type(other) is not Graph:
@@ -186,8 +191,10 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
     The first edge leaves ``source`` and each later edge leaves where the one
     before it ends; with no edges this is the length-0 path at ``source``.
     The edges are checked once, when the path is made, which records the
-    range as ``target``.  Paths compare as ``(source, edges, target)``
-    tuples; edge names and the dotted label are only for text.
+    range as ``target``.  A path grown by one edge from a checked path checks
+    only the new joint, and a prefix of a checked path needs no check.
+    Paths compare as ``(source, edges, target)`` tuples; edge names and the
+    dotted label are only for text.
     """
 
     __slots__ = ()
@@ -213,12 +220,20 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
         return ".".join(e.name for e in self.edges) or self.source
 
     def extend(self, e: Edge) -> "PathSeq":
-        return PathSeq(self.source, self.edges + (e,))
+        if e.src != self.target:
+            raise ValueError(f"edge {e.name!r} does not start where the path ends")
+        return tuple.__new__(PathSeq, (self.source, self.edges + (e,), e.dst))
+
+    def prepend(self, e: Edge) -> "PathSeq":
+        if e.dst != self.source:
+            raise ValueError(f"edge {e.name!r} does not end where the path starts")
+        return tuple.__new__(PathSeq, (e.src, (e,) + self.edges, self.target))
 
     def drop_last(self) -> "PathSeq":
         if not self.edges:
             raise ValueError("cannot shorten a length-0 path")
-        return PathSeq(self.source, self.edges[:-1])
+        at = self.edges[-2].dst if len(self.edges) > 1 else self.source
+        return tuple.__new__(PathSeq, (self.source, self.edges[:-1], at))
 
     def sort_key(self) -> tuple:
         # edge names are unique within a graph, so edges sort as their names do
@@ -319,25 +334,21 @@ def hs_closure(g: Graph, xs: Iterable[str]) -> tuple[str, ...]:
 
 def parse_graph(text: str) -> Graph:
     vertices: list[str] = []
-    edges: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "vertex" and len(parts) == 2:
+    edges: list[list[str]] = []
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), 1):
+        if len(parts) == 4 and parts[0] == "edge":
+            edges.append(parts[1:])
+        elif len(parts) == 2 and parts[0] == "vertex":
             vertices.append(parts[1])
-        elif parts[0] == "edge" and len(parts) == 4:
-            edges.append((parts[1], parts[2], parts[3]))
-        else:
+        elif parts and not parts[0].startswith("#"):  # not blank, not a comment
             raise ValueError(f"line {lineno}: expected 'vertex <name>' or 'edge <name> <src> <dst>'")
-    return Graph(tuple(vertices), tuple(edges))
+    return Graph(vertices, map(tuple.__new__, repeat(Edge), edges))
 
 
 def serialize_graph(g: Graph) -> str:
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"edge {e.name} {e.src} {e.dst}" for e in g.edges]
-    return "".join(line + "\n" for line in lines)
+    lines = [f"vertex {v}\n" for v in g.vertices]
+    lines += [f"edge {name} {src} {dst}\n" for name, src, dst in g.edges]
+    return "".join(lines)
 
 
 def fnv1a64(data: bytes) -> int:

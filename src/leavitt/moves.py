@@ -24,6 +24,8 @@ returns the final record's output.
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .graph import (
@@ -87,16 +89,16 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
     if len(can_reach) + len(h) < len(g.vertices):
         v = next(v for v in g.vertices if v not in h and v not in can_reach)
         raise ValueError(f"vertex {v!r} does not reach the hereditary set")
-    # walk back from each boundary edge, one edge and label segment per step;
-    # pushing in reverse pops in depth-first preorder (declaration order),
-    # which the stable sort keeps among equal labels
+    # walk back from each boundary edge, growing each path and its label by
+    # one edge per step; pushing in reverse pops in depth-first preorder
+    # (declaration order), which the stable sort keeps among equal labels
     out = []
-    stack = [(b.src, (b,), b.name) for b in reversed(boundary)]
+    stack = [(b.name, PathSeq(b.src, (b,))) for b in reversed(boundary)]
     while stack:
-        at, edges, label = stack.pop()
-        out.append((label, PathSeq(at, edges)))
-        stack += [(e.src, (e,) + edges, f"{e.name}.{label}") for e in reversed(g._in[at])]
-    out.sort(key=lambda lp: lp[0])
+        label, p = top = stack.pop()
+        out.append(top)
+        stack += [(f"{e.name}.{label}", p.prepend(e)) for e in reversed(g._in[p.source])]
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -138,10 +140,10 @@ def _expansion(g: Graph, h: frozenset[str]) -> tuple[Graph, list[tuple[str, Path
     """The expanded graph and the entry paths it was built from.  Building
     the graph rejects entry labels that collide."""
     paths = entry_paths(g, h)
-    vertices = tuple(v for v in g.vertices if v in h) + tuple(name for name, _ in paths)
-    edges = tuple(e for e in g.edges if e.src in h) + tuple(
-        Edge(f"ov_{name}", name, p.target) for name, p in paths
-    )
+    vertices = [v for v in g.vertices if v in h] + [name for name, _ in paths]
+    edges = [e for e in g.edges if e.src in h]
+    edges += map(tuple.__new__, repeat(Edge),
+                 [(f"ov_{name}", name, p.target) for name, p in paths])
     return Graph(vertices, edges), paths
 
 
@@ -228,8 +230,7 @@ def eliminate_source(g: Graph, v: str) -> Graph:
 
 def _without(g: Graph, v: str) -> Graph:
     """``g`` less the vertex ``v`` and the edges it emits."""
-    return Graph(tuple(w for w in g.vertices if w != v),
-                 tuple(e for e in g.edges if e.src != v))
+    return Graph([w for w in g.vertices if w != v], [e for e in g.edges if e.src != v])
 
 
 def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:

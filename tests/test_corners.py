@@ -8,6 +8,7 @@ invariant that corners of sink-free hosts stay sink-free.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from itertools import combinations
@@ -181,6 +182,23 @@ def test_corner_of_a_long_chain_in_bounded_time():
     assert len(t.tree_edges) == n - 1  # the forest is the whole chain
     assert c.vertices == vs
     assert [(e.src, e.dst) for e in c.edges] == [(v, vs[-1]) for v in vs]
+
+
+def test_corner_bytes_pinned():
+    # digest of every corner graph (or error) of seeded sink-free graphs at
+    # random roots, recorded before corners built their edges in bulk
+    rng = random.Random(61)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=9, max_edges=20, no_sinks=True)
+        roots = rng.sample(g.vertices, rng.randint(1, max(1, len(g.vertices) - 1)))
+        try:
+            text = serialize_graph(t_corner(g, build_forest(g, roots)))
+        except ValueError as exc:
+            text = f"error: {exc}\n"
+        digest.update(text.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == (
+        "9843b1c18e672d78b3d55e80c78bed0140bf9b7391526d3b27915e61485cbd41")
 
 
 def test_corner_rejects_foreign_forest():

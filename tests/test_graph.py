@@ -116,6 +116,11 @@ def test_rejects_bad_name():
     (("a",), (("e", "a", "y"),), "edge 'e': unknown vertex 'y'"),
     (("a", "a"), (("e!", "a", "a"),), "duplicate vertex 'a'"),
     (("a",), (("e", "a", "a"), (None, "a", "a")), "invalid edge name None"),
+    (("ab", ""), (), "invalid vertex name ''"),
+    (("a", "b\n"), (), "invalid vertex name 'b\\n'"),
+    (("a",), (("e", "a", "a"), ("", "a", "a")), "invalid edge name ''"),
+    (("a",), (("e", ["a"], "a"),), "edge 'e': unknown vertex ['a']"),
+    (("a",), (("e", "a", ["a"]),), "edge 'e': unknown vertex ['a']"),
 ])
 def test_construction_reports_the_first_failure(vertices, edges, message):
     with pytest.raises(ValueError) as err:
@@ -191,6 +196,16 @@ def test_path_rejects_edges_that_do_not_compose():
     with pytest.raises(ValueError):
         PathSeq("5").extend(f1)
     assert PathSeq("5").extend(g1).extend(f1) == path_in(g, ["g1", "f1"])
+    # a grown path checks its new joint: g1 leaves 5, not the target 4
+    with pytest.raises(ValueError, match="does not start where the path ends"):
+        path_in(g, ["g1"]).extend(g1)
+    # a prefix keeps the range of its own last edge
+    assert path_in(g, ["g1", "f1"]).drop_last() == path_in(g, ["g1"])
+    assert path_in(g, ["g1", "f1"]).drop_last().target == "4"
+    assert path_in(g, ["g1"]).drop_last() == PathSeq("5")
+    with pytest.raises(ValueError, match="does not end where the path starts"):
+        path_in(g, ["f1"]).prepend(f1)
+    assert path_in(g, ["f1"]).prepend(g1) == path_in(g, ["g1", "f1"])
 
 
 # ── classification ────────────────────────────────────────────────────────────

@@ -28,6 +28,7 @@ from conftest import (
     triangle,
     two_way_line,
 )
+from leavitt.algebra import format_family
 from leavitt.cli import run
 from leavitt.graph import (
     Edge,
@@ -50,6 +51,7 @@ from leavitt.moves import (
     eliminate_source,
     entry_paths,
     expand_hereditary,
+    expansion_family,
     matrix_graph,
     parse_trace,
     replay,
@@ -97,6 +99,27 @@ def test_expand_joins_each_entry_label_once(monkeypatch):
     expand_hereditary(g, hs)
     leavitt.moves.expansion_family(g, hs)
     assert joined == []
+
+
+def test_entry_paths_check_only_the_new_joint(monkeypatch):
+    # x0 -> {a_i, b_i} -> x_(i+1) diamonds into a loop at x10: 4,092 entry
+    # paths, each grown from its parent by one edge, so only the two one-edge
+    # paths, one per boundary edge, go through the full check of PathSeq.__new__
+    xs = [f"x{i}" for i in range(11)]
+    edges = [Edge("loop", "x10", "x10")]
+    for i in range(10):
+        edges += [Edge(f"p{i}", xs[i], f"a{i}"), Edge(f"q{i}", xs[i], f"b{i}"),
+                  Edge(f"r{i}", f"a{i}", xs[i + 1]), Edge(f"s{i}", f"b{i}", xs[i + 1])]
+    g = Graph(xs + [f"{c}{i}" for i in range(10) for c in "ab"], edges)
+    made = []
+    real_new = PathSeq.__new__
+    monkeypatch.setattr(PathSeq, "__new__",
+                        lambda cls, *args: made.append(args) or real_new(cls, *args))
+    pairs = entry_paths(g, ["x10"])
+    assert len(pairs) == 4092
+    assert sorted(made) == [("a9", (g.edge("r9"),)), ("b9", (g.edge("s9"),))]
+    assert all(label == p.label() for label, p in pairs)
+    assert all(p.target == "x10" for _, p in pairs)
 
 
 def feeder_into_core(rng: random.Random) -> tuple[Graph, tuple[str, ...]]:
@@ -231,6 +254,24 @@ def test_expand_rejects_unmet_preconditions():
     g3 = Graph(("1", "2"), (Edge("l", "1", "1"), Edge("m", "2", "2")))
     with pytest.raises(ValueError, match="'2' does not reach"):
         expand_hereditary(g3, ["1"])
+
+
+def test_expansion_bytes_pinned():
+    # digest of every expanded graph and expansion family (or error), over
+    # feeders with dotted and colliding labels, recorded before entry paths
+    # were grown one checked joint at a time
+    rng = random.Random(59)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        g, core = feeder_into_core(rng)
+        try:
+            expanded = expand_hereditary(g, core)
+            text = serialize_graph(expanded) + format_family(expanded, expansion_family(g, core))
+        except ValueError as exc:
+            text = f"error: {exc}\n"
+        digest.update(text.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == (
+        "7bfa4a0e6dbd581860de97080c8be2c610e6ace592284ee2f7f5a4dc526290e0")
 
 
 def test_expansion_preserves_k_data():
