@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import subprocess
 import sys
@@ -324,6 +325,85 @@ def test_console_script_if_installed(tmp_path):
     proc = subprocess.run([exe, "analyze", graph_file], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("rank_k0 0\n")
+
+
+# ── parser structure ──────────────────────────────────────────────────────────
+
+# Each command path's help (as listed by its parent), description, and
+# actions after -h: (option strings, dest, type name, default, required,
+# help).  Read from the argparse objects, not from formatted --help text,
+# whose wording varies between Python versions.
+_HELP = (("-h", "--help"), "help", None, "==SUPPRESS==", False, "show this help message and exit")
+_GRAPH = ((), "graph", None, None, True, None)
+_VERTEX = ((), "vertex", None, None, True, None)
+_N = ((), "n", "_positive_int", None, True, None)
+_OUTPUT = (("--output",), "output", None, None, False, None)
+_ELEMENT = ((), "element", None, None, True, None)
+
+_PARSER_PIN = {
+    "": (None, "Graph moves, corners, K-theory and monoid tools for Leavitt path algebras.", (
+        ((), "command", None, None, True, None),)),
+    "analyze": ("K-theory ranks and classification verdicts", None, (
+        _GRAPH,
+        (("--unit-rank",), "unit_rank", "_unit_rank", 0, False,
+         "rank of the coefficient field's unit group (nonnegative integer or 'inf'; default 0)"))),
+    "move": ("apply one isomorphism-preserving graph move", None, (
+        ((), "move", None, None, True, None),)),
+    "move expand-hereditary": ("replace the complement of a hereditary set by path vertices", None, (
+        _GRAPH, ((), "vertices", None, None, True, "comma-separated hereditary vertex set"),
+        _OUTPUT)),
+    "move attach-head": ("attach a head of length n", None, (_GRAPH, _VERTEX, _N, _OUTPUT)),
+    "move subdivide": ("subdivide an edge into n+1 pieces", None, (
+        _GRAPH, ((), "edge", None, None, True, None), _N, _OUTPUT)),
+    "move attach-sources": ("attach n new sources aimed at a vertex", None, (
+        _GRAPH, _VERTEX, _N, _OUTPUT)),
+    "move eliminate-source": ("remove a source and its edges", None, (_GRAPH, _VERTEX, _OUTPUT)),
+    "move matrix": ("the n x n matrix form: a head of length n-1 at every vertex", None, (
+        _GRAPH, _N, _OUTPUT)),
+    "desourcify": ("eliminate all sources, then repair the head degrees by subdivision", None, (
+        _GRAPH, (("--trace",), "trace", None, None, False, "write the move trace to this file"),
+        _OUTPUT)),
+    "corner": ("corner graph cut out by a directed forest", None, (
+        _GRAPH,
+        (("--roots",), "roots", None, None, True, "comma-separated root vertices"),
+        (("--emit-family",), "emit_family", None, False, False,
+         "print the corner generators' images instead"),
+        (("--emit-weights",), "emit_weights", None, False, False,
+         "print the grading weights instead"),
+        _OUTPUT)),
+    "verify": ("check a generator family against the defining relations", None, (
+        ((), "graph", None, None, True, "host graph the images live in"),
+        ((), "family", None, None, True, "family file (vertex/edge lines with elements)"))),
+    "monoid": ("graph monoid computations", None, (((), "monoid", None, None, True, None),)),
+    "monoid equiv": ("bounded search for a relation chain", None, (
+        _GRAPH, ((), "a", None, None, True, None), ((), "b", None, None, True, None),
+        (("--steps",), "steps", "_positive_int", 8, False, "total step bound (default 8)"),
+        (("--size",), "size", "_positive_int", 64, False,
+         "total multiplicity bound (default 64)"))),
+    "monoid full": ("is the element's closure everything?", None, (_GRAPH, _ELEMENT)),
+    "monoid rebalance": ("expand a full element until every vertex is covered", None, (
+        _GRAPH, _ELEMENT)),
+}
+
+
+def _parser_structure(parser, path=(), help=None):
+    actions = tuple((tuple(a.option_strings), a.dest, getattr(a.type, "__name__", None),
+                     a.default, a.required, a.help) for a in parser._actions)
+    yield " ".join(path), (help, parser.description, actions)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {choice.dest: choice.help for choice in action._choices_actions}
+            for name, child in action.choices.items():
+                yield from _parser_structure(child, path + (name,), helps[name])
+
+
+def test_parser_structure_is_pinned():
+    from leavitt import cli
+
+    got = dict(_parser_structure(cli._build_parser()))
+    assert list(got) == list(_PARSER_PIN)
+    for path, (help, description, actions) in _PARSER_PIN.items():
+        assert got[path] == (help, description, (_HELP,) + actions), path
 
 
 # ── start-up cost ─────────────────────────────────────────────────────────────
