@@ -22,8 +22,8 @@ stdout or ``--output``.  Reports are ``key value`` lines.  Exit codes: 0 on
 success, 1 on a domain error (one-line diagnostic on stderr) or a failed
 verification, 2 on usage errors.
 
-Each handler imports the modules it runs, so a process pays at start-up
-only for its own command.
+Each leaf parser names its handler, and each handler imports the modules
+it runs, so a process pays at start-up only for its own command.
 """
 
 from __future__ import annotations
@@ -32,14 +32,9 @@ import argparse
 import functools
 import sys
 
-from .graph import Graph, _decimal, parse_graph, serialize_graph
+from .graph import _decimal, parse_graph, serialize_graph
 
 __all__ = ["run", "main"]
-
-
-def _read_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
 
 
 def _read_text(path: str) -> str:
@@ -83,6 +78,27 @@ def _rank_text(value) -> str:
     return "inf" if value == float("inf") else str(value)
 
 
+def _vertex_list(text: str) -> list[str]:
+    return text.split(",")
+
+
+_VERTEX = ("vertex", {})
+_N = ("n", {"type": _positive_int})
+# name, help, the arguments after <graph>, and the leavitt.moves function
+_MOVE_COMMANDS = (
+    ("expand-hereditary", "replace the complement of a hereditary set by path vertices",
+     [("vertices", {"type": _vertex_list, "help": "comma-separated hereditary vertex set"})],
+     "expand_hereditary"),
+    ("attach-head", "attach a head of length n", [_VERTEX, _N], "attach_head"),
+    ("subdivide", "subdivide an edge into n+1 pieces", [("edge", {}), _N], "subdivide_edge"),
+    ("attach-sources", "attach n new sources aimed at a vertex", [_VERTEX, _N],
+     "attach_sources"),
+    ("eliminate-source", "remove a source and its edges", [_VERTEX], "eliminate_source"),
+    ("matrix", "the n x n matrix form: a head of length n-1 at every vertex", [_N],
+     "matrix_graph"),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
@@ -95,6 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="K-theory ranks and classification verdicts")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("graph")
     p.add_argument("--unit-rank", type=_unit_rank, default=0,
                    help="rank of the coefficient field's unit group "
@@ -102,52 +119,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("move", help="apply one isomorphism-preserving graph move")
     movesub = p.add_subparsers(dest="move", required=True)
-
-    m = movesub.add_parser("expand-hereditary", help="replace the complement of a "
-                           "hereditary set by path vertices")
-    m.add_argument("graph")
-    m.add_argument("vertices", help="comma-separated hereditary vertex set")
-    m.add_argument("--output")
-
-    m = movesub.add_parser("attach-head", help="attach a head of length n")
-    m.add_argument("graph")
-    m.add_argument("vertex")
-    m.add_argument("n", type=_positive_int)
-    m.add_argument("--output")
-
-    m = movesub.add_parser("subdivide", help="subdivide an edge into n+1 pieces")
-    m.add_argument("graph")
-    m.add_argument("edge")
-    m.add_argument("n", type=_positive_int)
-    m.add_argument("--output")
-
-    m = movesub.add_parser("attach-sources", help="attach n new sources aimed at "
-                           "a vertex")
-    m.add_argument("graph")
-    m.add_argument("vertex")
-    m.add_argument("n", type=_positive_int)
-    m.add_argument("--output")
-
-    m = movesub.add_parser("eliminate-source", help="remove a source and its edges")
-    m.add_argument("graph")
-    m.add_argument("vertex")
-    m.add_argument("--output")
-
-    m = movesub.add_parser("matrix", help="the n x n matrix form: a head of "
-                           "length n-1 at every vertex")
-    m.add_argument("graph")
-    m.add_argument("n", type=_positive_int)
-    m.add_argument("--output")
+    for name, help, params, fn in _MOVE_COMMANDS:
+        m = movesub.add_parser(name, help=help)
+        m.set_defaults(run=functools.partial(_cmd_move, fn, [dest for dest, _ in params]))
+        m.add_argument("graph")
+        for dest, kwargs in params:
+            m.add_argument(dest, **kwargs)
+        m.add_argument("--output")
 
     p = sub.add_parser("desourcify", help="eliminate all sources, then repair the "
                        "head degrees by subdivision")
+    p.set_defaults(run=_cmd_desourcify)
     p.add_argument("graph")
     p.add_argument("--trace", help="write the move trace to this file")
     p.add_argument("--output")
 
     p = sub.add_parser("corner", help="corner graph cut out by a directed forest")
+    p.set_defaults(run=_cmd_corner)
     p.add_argument("graph")
-    p.add_argument("--roots", required=True, help="comma-separated root vertices")
+    p.add_argument("--roots", type=_vertex_list, required=True,
+                   help="comma-separated root vertices")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--emit-family", action="store_true",
                        help="print the corner generators' images instead")
@@ -157,6 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a generator family against the "
                        "defining relations")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("graph", help="host graph the images live in")
     p.add_argument("family", help="family file (vertex/edge lines with elements)")
 
@@ -180,6 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "vertex is covered")
     m.add_argument("graph")
     m.add_argument("element")
+    for m in monsub.choices.values():
+        m.set_defaults(run=_cmd_monoid)
 
     return top
 
@@ -187,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     from .ktheory import classify_algebra, k_summary
 
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     r = args.unit_rank
     summary = k_summary(g, r)
     verdict = classify_algebra(summary)
@@ -208,23 +202,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_move(args) -> int:
-    from .moves import (attach_head, attach_sources, eliminate_source,
-                        expand_hereditary, matrix_graph, subdivide_edge)
+def _cmd_move(fn: str, params: list[str], args) -> int:
+    from . import moves
 
-    g = _read_graph(args.graph)
-    if args.move == "expand-hereditary":
-        out = expand_hereditary(g, args.vertices.split(","))
-    elif args.move == "attach-head":
-        out = attach_head(g, args.vertex, args.n)
-    elif args.move == "subdivide":
-        out = subdivide_edge(g, args.edge, args.n)
-    elif args.move == "attach-sources":
-        out = attach_sources(g, args.vertex, args.n)
-    elif args.move == "matrix":
-        out = matrix_graph(g, args.n)
-    else:
-        out = eliminate_source(g, args.vertex)
+    g = parse_graph(_read_text(args.graph))
+    out = getattr(moves, fn)(g, *(getattr(args, dest) for dest in params))
     _emit(serialize_graph(out), args.output)
     return 0
 
@@ -232,7 +214,7 @@ def _cmd_move(args) -> int:
 def _cmd_desourcify(args) -> int:
     from .moves import desourcify, serialize_trace
 
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     out, trace = desourcify(g)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -244,8 +226,8 @@ def _cmd_desourcify(args) -> int:
 def _cmd_corner(args) -> int:
     from .corners import build_forest, corner_family, corner_weights, t_corner
 
-    g = _read_graph(args.graph)
-    t = build_forest(g, args.roots.split(","))
+    g = parse_graph(_read_text(args.graph))
+    t = build_forest(g, args.roots)
     if args.emit_family:
         from .algebra import format_family
 
@@ -263,7 +245,7 @@ def _cmd_corner(args) -> int:
 def _cmd_verify(args) -> int:
     from .algebra import parse_family, verify_ck_family
 
-    host = _read_graph(args.graph)
+    host = parse_graph(_read_text(args.graph))
     target, family = parse_family(_read_text(args.family), host)
     report = verify_ck_family(target, family, host)
     lines = [f"ok {str(report.ok).lower()}"]
@@ -276,7 +258,7 @@ def _cmd_monoid(args) -> int:
     from .monoid import (Equivalent, equivalent, format_monoid, is_full, parse_monoid,
                          rebalance_full)
 
-    g = _read_graph(args.graph)
+    g = parse_graph(_read_text(args.graph))
     if args.monoid == "equiv":
         a = parse_monoid(g, args.a)
         b = parse_monoid(g, args.b)
@@ -296,16 +278,6 @@ def _cmd_monoid(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "move": _cmd_move,
-    "desourcify": _cmd_desourcify,
-    "corner": _cmd_corner,
-    "verify": _cmd_verify,
-    "monoid": _cmd_monoid,
-}
-
-
 def run(argv: list[str]) -> int:
     """Run one command; returns the process exit code instead of exiting."""
     try:
@@ -313,7 +285,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 from .graph import Edge, Graph, PathSeq, _frozen
@@ -49,12 +50,17 @@ class Forest:
 
     def __init__(self, graph: Graph, roots: Iterable[str], tree_edges: Iterable[Edge]) -> None:
         roots = tuple(sorted(roots))
-        tree_edges = tuple(sorted((Edge(*e) for e in tree_edges), key=lambda e: e.name))
+        tree_edges = list(tree_edges)
+        if not all(map(isinstance, tree_edges, repeat(Edge))):
+            tree_edges = [Edge(*e) for e in tree_edges]
+        tree_edges = tuple(sorted(tree_edges, key=itemgetter(0)))
         for v in roots:
             graph.require_vertex(v)
+        host = graph._edge_by_name
         names = set()
         for e in tree_edges:
-            if graph.edge(e.name) != e:
+            if host.get(e.name) != e:
+                graph.edge(e.name)  # raises for an unknown name
                 raise ValueError(f"tree edge {e.name!r} is not an edge of the host")
             if e.name in names:
                 raise ValueError(f"duplicate tree edge {e.name!r}")

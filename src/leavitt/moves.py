@@ -53,7 +53,6 @@ __all__ = [
     "eliminate_source",
     "desourcify",
     "matrix_graph",
-    "apply_move",
     "replay",
     "serialize_trace",
     "parse_trace",
@@ -264,7 +263,7 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
 
 # kind -> (move, one reader per text parameter)
 _MOVES = {
-    "ExpandHereditary": (expand_hereditary, (lambda vs: vs.split(",") if vs else (),)),
+    "ExpandHereditary": (expand_hereditary, (lambda vs: vs.split(","),)),
     "AttachHead": (attach_head, (str, _decimal)),
     "SubdivideEdge": (subdivide_edge, (str, _decimal)),
     "AttachSources": (attach_sources, (str, _decimal)),
@@ -285,16 +284,12 @@ class MoveRecord(NamedTuple("MoveRecord", [("kind", str), ("params", tuple[str, 
             raise ValueError(f"{kind} takes {arity} parameter(s)")
         return tuple.__new__(cls, (kind, params, input_hash, output_hash))
 
+    # namedtuple's _make, which _replace also calls, would skip the check
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
 
 class MoveTrace(NamedTuple):
     records: tuple[MoveRecord, ...] = ()
-
-
-def apply_move(g: Graph, kind: str, params: tuple[str, ...]) -> Graph:
-    if kind not in _MOVES:
-        raise ValueError(f"unknown move kind {kind!r}")
-    move, readers = _MOVES[kind]
-    return move(g, *(read(p) for read, p in zip(readers, params)))
 
 
 def replay(trace: MoveTrace, g: Graph) -> Graph:
@@ -305,7 +300,8 @@ def replay(trace: MoveTrace, g: Graph) -> Graph:
         src = known.get(rec.input_hash)
         if src is None:
             raise ValueError(f"record {i}: input hash {rec.input_hash} matches no known graph")
-        out = apply_move(src, rec.kind, rec.params)
+        move, readers = _MOVES[rec.kind]
+        out = move(src, *(read(p) for read, p in zip(readers, rec.params)))
         got = graph_hash(out)
         if got != rec.output_hash:
             raise ValueError(f"record {i}: output hash mismatch ({got} != {rec.output_hash})")
@@ -329,12 +325,12 @@ def parse_trace(text: str) -> MoveTrace:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] != "move" or len(parts) < 2:
+        if parts[0] != "move" or len(parts) < 4:
             raise ValueError(f"line {lineno}: expected 'move <kind> <params...> <in> <out>'")
-        kind = parts[1]
-        if kind not in _MOVES or len(parts) != 2 + len(_MOVES[kind][1]) + 2:
-            raise ValueError(f"line {lineno}: malformed {kind} record")
-        records.append(MoveRecord(kind, tuple(parts[2:-2]), parts[-2], parts[-1]))
+        try:
+            records.append(MoveRecord(parts[1], tuple(parts[2:-2]), parts[-2], parts[-1]))
+        except ValueError as err:  # an unknown kind or a wrong parameter count
+            raise ValueError(f"line {lineno}: {err}") from None
     return MoveTrace(tuple(records))
 
 

@@ -349,8 +349,10 @@ _PARSER_PIN = {
          "rank of the coefficient field's unit group (nonnegative integer or 'inf'; default 0)"))),
     "move": ("apply one isomorphism-preserving graph move", None, (
         ((), "move", None, None, True, None),)),
-    "move expand-hereditary": ("replace the complement of a hereditary set by path vertices", None, (
-        _GRAPH, ((), "vertices", None, None, True, "comma-separated hereditary vertex set"),
+    "move expand-hereditary": (
+        "replace the complement of a hereditary set by path vertices", None, (
+        _GRAPH,
+        ((), "vertices", "_vertex_list", None, True, "comma-separated hereditary vertex set"),
         _OUTPUT)),
     "move attach-head": ("attach a head of length n", None, (_GRAPH, _VERTEX, _N, _OUTPUT)),
     "move subdivide": ("subdivide an edge into n+1 pieces", None, (
@@ -365,7 +367,7 @@ _PARSER_PIN = {
         _OUTPUT)),
     "corner": ("corner graph cut out by a directed forest", None, (
         _GRAPH,
-        (("--roots",), "roots", None, None, True, "comma-separated root vertices"),
+        (("--roots",), "roots", "_vertex_list", None, True, "comma-separated root vertices"),
         (("--emit-family",), "emit_family", None, False, False,
          "print the corner generators' images instead"),
         (("--emit-weights",), "emit_weights", None, False, False,

@@ -601,6 +601,27 @@ def test_record_arity_checked():
         MoveRecord("AttachHead", ("v",), "0" * 16, "1" * 16)
     with pytest.raises(ValueError):
         MoveRecord("Teleport", ("v",), "0" * 16, "1" * 16)
+    record = MoveRecord("AttachHead", ("v", "1"), "0" * 16, "1" * 16)
+    with pytest.raises(ValueError, match="unknown move kind 'Teleport'"):
+        record._replace(kind="Teleport")
+    with pytest.raises(ValueError, match="AttachHead takes 2 parameter"):
+        MoveRecord._make(("AttachHead", ("v",), "0" * 16, "1" * 16))
+    assert record._replace(params=("w", "2")) == ("AttachHead", ("w", "2"), "0" * 16, "1" * 16)
+
+
+def test_parse_trace_names_the_bad_line():
+    _, trace = desourcify(funnel_into_cycle())
+    first = serialize_trace(trace).splitlines()[0]
+    hashes = "0" * 16 + " " + "1" * 16
+    for bad, message in (
+        ("move AttachHead v", "expected 'move <kind> <params...> <in> <out>'"),
+        ("step AttachHead v 1 " + hashes, "expected 'move <kind> <params...> <in> <out>'"),
+        ("move Teleport v " + hashes, "unknown move kind 'Teleport'"),
+        ("move AttachHead v " + hashes, "AttachHead takes 2 parameter(s)"),
+    ):
+        with pytest.raises(ValueError) as info:
+            parse_trace(f"{first}\n{bad}\n")
+        assert str(info.value) == f"line 2: {message}"
 
 
 def test_trace_hashes_are_graph_hashes():
