@@ -99,81 +99,114 @@ _MOVE_COMMANDS = (
 )
 
 
+# each command in help order, with its leaves in help order
+_COMMANDS = {"analyze": (), "move": tuple(row[0] for row in _MOVE_COMMANDS), "desourcify": (),
+             "corner": (), "verify": (), "monoid": ("equiv", "full", "rebalance")}
+
+
+def _command_path(argv: list[str]) -> tuple[str, ...]:
+    """The command, with its leaf if it has leaves, that ``argv`` starts
+    with; ``()`` when its first tokens name none."""
+    leaves = _COMMANDS.get(argv[0]) if argv else None
+    if leaves == ():
+        return (argv[0],)
+    return tuple(argv[:2]) if leaves and len(argv) > 1 and argv[1] in leaves else ()
+
+
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing keeps no
-    state in it between calls."""
+def _build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and path: parsing
+    keeps no state in it between calls.  ``()`` builds the whole tree; a
+    path from ``_command_path`` builds only the parsers along it, whose
+    usage lines still list every choice, so an argv that starts with the
+    path parses, fails and prints as it would on the whole tree."""
+
+    def wanted(name: str, depth: int = 0) -> bool:
+        return not path or path[depth] == name
+
+    def choices(parser, dest: str, names) -> argparse._SubParsersAction:
+        return parser.add_subparsers(dest=dest, required=True,
+                                     metavar="{" + ",".join(names) + "}" if path else None)
+
     top = argparse.ArgumentParser(
         prog="leavitt",
         description="Graph moves, corners, K-theory and monoid tools "
         "for Leavitt path algebras.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = choices(top, "command", _COMMANDS)
 
-    p = sub.add_parser("analyze", help="K-theory ranks and classification verdicts")
-    p.set_defaults(run=_cmd_analyze)
-    p.add_argument("graph")
-    p.add_argument("--unit-rank", type=_unit_rank, default=0,
-                   help="rank of the coefficient field's unit group "
-                        "(nonnegative integer or 'inf'; default 0)")
+    if wanted("analyze"):
+        p = sub.add_parser("analyze", help="K-theory ranks and classification verdicts")
+        p.set_defaults(run=_cmd_analyze)
+        p.add_argument("graph")
+        p.add_argument("--unit-rank", type=_unit_rank, default=0,
+                       help="rank of the coefficient field's unit group "
+                            "(nonnegative integer or 'inf'; default 0)")
 
-    p = sub.add_parser("move", help="apply one isomorphism-preserving graph move")
-    movesub = p.add_subparsers(dest="move", required=True)
-    for name, help, params, fn in _MOVE_COMMANDS:
-        m = movesub.add_parser(name, help=help)
-        m.set_defaults(run=functools.partial(_cmd_move, fn, [dest for dest, _ in params]))
-        m.add_argument("graph")
-        for dest, kwargs in params:
-            m.add_argument(dest, **kwargs)
-        m.add_argument("--output")
+    if wanted("move"):
+        p = sub.add_parser("move", help="apply one isomorphism-preserving graph move")
+        movesub = choices(p, "move", _COMMANDS["move"])
+        for name, help, params, fn in _MOVE_COMMANDS:
+            if not wanted(name, 1):
+                continue
+            m = movesub.add_parser(name, help=help)
+            m.set_defaults(run=functools.partial(_cmd_move, fn, [dest for dest, _ in params]))
+            m.add_argument("graph")
+            for dest, kwargs in params:
+                m.add_argument(dest, **kwargs)
+            m.add_argument("--output")
 
-    p = sub.add_parser("desourcify", help="eliminate all sources, then repair the "
-                       "head degrees by subdivision")
-    p.set_defaults(run=_cmd_desourcify)
-    p.add_argument("graph")
-    p.add_argument("--trace", help="write the move trace to this file")
-    p.add_argument("--output")
+    if wanted("desourcify"):
+        p = sub.add_parser("desourcify", help="eliminate all sources, then repair the "
+                           "head degrees by subdivision")
+        p.set_defaults(run=_cmd_desourcify)
+        p.add_argument("graph")
+        p.add_argument("--trace", help="write the move trace to this file")
+        p.add_argument("--output")
 
-    p = sub.add_parser("corner", help="corner graph cut out by a directed forest")
-    p.set_defaults(run=_cmd_corner)
-    p.add_argument("graph")
-    p.add_argument("--roots", type=_vertex_list, required=True,
-                   help="comma-separated root vertices")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--emit-family", action="store_true",
-                       help="print the corner generators' images instead")
-    group.add_argument("--emit-weights", action="store_true",
-                       help="print the grading weights instead")
-    p.add_argument("--output")
+    if wanted("corner"):
+        p = sub.add_parser("corner", help="corner graph cut out by a directed forest")
+        p.set_defaults(run=_cmd_corner)
+        p.add_argument("graph")
+        p.add_argument("--roots", type=_vertex_list, required=True,
+                       help="comma-separated root vertices")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--emit-family", action="store_true",
+                           help="print the corner generators' images instead")
+        group.add_argument("--emit-weights", action="store_true",
+                           help="print the grading weights instead")
+        p.add_argument("--output")
 
-    p = sub.add_parser("verify", help="check a generator family against the "
-                       "defining relations")
-    p.set_defaults(run=_cmd_verify)
-    p.add_argument("graph", help="host graph the images live in")
-    p.add_argument("family", help="family file (vertex/edge lines with elements)")
+    if wanted("verify"):
+        p = sub.add_parser("verify", help="check a generator family against the "
+                           "defining relations")
+        p.set_defaults(run=_cmd_verify)
+        p.add_argument("graph", help="host graph the images live in")
+        p.add_argument("family", help="family file (vertex/edge lines with elements)")
 
-    p = sub.add_parser("monoid", help="graph monoid computations")
-    monsub = p.add_subparsers(dest="monoid", required=True)
-
-    m = monsub.add_parser("equiv", help="bounded search for a relation chain")
-    m.add_argument("graph")
-    m.add_argument("a")
-    m.add_argument("b")
-    m.add_argument("--steps", type=_positive_int, default=8,
-                   help="total step bound (default 8)")
-    m.add_argument("--size", type=_positive_int, default=64,
-                   help="total multiplicity bound (default 64)")
-
-    m = monsub.add_parser("full", help="is the element's closure everything?")
-    m.add_argument("graph")
-    m.add_argument("element")
-
-    m = monsub.add_parser("rebalance", help="expand a full element until every "
-                          "vertex is covered")
-    m.add_argument("graph")
-    m.add_argument("element")
-    for m in monsub.choices.values():
-        m.set_defaults(run=_cmd_monoid)
+    if wanted("monoid"):
+        p = sub.add_parser("monoid", help="graph monoid computations")
+        monsub = choices(p, "monoid", _COMMANDS["monoid"])
+        if wanted("equiv", 1):
+            m = monsub.add_parser("equiv", help="bounded search for a relation chain")
+            m.add_argument("graph")
+            m.add_argument("a")
+            m.add_argument("b")
+            m.add_argument("--steps", type=_positive_int, default=8,
+                           help="total step bound (default 8)")
+            m.add_argument("--size", type=_positive_int, default=64,
+                           help="total multiplicity bound (default 64)")
+        if wanted("full", 1):
+            m = monsub.add_parser("full", help="is the element's closure everything?")
+            m.add_argument("graph")
+            m.add_argument("element")
+        if wanted("rebalance", 1):
+            m = monsub.add_parser("rebalance", help="expand a full element until every "
+                                  "vertex is covered")
+            m.add_argument("graph")
+            m.add_argument("element")
+        for m in monsub.choices.values():
+            m.set_defaults(run=_cmd_monoid)
 
     return top
 
@@ -281,7 +314,7 @@ def _cmd_monoid(args) -> int:
 def run(argv: list[str]) -> int:
     """Run one command; returns the process exit code instead of exiting."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(_command_path(argv)).parse_args(argv)
     except SystemExit as stop:
         return int(stop.code or 0)
     try:

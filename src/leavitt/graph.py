@@ -199,13 +199,19 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
 
     __slots__ = ()
 
-    def __new__(cls, source: str, edges: tuple[Edge, ...] = ()) -> "PathSeq":
+    def __new__(cls, source: str, edges: tuple[Edge, ...] = (),
+                target: str | None = None) -> "PathSeq":
         at = source
         for e in edges:
             if e.src != at:
                 raise ValueError(f"edge {e.name!r} does not start where the path ends")
             at = e.dst
+        if target is not None and target != at:
+            raise ValueError(f"the path ends at {at!r}, not {target!r}")
         return tuple.__new__(cls, (source, edges, at))
+
+    # namedtuple's _make, which _replace also calls, would skip the check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def of(cls, edges: Iterable[Edge]) -> "PathSeq":

@@ -9,23 +9,27 @@ sources attached at ``v`` use vertices ``v.s1..v.sn`` and edges
 ``v.f1..v.fn``.  Name collisions with existing vertices or edges are caught
 by the graph constructor.  Each entry path is labelled by the walk that finds
 it, and the matrix forms attach all their heads in one graph build.
-``desourcify`` eliminates sources one at a time, always the least-named
-source of the current graph.
+``desourcify`` eliminates sources in phases, each built as one graph: the
+peel of the input, always the least-named source left, then per core vertex
+the path-vertex sources aimed at it, in name order.
 
 A ``MoveTrace`` is a replayable certificate: each record carries the move
 kind, its parameters, and FNV-1a hashes of its input and output graphs.
-Traces are not always linear chains — ``desourcify`` applies its hereditary
-expansion to the original input graph and documents the intermediate head
-form of each source conversion — so replay keeps every graph it has seen,
-keyed by hash, applies each record to the graph matching its input hash, and
-returns the final record's output.
+An ``EliminateSources v1,...,vk`` record is ``EliminateSource`` applied to
+each listed vertex in turn, checked at each turn, with one hash for the
+whole phase; traces written one ``EliminateSource`` record per source
+still replay.  Traces are not always linear chains — ``desourcify``
+applies its hereditary expansion to the original input graph and documents
+the intermediate head form of each source conversion — so replay keeps
+every graph it has seen, keyed by hash, applies each record to the graph
+matching its input hash, and returns the final record's output.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, methodcaller
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .graph import (
@@ -220,16 +224,28 @@ def eliminate_source(g: Graph, v: str) -> Graph:
 
     The source must emit an edge: removing an isolated vertex changes K0.
     """
-    if g.in_edges(v):
-        raise ValueError(f"vertex {v!r} is not a source")
-    if not g._out[v]:
-        raise ValueError(f"source {v!r} emits no edge")
-    return _without(g, v)
+    return _eliminate_sources(g, (v,))
 
 
-def _without(g: Graph, v: str) -> Graph:
-    """``g`` less the vertex ``v`` and the edges it emits."""
-    return Graph([w for w in g.vertices if w != v], [e for e in g.edges if e.src != v])
+def _eliminate_sources(g: Graph, vs: Iterable[str]) -> Graph:
+    """``eliminate_source`` applied to each of ``vs`` in turn, with its
+    checks at each turn, built as one graph."""
+    left = {w: len(es) for w, es in g._in.items()}  # in-edges from vertices still there
+    for v in vs:
+        if v not in left:  # not in g, or eliminated earlier in the list
+            raise ValueError(f"unknown vertex {v!r}")
+        if left.pop(v):
+            raise ValueError(f"vertex {v!r} is not a source")
+        if not g._out[v]:
+            raise ValueError(f"source {v!r} emits no edge")
+        for e in g._out[v]:  # no edge of a source runs into it or an eliminated vertex
+            left[e.dst] -= 1
+    return _without(g, g.vertex_set.difference(left))
+
+
+def _without(g: Graph, vs: frozenset[str]) -> Graph:
+    """``g`` less the vertices ``vs`` and the edges they emit."""
+    return Graph([w for w in g.vertices if w not in vs], [e for e in g.edges if e.src not in vs])
 
 
 def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
@@ -261,13 +277,16 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
 
 # ── traces ────────────────────────────────────────────────────────────────────
 
+_names = methodcaller("split", ",")  # reads a comma-separated vertex list
+
 # kind -> (move, one reader per text parameter)
 _MOVES = {
-    "ExpandHereditary": (expand_hereditary, (lambda vs: vs.split(","),)),
+    "ExpandHereditary": (expand_hereditary, (_names,)),
     "AttachHead": (attach_head, (str, _decimal)),
     "SubdivideEdge": (subdivide_edge, (str, _decimal)),
     "AttachSources": (attach_sources, (str, _decimal)),
     "EliminateSource": (eliminate_source, (str,)),
+    "EliminateSources": (_eliminate_sources, (_names,)),
 }
 
 
@@ -301,7 +320,10 @@ def replay(trace: MoveTrace, g: Graph) -> Graph:
         if src is None:
             raise ValueError(f"record {i}: input hash {rec.input_hash} matches no known graph")
         move, readers = _MOVES[rec.kind]
-        out = move(src, *(read(p) for read, p in zip(readers, rec.params)))
+        try:
+            out = move(src, *(read(p) for read, p in zip(readers, rec.params)))
+        except ValueError as err:
+            raise ValueError(f"record {i}: {err}") from None
         got = graph_hash(out)
         if got != rec.output_hash:
             raise ValueError(f"record {i}: output hash mismatch ({got} != {rec.output_hash})")
@@ -345,9 +367,13 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     expansion with the core's vertex set to the ORIGINAL graph (its
     entry-path vertices are the only sources of the result); then
     per core vertex, in name order, eliminate the path-vertex sources aimed
-    at it, record the equivalent head form, and absorb the head by
-    subdividing the lexicographically least edge into that vertex.  A graph
-    with no sources comes back unchanged with an empty trace.
+    at it in name order, record the equivalent head form, and absorb the
+    head by subdividing the lexicographically least edge into that vertex.
+    Each elimination phase (the peel of the original graph, and the sources
+    aimed at one core vertex) is built as one graph and traced as one
+    ``EliminateSources`` record listing its sources in order, so each graph
+    the pipeline passes through is hashed once.  A graph with no sources
+    comes back unchanged with an empty trace.
     """
     profile = classify(g)
     if profile.sinks:
@@ -366,15 +392,13 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
                 hashes[x] = graph_hash(x)
         records.append(MoveRecord(kind, params, hashes[src], hashes[out]))
 
-    def eliminate(cur: Graph, sources: Iterable[str]) -> Graph:
-        # each is a source of cur that emits an edge (no edge runs into a
-        # source, so peeling a sink-free graph leaves no sink, and each path
-        # vertex emits one edge), so eliminate_source's checks are left to replay
-        for v in sources:
-            nxt = _without(cur, v)
-            record("EliminateSource", (v,), cur, nxt)
-            cur = nxt
-        return cur
+    def eliminate(cur: Graph, sources: list[str]) -> Graph:
+        # each is a source of cur at its turn that emits an edge (no edge runs
+        # into a source, so peeling a sink-free graph leaves no sink, and each
+        # path vertex emits one edge), so the checks are left to replay
+        out = _without(cur, frozenset(sources))
+        record("EliminateSources", (",".join(sources),), cur, out)
+        return out
 
     core = eliminate(g, _peel(g.vertices, g.edges))
     if not core.vertices:

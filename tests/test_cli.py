@@ -408,6 +408,60 @@ def test_parser_structure_is_pinned():
         assert got[path] == (help, description, (_HELP,) + actions), path
 
 
+# every command path, as the installed script's --help loop lists them
+_COMMAND_PATHS = [
+    [], ["analyze"], ["move"], ["move", "expand-hereditary"], ["move", "attach-head"],
+    ["move", "subdivide"], ["move", "attach-sources"], ["move", "eliminate-source"],
+    ["move", "matrix"], ["desourcify"], ["corner"], ["verify"], ["monoid"],
+    ["monoid", "equiv"], ["monoid", "full"], ["monoid", "rebalance"],
+]
+_PARSE_CASES = [path + tail for path in _COMMAND_PATHS for tail in ([], ["--help"], ["g"])] + [
+    ["nope"], ["move", "nope"], ["monoid", "nope"], ["-h", "analyze"], ["--help", "move"],
+    ["move", "-h", "matrix"], ["analyze", "g", "--bogus"], ["analyze", "g", "extra"],
+    ["analyze", "g", "--unit", "inf"], ["analyze", "g", "--unit-rank", "x"],
+    ["move", "attach-head", "g", "v", "0"], ["move", "attach-head", "g", "v", "2"],
+    ["move", "expand-hereditary", "g", "a,b", "--output", "o"], ["move", "matrix", "g", "2", "x"],
+    ["desourcify", "g", "--trace"], ["desourcify", "g", "--trace", "t", "--output", "o"],
+    ["corner", "g", "--roots", "v", "--emit-family", "--emit-weights"],
+    ["corner", "g", "--roots", "v,w", "--emit-weights"], ["verify", "g", "f"],
+    ["monoid", "equiv", "g", "v:1", "v:2", "--steps", "x"],
+    ["monoid", "equiv", "g", "v:1", "v:2", "--size", "3"], ["monoid", "full", "g", "v:1"],
+    ["monoid", "rebalance", "g", "v:1", "w:1"],
+]
+
+
+def test_command_table_lists_the_whole_tree():
+    # _command_path reads argv against cli._COMMANDS; the whole tree is pinned above
+    from leavitt import cli
+
+    table = [[]] + [[c] + leaf for c, leaves in cli._COMMANDS.items()
+                    for leaf in [[]] + [[name] for name in leaves]]
+    assert table == _COMMAND_PATHS
+    assert [" ".join(path) for path in table] == list(dict(_parser_structure(cli._build_parser())))
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)
+def test_branch_parser_parses_as_the_whole_tree(argv, capsys):
+    # run builds only the branch that argv names; its exit code, stdout,
+    # stderr and parsed arguments must be the whole tree's
+    from leavitt import cli
+
+    def parse(path):
+        try:
+            args = vars(cli._build_parser(path).parse_args(argv))
+        except SystemExit as stop:
+            return stop.code, capsys.readouterr()
+        handler = args.pop("run")
+        return (args, getattr(handler, "func", handler), getattr(handler, "args", ())), \
+            capsys.readouterr()
+
+    path = cli._command_path(argv)
+    assert parse(path) == parse(())
+    if path:
+        top = cli._build_parser(path)._subparsers._group_actions[0]
+        assert list(top.choices) == [path[0]]
+
+
 # ── start-up cost ─────────────────────────────────────────────────────────────
 
 # Runs one command in a fresh interpreter and prints, as its last line, the

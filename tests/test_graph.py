@@ -208,6 +208,22 @@ def test_path_rejects_edges_that_do_not_compose():
     assert path_in(g, ["f1"]).prepend(g1) == path_in(g, ["g1", "f1"])
 
 
+def test_path_make_and_replace_check_the_edges():
+    # namedtuple's _make and _replace build through PathSeq.__new__ too
+    g = funnel_into_cycle()
+    f1, f2, g1 = g.edge("f1"), g.edge("f2"), g.edge("g1")
+    p = PathSeq.of((f1,))
+    with pytest.raises(ValueError, match="edge 'g1' does not start where the path ends"):
+        p._replace(edges=(f1, g1))
+    with pytest.raises(ValueError, match="the path ends at '4', not '1'"):
+        p._replace(edges=())  # a target left stale
+    with pytest.raises(ValueError, match="the path ends at '4', not '1'"):
+        PathSeq._make(("5", (g1,), "1"))
+    assert p._replace(edges=(f2,)) == PathSeq("4", (f2,))
+    assert p._replace(source="5", edges=(g1, f1)) == path_in(g, ["g1", "f1"])
+    assert PathSeq._make(("5", (g1,), "4")) == path_in(g, ["g1"])
+
+
 # ── classification ────────────────────────────────────────────────────────────
 
 

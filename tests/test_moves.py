@@ -456,13 +456,13 @@ def test_desourcify_funnel_frozen():
     assert [e.name for e in core.edges] == ["a", "b", "c.e1", "c.e2", "c.e3", "c.e4", "c.e5"]
     prof = classify(core)
     assert prof.sources == () and prof.sinks == ()
-    kinds = [r.kind for r in trace.records]
-    assert kinds == (
-        ["EliminateSource"] * 2
-        + ["ExpandHereditary"]
-        + ["EliminateSource"] * 4
-        + ["AttachHead", "SubdivideEdge"]
-    )
+    assert [(r.kind, r.params) for r in trace.records] == [
+        ("EliminateSources", ("5,4",)),
+        ("ExpandHereditary", ("1,2,3",)),
+        ("EliminateSources", ("f1,f2,g1.f1,g1.f2",)),
+        ("AttachHead", ("1", "4")),
+        ("SubdivideEdge", ("c", "4")),
+    ]
 
 
 def test_desourcify_head_graph_to_cycle():
@@ -515,7 +515,7 @@ def test_desourcify_classifies_once(monkeypatch):
               + [Edge("lp", "c", "c")])
     core, trace = desourcify(g)
     assert calls == [g]
-    assert [r.params for r in trace.records[:40]] == [(v,) for v in chain[:40]]
+    assert trace.records[0].params == (",".join(chain[:40]),)
     assert replay(trace, g) == core
 
 
@@ -533,24 +533,144 @@ def test_desourcify_traces_replay_seeded():
         done += 1
 
 
+def unbatched(trace: MoveTrace, g: Graph) -> MoveTrace:
+    """``trace`` with each ``EliminateSources`` record written as one
+    ``EliminateSource`` record per listed vertex, with the hashes of the
+    graphs between them: the trace one record per source would give."""
+    known = {graph_hash(g): g}
+    records = []
+    for rec in trace.records:
+        cur = known[rec.input_hash]
+        if rec.kind != "EliminateSources":
+            records.append(rec)
+            known[rec.output_hash] = replay(MoveTrace((rec,)), cur)
+            continue
+        for v in rec.params[0].split(","):
+            nxt = eliminate_source(cur, v)
+            records.append(MoveRecord("EliminateSource", (v,), graph_hash(cur), graph_hash(nxt)))
+            cur = nxt
+        assert graph_hash(cur) == rec.output_hash
+        known[rec.output_hash] = cur
+    return MoveTrace(tuple(records))
+
+
 def test_desourcify_bytes_pinned():
-    # digest of every output graph and trace (or error), recorded before the
-    # move layer derived each path and graph once
+    # digests of every output graph and trace (or error): unbatched into one
+    # record per source, recorded before the move layer derived each path
+    # and graph once; as written, recorded when each elimination phase
+    # became one record
     rng = random.Random(7)
-    digest = hashlib.sha256()
+    per_source, batched = hashlib.sha256(), hashlib.sha256()
     for _ in range(400):
         g = random_graph(rng, max_vertices=7, max_edges=14, no_sinks=True)
         try:
             core, trace = desourcify(g)
-            text = serialize_graph(core) + serialize_trace(trace)
+            texts = [serialize_graph(core) + serialize_trace(t)
+                     for t in (unbatched(trace, g), trace)]
         except ValueError as exc:
-            text = f"error: {exc}\n"
-        digest.update(text.encode("utf-8") + b"\0")
-    assert digest.hexdigest() == (
+            texts = [f"error: {exc}\n"] * 2
+        for digest, text in zip((per_source, batched), texts):
+            digest.update(text.encode("utf-8") + b"\0")
+    assert per_source.hexdigest() == (
         "ea264328f0341177c0ad3f5c2728b5aa511535783b8a349457ca5c5c04e3e0c4")
+    assert batched.hexdigest() == (
+        "21a28f7bafd728ec93c82760a4404884d20bf652a2ccb3f3be9f07afbf67d85e")
+
+
+def chain_into_loop(k: int) -> Graph:
+    """Sources s0001 -> s0002 -> ... -> s<k> -> c, with a loop at c."""
+    chain = [f"s{i:04d}" for i in range(1, k + 1)] + ["c"]
+    return Graph(chain, [Edge(f"a{i:04d}", u, w) for i, (u, w) in enumerate(zip(chain, chain[1:]), 1)]
+                 + [Edge("lp", "c", "c")])
+
+
+def test_desourcify_trace_hashes_bounded_by_the_expansion(monkeypatch):
+    # one record per elimination phase hashes each graph of the pipeline
+    # once; one record per source re-hashed about k/2 copies of the expansion
+    import leavitt.graph
+
+    fed = []
+    original = leavitt.graph.fnv1a64
+
+    def counting(data):
+        fed.append(len(data))
+        return original(data)
+
+    g = chain_into_loop(200)
+    expansion = len(serialize_graph(expand_hereditary(g, ["c"])).encode("utf-8"))
+    monkeypatch.setattr(leavitt.graph, "fnv1a64", counting)
+    core, trace = desourcify(g)
+    assert [r.kind for r in trace.records] == [
+        "EliminateSources", "ExpandHereditary", "EliminateSources", "AttachHead", "SubdivideEdge"]
+    assert sum(fed) <= 3 * expansion, (sum(fed), expansion)
+    monkeypatch.undo()
+    assert replay(parse_trace(serialize_trace(trace)), g) == core
 
 
 # ── traces ────────────────────────────────────────────────────────────────────
+
+
+# written one EliminateSource record per source, before elimination phases
+# became one record each; for attach_head(funnel_into_cycle(), "5", 1)
+_PARENT_TRACE = """\
+move EliminateSource 5.h1 3632d6931ced2ac9 0a6f30dbd90ce17c
+move EliminateSource 5 0a6f30dbd90ce17c 5b90eebd5339a8a3
+move EliminateSource 4 5b90eebd5339a8a3 710c640e3a3c9d70
+move ExpandHereditary 1,2,3 3632d6931ced2ac9 1f40d139aa3590bb
+move EliminateSource 5.e1.g1.f1 1f40d139aa3590bb ad9edcfc587a75a3
+move EliminateSource 5.e1.g1.f2 ad9edcfc587a75a3 d78375476aafe564
+move EliminateSource f1 d78375476aafe564 ad3071cb61968e0f
+move EliminateSource f2 ad3071cb61968e0f 5300961db1d72deb
+move EliminateSource g1.f1 5300961db1d72deb a6ae8ee41f1a8aec
+move EliminateSource g1.f2 a6ae8ee41f1a8aec 710c640e3a3c9d70
+move AttachHead 1 6 710c640e3a3c9d70 03f306f1c9e93514
+move SubdivideEdge c 6 710c640e3a3c9d70 aaae82c70e70e0d8
+"""
+
+
+def test_parent_trace_one_record_per_source_still_replays():
+    g = attach_head(funnel_into_cycle(), "5", 1)
+    core, trace = desourcify(g)
+    assert replay(parse_trace(_PARENT_TRACE), g) == core
+    assert serialize_trace(unbatched(trace, g)) == _PARENT_TRACE
+    assert serialize_trace(trace) == (
+        "move EliminateSources 5.h1,5,4 3632d6931ced2ac9 710c640e3a3c9d70\n"
+        "move ExpandHereditary 1,2,3 3632d6931ced2ac9 1f40d139aa3590bb\n"
+        "move EliminateSources 5.e1.g1.f1,5.e1.g1.f2,f1,f2,g1.f1,g1.f2"
+        " 1f40d139aa3590bb 710c640e3a3c9d70\n"
+        "move AttachHead 1 6 710c640e3a3c9d70 03f306f1c9e93514\n"
+        "move SubdivideEdge c 6 710c640e3a3c9d70 aaae82c70e70e0d8\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("710c640e3a3c9d70\nmove Expand", "710c640e3a3c9d71\nmove Expand",
+     "record 0: output hash mismatch (710c640e3a3c9d70 != 710c640e3a3c9d71)"),
+    ("EliminateSources 5.h1,5,4 3632d6931ced2ac9", "EliminateSources 5.h1,5,4 3632d6931ced2ac8",
+     "record 0: input hash 3632d6931ced2ac8 matches no known graph"),
+    ("5.h1,5,4", "5.h1,4", "record 0: vertex '4' is not a source"),
+    ("5.h1,5,4", "5.h1,5", "record 0: output hash mismatch (5b90eebd5339a8a3 != 710c640e3a3c9d70)"),
+    (",g1.f1,g1.f2", ",g1.f1", "record 2: output hash mismatch"),
+    ("5.h1,5,4", "5.h1,5,5,4", "record 0: unknown vertex '5'"),
+    ("5.h1,5,4", "5,5.h1,4", "record 0: vertex '5' is not a source"),
+    ("5.h1,5,4", "5.h1,5,4,1", "record 0: vertex '1' is not a source"),
+    ("5.h1,5,4", "5.h1,5,4,x", "record 0: unknown vertex 'x'"),
+])
+def test_batch_record_trace_rejects_a_wrong_phase(old, new, message):
+    g = attach_head(funnel_into_cycle(), "5", 1)
+    text = serialize_trace(desourcify(g)[1])
+    assert old in text
+    with pytest.raises(ValueError) as info:
+        replay(parse_trace(text.replace(old, new, 1)), g)
+    assert str(info.value).startswith(message) and "\n" not in str(info.value)
+
+
+def test_batch_record_trace_checks_emitting_sources():
+    # the sources of a phase must each emit an edge, as eliminate_source's must
+    g = Graph(["x", "y", "c"], [Edge("a", "y", "c"), Edge("lp", "c", "c")])
+    out = Graph(["c"], [Edge("lp", "c", "c")])
+    line = f"move EliminateSources y,x {graph_hash(g)} {graph_hash(out)}\n"
+    with pytest.raises(ValueError, match="^record 0: source 'x' emits no edge$"):
+        replay(parse_trace(line), g)
 
 
 def test_trace_round_trip_and_replay():
