@@ -8,6 +8,7 @@ no float arithmetic ever touches a finite rank).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd
 from typing import NamedTuple
 
@@ -144,10 +145,13 @@ def _row_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
 
     Rows are inserted one at a time.  Each is eliminated against the pivot
     of every column it reaches with a 2x2 transform of determinant 1, and
-    then every entry above a pivot is reduced modulo that pivot.
+    then every entry above a pivot is reduced modulo that pivot.  Entries
+    are left reduced by the insertion before, so only the columns from the
+    first one whose pivot row changed are reduced again.
     """
     piv: list[list[int] | None] = [None] * ncols  # column -> row leading there
     for row in rows:
+        changed = ncols  # the first column whose pivot row changed
         for j in range(ncols):
             x = row[j]
             if not x:
@@ -155,6 +159,7 @@ def _row_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
             p = piv[j]
             if p is None:
                 piv[j] = row if x > 0 else [-y for y in row]
+                changed = min(changed, j)
                 break
             d = p[j]
             if x % d:
@@ -163,13 +168,15 @@ def _row_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
                 a, b = x // g, d // g
                 piv[j] = p[:j] + [s * y + t * z for y, z in zip(p[j:], row[j:])]
                 row[j:] = [b * z - a * y for y, z in zip(p[j:], row[j:])]
+                changed = min(changed, j)
             else:
                 q = x // d
                 row[j:] = [z - q * y for y, z in zip(p[j:], row[j:])]
         pivots = [j for j in range(ncols) if piv[j] is not None]
+        first = bisect_left(pivots, changed)
         for k, i in enumerate(pivots):
             above = piv[i]
-            for j in pivots[k + 1 :]:
+            for j in pivots[max(k + 1, first) :]:
                 q = above[j] // piv[j][j]
                 if q:
                     p = piv[j]
@@ -204,7 +211,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
        factor.  Sparse presentation matrices end here or nearly so.
     2. A row Hermite normal form of the remainder, whose entries stay bounded
        by its pivots (``_row_hnf``).  Zero rows drop out, so rank deficiency
-       needs no special case.
+       needs no special case.  Each row whose pivot is 1 drops out with its
+       pivot column and one factor 1: the rows around a unit pivot are
+       reduced to 0 in its column, so that column is a unit vector.  The
+       other columns stay, free ones included.
     3. Row HNFs of the transpose, alternating, until the core is diagonal
        (Kannan-Bachem).  The first row of each new core is the old core's
        first column, ``(d, 0, ..., 0)``, so each round either splits off the
@@ -216,8 +226,12 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     """
     ones, rest = _unit_pivots(m)
     keep = sorted({j for row in rest for j in row})
-    core = _row_hnf([[row.get(j, 0) for j in keep] for row in rest], len(keep))
-    return (1,) * ones + tuple(_diagonal_factors(core))
+    hnf = _row_hnf([[row.get(j, 0) for j in keep] for row in rest], len(keep))
+    leads = [next(j for j, x in enumerate(row) if x) for row in hnf]
+    units = {j for j, row in zip(leads, hnf) if row[j] == 1}
+    core = [[x for j, x in enumerate(row) if j not in units]
+            for lead, row in zip(leads, hnf) if lead not in units]
+    return (1,) * (ones + len(units)) + tuple(_diagonal_factors(core))
 
 
 class KSummary(NamedTuple):

@@ -9,16 +9,19 @@ sources attached at ``v`` use vertices ``v.s1..v.sn`` and edges
 ``v.f1..v.fn``.  Name collisions with existing vertices or edges are caught
 by the graph constructor.  Each entry path is labelled by the walk that finds
 it, and the matrix forms attach all their heads in one graph build.
-``desourcify`` eliminates sources in phases, each built as one graph: the
-peel of the input, always the least-named source left, then per core vertex
-the path-vertex sources aimed at it, in name order.
+``desourcify`` eliminates sources in two phases, each built as one graph:
+the peel of the input, always the least-named source left, then the
+path-vertex sources of the expansion, grouped by the core vertex they are
+aimed at.
 
 A ``MoveTrace`` is a replayable certificate: each record carries the move
 kind, its parameters, and FNV-1a hashes of its input and output graphs.
 An ``EliminateSources v1,...,vk`` record is ``EliminateSource`` applied to
 each listed vertex in turn, checked at each turn, with one hash for the
-whole phase; traces written one ``EliminateSource`` record per source
-still replay.  Traces are not always linear chains — ``desourcify``
+whole phase; ``AttachHeads v1:n1,...`` and ``SubdivideEdges e1:n1,...``
+are ``AttachHead`` and ``SubdivideEdge`` batched the same way.  Traces
+written one record per source, or one head and one subdivision per core
+vertex, still replay.  Traces are not always linear chains — ``desourcify``
 applies its hereditary expansion to the original input graph and documents
 the intermediate head form of each source conversion — so replay keeps
 every graph it has seen, keyed by hash, applies each record to the graph
@@ -181,33 +184,49 @@ def _check_count(n: int) -> None:
 
 
 def _with_heads(g: Graph, heads: Iterable[tuple[str, int]]) -> Graph:
-    """``g`` with a head of length ``n`` attached at each ``(v, n)`` in turn,
-    built as one graph; ``g`` itself when every length is 0."""
-    vertices, edges = list(g.vertices), list(g.edges)
+    """``attach_head`` applied to each ``(v, n)`` in turn, with its checks at
+    each turn, built as one graph."""
+    vertices, edges, known = list(g.vertices), list(g.edges), set(g.vertex_set)
     for v, n in heads:
-        vertices += (f"{v}.h{i}" for i in range(1, n + 1))
+        if v not in known:
+            raise ValueError(f"unknown vertex {v!r}")
+        _check_count(n)
+        new = [f"{v}.h{i}" for i in range(1, n + 1)]
+        known.update(new)
+        vertices += new
         edges += (Edge(f"{v}.e{i}", f"{v}.h{i}", f"{v}.h{i - 1}" if i > 1 else v)
                   for i in range(1, n + 1))
-    return Graph(vertices, edges) if len(vertices) > len(g.vertices) else g
+    return Graph(vertices, edges)
 
 
 def attach_head(g: Graph, v0: str, n: int) -> Graph:
     """Attach a chain of ``n`` new vertices feeding into ``v0``."""
-    g.require_vertex(v0)
-    _check_count(n)
     return _with_heads(g, [(v0, n)])
+
+
+def _subdivided(g: Graph, chains: Iterable[tuple[str, int]]) -> Graph:
+    """``subdivide_edge`` applied to each ``(e0, n)`` in turn, with its checks
+    at each turn, built as one graph: each chain takes the place of its edge
+    at the end of the edge list."""
+    vertices, edges = list(g.vertices), {e.name: e for e in g.edges}
+    for e0, n in chains:
+        e = edges.pop(e0, None)
+        if e is None:
+            raise ValueError(f"unknown edge {e0!r}")
+        _check_count(n)
+        vertices += (f"{e0}.v{i}" for i in range(1, n + 1))
+        chain = [Edge(f"{e0}.e1", f"{e0}.v1", e.dst)]
+        chain += [Edge(f"{e0}.e{i}", f"{e0}.v{i}", f"{e0}.v{i - 1}") for i in range(2, n + 1)]
+        chain.append(Edge(f"{e0}.e{n + 1}", e.src, f"{e0}.v{n}"))
+        for x in chain:  # a clash raises at its own turn, as subdivide_edge's would
+            if edges.setdefault(x.name, x) is not x:
+                raise ValueError(f"duplicate edge {x.name!r}")
+    return Graph(vertices, edges.values())
 
 
 def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
     """Replace edge ``e0`` by a chain through ``n`` new vertices."""
-    e = g.edge(e0)
-    _check_count(n)
-    mids = tuple(f"{e0}.v{i}" for i in range(1, n + 1))
-    chain = [Edge(f"{e0}.e1", f"{e0}.v1", e.dst)]
-    chain += [Edge(f"{e0}.e{i}", f"{e0}.v{i}", f"{e0}.v{i - 1}") for i in range(2, n + 1)]
-    chain.append(Edge(f"{e0}.e{n + 1}", e.src, f"{e0}.v{n}"))
-    kept = tuple(x for x in g.edges if x.name != e0)
-    return Graph(g.vertices + mids, kept + tuple(chain))
+    return _subdivided(g, [(e0, n)])
 
 
 def attach_sources(g: Graph, v0: str, n: int) -> Graph:
@@ -279,11 +298,25 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
 
 _names = methodcaller("split", ",")  # reads a comma-separated vertex list
 
+
+def _counts(text: str) -> list[tuple[str, int]]:
+    """Reads a comma-separated ``name:count`` list."""
+    pairs = []
+    for pair in text.split(","):
+        name, colon, count = pair.partition(":")
+        if not colon:
+            raise ValueError(f"expected name:count, not {pair!r}")
+        pairs.append((name, _decimal(count)))
+    return pairs
+
+
 # kind -> (move, one reader per text parameter)
 _MOVES = {
     "ExpandHereditary": (expand_hereditary, (_names,)),
     "AttachHead": (attach_head, (str, _decimal)),
+    "AttachHeads": (_with_heads, (_counts,)),
     "SubdivideEdge": (subdivide_edge, (str, _decimal)),
+    "SubdivideEdges": (_subdivided, (_counts,)),
     "AttachSources": (attach_sources, (str, _decimal)),
     "EliminateSource": (eliminate_source, (str,)),
     "EliminateSources": (_eliminate_sources, (_names,)),
@@ -365,15 +398,18 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     Pipeline: eliminate the least-named source of the current graph until
     none is left, which leaves the source-free core F; apply one hereditary
     expansion with the core's vertex set to the ORIGINAL graph (its
-    entry-path vertices are the only sources of the result); then
-    per core vertex, in name order, eliminate the path-vertex sources aimed
-    at it in name order, record the equivalent head form, and absorb the
-    head by subdividing the lexicographically least edge into that vertex.
-    Each elimination phase (the peel of the original graph, and the sources
-    aimed at one core vertex) is built as one graph and traced as one
-    ``EliminateSources`` record listing its sources in order, so each graph
-    the pipeline passes through is hashed once.  A graph with no sources
-    comes back unchanged with an empty trace.
+    entry-path vertices are the only sources of the result); eliminate those
+    path-vertex sources, grouped by the core vertex they are aimed at (core
+    vertices in name order, each group in name order); record the equivalent
+    head form, a head at each such core vertex as long as its group; and
+    absorb each head by subdividing the lexicographically least edge into
+    its vertex by that length.  The trace has five records whatever the size
+    of the core: ``EliminateSources`` for the peel, ``ExpandHereditary``,
+    ``EliminateSources`` for the path vertices, then ``AttachHeads`` and
+    ``SubdivideEdges``, both applied to the graph the eliminations leave.
+    Each is built as one graph, so each graph the pipeline passes through is
+    hashed once.  A graph with no sources comes back unchanged with an empty
+    trace.
     """
     profile = classify(g)
     if profile.sinks:
@@ -383,44 +419,41 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     records: list[MoveRecord] = []
     hashes: dict[Graph, str] = {}
 
-    def record(kind: str, params: tuple[str, ...], src: Graph, out: Graph) -> None:
+    def record(kind: str, param: str, src: Graph, out: Graph) -> None:
         # equal graphs serialize identically, so each one is hashed once even
-        # when two moves produce it (eliminating every path-vertex source
-        # aimed at one core vertex can rebuild the core itself)
+        # when two moves produce it (eliminating the path-vertex sources
+        # rebuilds the core itself)
         for x in (src, out):
             if x not in hashes:
                 hashes[x] = graph_hash(x)
-        records.append(MoveRecord(kind, params, hashes[src], hashes[out]))
+        records.append(MoveRecord(kind, (param,), hashes[src], hashes[out]))
 
     def eliminate(cur: Graph, sources: list[str]) -> Graph:
         # each is a source of cur at its turn that emits an edge (no edge runs
         # into a source, so peeling a sink-free graph leaves no sink, and each
         # path vertex emits one edge), so the checks are left to replay
         out = _without(cur, frozenset(sources))
-        record("EliminateSources", (",".join(sources),), cur, out)
+        record("EliminateSources", ",".join(sources), cur, out)
         return out
 
     core = eliminate(g, _peel(g.vertices, g.edges))
     if not core.vertices:
         raise AssertionError("a finite sink-free graph keeps a cycle; the core cannot be empty")
-    expanded = expand_hereditary(g, core.vertices)
-    record("ExpandHereditary", (",".join(sorted(core.vertices)),), g, expanded)
-    cur = expanded
-    # the expansion's only sources are its path-vertices, each emitting one
-    # edge into the core; eliminations and subdivisions add no source, and
-    # leave each later core vertex's in-edges as they are in the expansion
-    for v in sorted(core.vertices):
-        into = expanded._in[v]
-        aimed = sorted(e.src for e in into if e.src not in core.vertex_set)
-        if not aimed:
-            continue
-        n = len(aimed)
-        base = eliminate(cur, aimed)
-        record("AttachHead", (v, str(n)), base, attach_head(base, v, n))
-        e0 = min(e.name for e in into if e.src in core.vertex_set)
-        cur = subdivide_edge(base, e0, n)
-        record("SubdivideEdge", (e0, str(n)), base, cur)
-    return cur, MoveTrace(tuple(records))
+    expanded, paths = _expansion(g, core.vertex_set)
+    record("ExpandHereditary", ",".join(sorted(core.vertices)), g, expanded)
+    # the expansion's only sources are its path vertices, each emitting one
+    # edge into the core; the paths come sorted by name, and so each group
+    aimed: dict[str, list[str]] = {}
+    for name, p in paths:
+        aimed.setdefault(p.target, []).append(name)
+    heads = [(v, len(aimed[v])) for v in sorted(aimed)]
+    # the core has no source, so each core vertex receives an edge from it
+    chains = [(min(e.name for e in core._in[v]), n) for v, n in heads]
+    base = eliminate(expanded, [s for v, _ in heads for s in aimed[v]])
+    record("AttachHeads", ",".join(f"{v}:{n}" for v, n in heads), base, _with_heads(base, heads))
+    out = _subdivided(base, chains)
+    record("SubdivideEdges", ",".join(f"{e}:{n}" for e, n in chains), base, out)
+    return out, MoveTrace(tuple(records))
 
 
 # ── stabilizations ────────────────────────────────────────────────────────────
@@ -429,4 +462,4 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
 def matrix_graph(g: Graph, n: int) -> Graph:
     """Attach a head of length n-1 at every vertex (the n x n matrix form)."""
     _check_count(n)
-    return _with_heads(g, [(v, n - 1) for v in g.vertices])
+    return _with_heads(g, [(v, n - 1) for v in g.vertices]) if n > 1 else g

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import leavitt.ktheory
 from conftest import arrow, funnel_into_cycle, graphs, random_graph, rose2, single_loop
 from leavitt.cli import run
-from leavitt.graph import Edge, Graph, classify, serialize_graph
+from leavitt.graph import Edge, Graph, classify, parse_graph, serialize_graph
 from leavitt.ktheory import (
     INF,
     IntMatrix,
@@ -101,14 +101,21 @@ def _product(p, q):
 
 
 _dims = st.integers(min_value=1, max_value=5)
+_no_units = st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6))
 
 int_matrices = st.one_of(
     st.tuples(_dims, _dims).flatmap(lambda d: _shaped(*d, st.integers(-9, 9))),
     # no ±1 entry: the sparse unit pivots find nothing, and the Hermite
     # normal form and the alternating transposes of its core do all the work
-    st.tuples(_dims, _dims).flatmap(
-        lambda d: _shaped(*d, st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6)))
-    ),
+    st.tuples(_dims, _dims).flatmap(lambda d: _shaped(*d, _no_units)),
+    # wide, no ±1 entry: the Hermite normal form's unit pivots sit beside
+    # free columns, which must stay
+    st.tuples(st.integers(1, 3), st.integers(4, 7)).flatmap(lambda d: _shaped(*d, _no_units)),
+    # rank-deficient wide and tall products through an inner dimension of 2
+    # or 3, with no ±1 entry in either factor
+    st.tuples(st.integers(1, 6), st.integers(2, 3), st.integers(1, 6))
+    .flatmap(lambda d: st.tuples(_shaped(d[0], d[1], _no_units), _shaped(d[1], d[2], _no_units)))
+    .map(lambda pq: _product(*pq)),
     # rank-deficient products P.Q through an inner dimension of 1 or 2
     st.tuples(_dims, st.integers(1, 2), _dims)
     .flatmap(lambda d: st.tuples(_shaped(d[0], d[1], st.integers(-4, 4)),
@@ -165,6 +172,17 @@ def test_snf_frozen_examples():
     assert smith_normal_form(IntMatrix(((4, 2), (0, 4)))) == (2, 8)
     assert smith_normal_form(IntMatrix(((4, 2), (0, 3)))) == (1, 12)
     assert smith_normal_form(IntMatrix(((6, 0, 0), (0, 4, 0), (0, 0, 10)))) == (2, 2, 60)
+    # a unit pivot beside a free column: the free column stays, or [[2, 1]]
+    # would give (2,)
+    assert smith_normal_form(IntMatrix(((2, 1),))) == (1,)
+    assert smith_normal_form(IntMatrix(((2, 1), (0, 0)))) == (1,)
+    assert smith_normal_form(IntMatrix(((1, 3, 5), (0, 2, 1)))) == (1, 1)
+    # the same with no ±1 entry, so the unit pivots first appear in the
+    # Hermite normal form: [[2, 4, 3], [3, 5, 3]] becomes [[1, 1, 0], [0, 2, 3]],
+    # and dropping the free third column with the unit pivot would give (1, 2)
+    assert smith_normal_form(IntMatrix(((2, 4, 3), (3, 5, 3)))) == (1, 1)
+    assert smith_normal_form(IntMatrix(((2, 4), (3, 7)))) == (1, 2)
+    assert smith_normal_form(IntMatrix(((2, 5), (3, 7), (4, 6)))) == (1, 1)
     # all sinks: n x 0; the empty graph: 0 x 0
     sinks = presentation_matrix(Graph(("a", "b"), ()))
     assert (sinks.rows, sinks.cols) == (2, 0) and smith_normal_form(sinks) == ()
@@ -223,6 +241,45 @@ def test_snf_matches_sympy(kind):
         b = presentation_matrix(sink_free_multigraph(rng, n, m, n // 5 if kind == "sinks" else 0))
         expected = invariant_factors(Matrix(b.entries), domain=ZZ)
         assert smith_normal_form(b) == tuple(abs(int(d)) for d in expected if d)
+
+
+def test_snf_hnf_unit_pivots_drop_out(monkeypatch):
+    # [[2, 4, 3], [3, 5, 3]] has no ±1 entry, and its Hermite normal form
+    # [[1, 1, 0], [0, 2, 3]] has one unit pivot: the diagonal stage gets only
+    # [[2, 3]], the row left once the unit pivot's row and column drop out
+    cores = []
+    original = leavitt.ktheory._diagonal_factors
+    monkeypatch.setattr(leavitt.ktheory, "_diagonal_factors",
+                        lambda core: cores.append(core) or original(core))
+    assert smith_normal_form(IntMatrix(((2, 4, 3), (3, 5, 3)))) == (1, 1)
+    assert cores == [[[2, 3]]]
+
+
+def test_snf_factors_unchanged_on_the_benchmark_library_graphs():
+    # every graph the benchmark's seed-1 library workload analyzes, written
+    # by its own generator; the digest was recorded before the Hermite normal
+    # form's unit pivots dropped out and before its insertions re-reduced
+    # only the columns they changed
+    import hashlib
+    import importlib.util
+    import tempfile
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with tempfile.TemporaryDirectory() as tmp:
+        ops = workloads.generate("library", 1, Path(tmp))
+        paths = sorted({op["argv"][1] for op in ops if op["argv"][0] == "analyze"})
+        texts = [(Path(tmp) / path).read_text(encoding="utf-8") for path in paths]
+    digest = hashlib.sha256()
+    for path, text in zip(paths, texts):
+        factors = smith_normal_form(presentation_matrix(parse_graph(text)))
+        digest.update(f"{path} {factors}\n".encode("utf-8"))
+    assert len(paths) == 112
+    assert digest.hexdigest() == (
+        "c1a784c0080e4a5594a0f443f5a8f1976487693d509cc359e63fecab95c16a1b")
 
 
 def test_snf_roadmap_gate():

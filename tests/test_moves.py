@@ -460,8 +460,8 @@ def test_desourcify_funnel_frozen():
         ("EliminateSources", ("5,4",)),
         ("ExpandHereditary", ("1,2,3",)),
         ("EliminateSources", ("f1,f2,g1.f1,g1.f2",)),
-        ("AttachHead", ("1", "4")),
-        ("SubdivideEdge", ("c", "4")),
+        ("AttachHeads", ("1:4",)),
+        ("SubdivideEdges", ("c:4",)),
     ]
 
 
@@ -533,13 +533,52 @@ def test_desourcify_traces_replay_seeded():
         done += 1
 
 
+def fed_triangle() -> Graph:
+    """A 3-cycle fed by sources at each of its vertices, two paths into 2."""
+    return Graph(["1", "2", "3", "x", "y", "z"],
+                 [Edge("a", "1", "2"), Edge("b", "2", "3"), Edge("c", "3", "1"), Edge("f", "x", "1"),
+                  Edge("g", "y", "2"), Edge("h", "z", "y"), Edge("k", "z", "3")])
+
+
+def per_core_vertex(trace: MoveTrace, g: Graph) -> MoveTrace:
+    """A ``desourcify`` trace with its three post-expansion batch records
+    split back into one ``EliminateSources``, ``AttachHead`` and
+    ``SubdivideEdge`` triple per core vertex, each vertex's sources taken off
+    the list by its head count: the trace one record per elimination phase
+    gave.  Built from the single-record moves alone."""
+    if not trace.records:
+        return trace
+    *records, elim, heads, chains = trace.records
+    assert [r.kind for r in (elim, heads, chains)] == [
+        "EliminateSources", "AttachHeads", "SubdivideEdges"]
+    cur = replay(MoveTrace(tuple(records)), g)
+    sources = elim.params[0].split(",")
+    for vn, en in zip(heads.params[0].split(","), chains.params[0].split(","), strict=True):
+        (v, n), (e0, m) = vn.split(":"), en.split(":")
+        assert n == m
+        group, sources = sources[:int(n)], sources[int(n):]
+        base = cur
+        for s in group:
+            base = eliminate_source(base, s)
+        nxt = subdivide_edge(base, e0, int(n))
+        records += [
+            MoveRecord("EliminateSources", (",".join(group),), graph_hash(cur), graph_hash(base)),
+            MoveRecord("AttachHead", (v, n), graph_hash(base), graph_hash(attach_head(base, v, int(n)))),
+            MoveRecord("SubdivideEdge", (e0, n), graph_hash(base), graph_hash(nxt)),
+        ]
+        cur = nxt
+    assert not sources and graph_hash(cur) == chains.output_hash
+    return MoveTrace(tuple(records))
+
+
 def unbatched(trace: MoveTrace, g: Graph) -> MoveTrace:
-    """``trace`` with each ``EliminateSources`` record written as one
-    ``EliminateSource`` record per listed vertex, with the hashes of the
-    graphs between them: the trace one record per source would give."""
+    """``per_core_vertex(trace, g)`` with each ``EliminateSources`` record
+    written as one ``EliminateSource`` record per listed vertex, with the
+    hashes of the graphs between them: the trace one record per source
+    gave."""
     known = {graph_hash(g): g}
     records = []
-    for rec in trace.records:
+    for rec in per_core_vertex(trace, g).records:
         cur = known[rec.input_hash]
         if rec.kind != "EliminateSources":
             records.append(rec)
@@ -557,24 +596,27 @@ def unbatched(trace: MoveTrace, g: Graph) -> MoveTrace:
 def test_desourcify_bytes_pinned():
     # digests of every output graph and trace (or error): unbatched into one
     # record per source, recorded before the move layer derived each path
-    # and graph once; as written, recorded when each elimination phase
-    # became one record
+    # and graph once; split into one record per elimination phase and one
+    # head and subdivision per core vertex, recorded when each elimination
+    # phase became one record; as written, in five records
     rng = random.Random(7)
-    per_source, batched = hashlib.sha256(), hashlib.sha256()
+    per_source, per_phase, batched = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for _ in range(400):
         g = random_graph(rng, max_vertices=7, max_edges=14, no_sinks=True)
         try:
             core, trace = desourcify(g)
             texts = [serialize_graph(core) + serialize_trace(t)
-                     for t in (unbatched(trace, g), trace)]
+                     for t in (unbatched(trace, g), per_core_vertex(trace, g), trace)]
         except ValueError as exc:
-            texts = [f"error: {exc}\n"] * 2
-        for digest, text in zip((per_source, batched), texts):
+            texts = [f"error: {exc}\n"] * 3
+        for digest, text in zip((per_source, per_phase, batched), texts):
             digest.update(text.encode("utf-8") + b"\0")
     assert per_source.hexdigest() == (
         "ea264328f0341177c0ad3f5c2728b5aa511535783b8a349457ca5c5c04e3e0c4")
-    assert batched.hexdigest() == (
+    assert per_phase.hexdigest() == (
         "21a28f7bafd728ec93c82760a4404884d20bf652a2ccb3f3be9f07afbf67d85e")
+    assert batched.hexdigest() == (
+        "a622b204ca7b2ef416129860974efc796b7867743ace04703da47127ee63ea6c")
 
 
 def chain_into_loop(k: int) -> Graph:
@@ -601,9 +643,46 @@ def test_desourcify_trace_hashes_bounded_by_the_expansion(monkeypatch):
     monkeypatch.setattr(leavitt.graph, "fnv1a64", counting)
     core, trace = desourcify(g)
     assert [r.kind for r in trace.records] == [
-        "EliminateSources", "ExpandHereditary", "EliminateSources", "AttachHead", "SubdivideEdge"]
+        "EliminateSources", "ExpandHereditary", "EliminateSources", "AttachHeads", "SubdivideEdges"]
+    assert [r.params for r in trace.records[3:]] == [("c:200",), ("lp:200",)]
     assert sum(fed) <= 3 * expansion, (sum(fed), expansion)
     monkeypatch.undo()
+    assert replay(parse_trace(serialize_trace(trace)), g) == core
+
+
+def source_forest(rng: random.Random, n_core: int, n_tree: int) -> Graph:
+    """A Hamiltonian cycle with as many random chords, and a forest of
+    ``n_tree`` sources hanging into it: every tree vertex emits one edge, to
+    an earlier tree vertex or to the core."""
+    core = [f"c{i}" for i in range(n_core)]
+    ends = [(i, (i + 1) % n_core) for i in range(n_core)]
+    ends += [(rng.randrange(n_core), rng.randrange(n_core)) for _ in range(n_core)]
+    edges = [Edge(f"ce{k}", core[a], core[b]) for k, (a, b) in enumerate(ends)]
+    tree = [f"t{i}" for i in range(n_tree)]
+    for i, t in enumerate(tree):
+        parent = rng.choice(tree[:i]) if i and rng.random() < 0.6 else rng.choice(core)
+        edges.append(Edge(f"u{i}", t, parent))
+    return Graph(core + tree, edges)
+
+
+@pytest.mark.parametrize("n_core", [100, 300, 600])
+def test_desourcify_hashes_five_graphs_whatever_the_core(monkeypatch, n_core):
+    # one batch record for all heads and one for all subdivisions: the graphs
+    # hashed do not grow with the number of core vertices fed by sources
+    g = source_forest(random.Random(n_core), n_core, 3 * n_core)
+    hashed = []
+    original = leavitt.moves.graph_hash
+    monkeypatch.setattr(leavitt.moves, "graph_hash", lambda x: hashed.append(x) or original(x))
+    start = time.perf_counter()
+    core, trace = desourcify(g)
+    elapsed = time.perf_counter() - start
+    monkeypatch.undo()
+    assert len(hashed) <= 5
+    assert [r.kind for r in trace.records] == [
+        "EliminateSources", "ExpandHereditary", "EliminateSources", "AttachHeads", "SubdivideEdges"]
+    assert len(trace.records[3].params[0].split(",")) > n_core // 2
+    if n_core == 600:
+        assert elapsed < 0.5, elapsed
     assert replay(parse_trace(serialize_trace(trace)), g) == core
 
 
@@ -638,8 +717,95 @@ def test_parent_trace_one_record_per_source_still_replays():
         "move ExpandHereditary 1,2,3 3632d6931ced2ac9 1f40d139aa3590bb\n"
         "move EliminateSources 5.e1.g1.f1,5.e1.g1.f2,f1,f2,g1.f1,g1.f2"
         " 1f40d139aa3590bb 710c640e3a3c9d70\n"
-        "move AttachHead 1 6 710c640e3a3c9d70 03f306f1c9e93514\n"
-        "move SubdivideEdge c 6 710c640e3a3c9d70 aaae82c70e70e0d8\n")
+        "move AttachHeads 1:6 710c640e3a3c9d70 03f306f1c9e93514\n"
+        "move SubdivideEdges c:6 710c640e3a3c9d70 aaae82c70e70e0d8\n")
+
+
+# written one record per elimination phase, with one head and one
+# subdivision per core vertex, before each of those became one batch
+# record; for fed_triangle()
+_PHASE_TRACE = """\
+move EliminateSources x,z,y 64432134df2d85b3 d112e09ee4b95324
+move ExpandHereditary 1,2,3 64432134df2d85b3 2e95c17c2da21de5
+move EliminateSources f 2e95c17c2da21de5 a0b8942674b9ea51
+move AttachHead 1 1 a0b8942674b9ea51 04a44f5bf7c32c1a
+move SubdivideEdge c 1 a0b8942674b9ea51 31382b3c714e7b84
+move EliminateSources g,h.g 31382b3c714e7b84 59d520c6ae17546c
+move AttachHead 2 2 59d520c6ae17546c 98ea91bcbf6ebe2c
+move SubdivideEdge a 2 59d520c6ae17546c 2ef573dad2bb0ac6
+move EliminateSources k 2ef573dad2bb0ac6 3739f9c04f8a664f
+move AttachHead 3 1 3739f9c04f8a664f b0ae450cb1447494
+move SubdivideEdge b 1 3739f9c04f8a664f 7649bad2a82ecf64
+"""
+
+_FED_TRIANGLE_TRACE = """\
+move EliminateSources x,z,y 64432134df2d85b3 d112e09ee4b95324
+move ExpandHereditary 1,2,3 64432134df2d85b3 2e95c17c2da21de5
+move EliminateSources f,g,h.g,k 2e95c17c2da21de5 d112e09ee4b95324
+move AttachHeads 1:1,2:2,3:1 d112e09ee4b95324 e372d2c8957e5a40
+move SubdivideEdges c:1,a:2,b:1 d112e09ee4b95324 7649bad2a82ecf64
+"""
+
+
+def test_trace_one_head_per_core_vertex_still_replays():
+    g = fed_triangle()
+    core, trace = desourcify(g)
+    assert serialize_trace(trace) == _FED_TRIANGLE_TRACE
+    assert replay(parse_trace(_PHASE_TRACE), g) == core
+    assert serialize_trace(per_core_vertex(trace, g)) == _PHASE_TRACE
+    assert [e.name for e in core.edges] == [
+        "c.e1", "c.e2", "a.e1", "a.e2", "a.e3", "b.e1", "b.e2"]
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("e372d2c8957e5a40", "e372d2c8957e5a41",
+     "record 3: output hash mismatch (e372d2c8957e5a40 != e372d2c8957e5a41)"),
+    ("7649bad2a82ecf64", "7649bad2a82ecf65",
+     "record 4: output hash mismatch (7649bad2a82ecf64 != 7649bad2a82ecf65)"),
+    ("3:1 d112e09ee4b95324", "3:1 d112e09ee4b95325",
+     "record 3: input hash d112e09ee4b95325 matches no known graph"),
+    ("1:1,2:2,3:1", "1:1,3:1", "record 3: output hash mismatch"),
+    ("c:1,a:2,b:1", "c:1,a:2", "record 4: output hash mismatch"),
+    ("1:1,2:2,3:1", "1:1,2:2,2:2,3:1", "record 3: duplicate vertex '2.h1'"),
+    ("c:1,a:2,b:1", "c:1,a:2,a:2,b:1", "record 4: unknown edge 'a'"),
+    ("1:1,2:2,3:1", "1:1,2:2,4:1", "record 3: unknown vertex '4'"),
+    ("c:1,a:2,b:1", "c:1,a:2,q:1", "record 4: unknown edge 'q'"),
+    ("1:1,2:2,3:1", "1:1,2-2,3:1", "record 3: expected name:count, not '2-2'"),
+    ("1:1,2:2,3:1", "1:1,,2:2,3:1", "record 3: expected name:count, not ''"),
+    ("c:1,a:2,b:1", "c:1,a:2,b:1:1", "record 4: not a decimal integer: '1:1'"),
+    ("c:1,a:2,b:1", "c:1,a:two,b:1", "record 4: not a decimal integer: 'two'"),
+    ("1:1,2:2,3:1", "1:1,2:0,3:1", "record 3: the length must be a positive integer"),
+    ("c:1,a:2,b:1", "c:1,a:0,b:1", "record 4: the length must be a positive integer"),
+    ("c:1,a:2,b:1", "c:1,a:-2,b:1", "record 4: the length must be a positive integer"),
+])
+def test_batch_head_and_subdivision_records_reject_a_wrong_entry(old, new, message):
+    text = _FED_TRIANGLE_TRACE
+    assert old in text
+    with pytest.raises(ValueError) as info:
+        replay(parse_trace(text.replace(old, new, 1)), fed_triangle())
+    assert str(info.value).startswith(message) and "\n" not in str(info.value)
+
+
+def test_batch_records_are_their_single_moves_in_turn():
+    # a later entry may name what an earlier one made, and an edge an earlier
+    # subdivision removes cannot hide a clash with the chain that replaces it
+    g = single_loop()
+    for kind, move, entries in (
+        ("AttachHeads", attach_head, [("v", 2), ("v.h2", 1), ("v.h2.h1", 3)]),
+        ("SubdivideEdges", subdivide_edge, [("e", 2), ("e.e3", 1), ("e.e1", 3)]),
+    ):
+        want = g
+        for name, n in entries:
+            want = move(want, name, n)
+        line = (f"move {kind} {','.join(f'{x}:{n}' for x, n in entries)}"
+                f" {graph_hash(g)} {graph_hash(want)}\n")
+        assert replay(parse_trace(line), g) == want
+    clash = Graph(["v"], [Edge("e", "v", "v"), Edge("e.e1", "v", "v")])
+    with pytest.raises(ValueError, match="duplicate edge 'e.e1'"):
+        subdivide_edge(clash, "e", 1)
+    line = f"move SubdivideEdges e:1,e.e1:1 {graph_hash(clash)} {'0' * 16}\n"
+    with pytest.raises(ValueError, match="^record 0: duplicate edge 'e.e1'$"):
+        replay(parse_trace(line), clash)
 
 
 @pytest.mark.parametrize("old, new, message", [
