@@ -78,6 +78,17 @@ def _rank_text(value) -> str:
     return "inf" if value == float("inf") else str(value)
 
 
+def _digits(d: int) -> str:
+    """The decimal digits of ``d >= 0`` at any length.  ``str`` refuses
+    integers longer than the interpreter's limit (4,300 digits by default,
+    640 at the least), so they go out 600 at a time."""
+    chunks = []
+    while d >= 10**600:
+        d, low = divmod(d, 10**600)
+        chunks.append(f"{low:0600d}")
+    return str(d) + "".join(reversed(chunks))
+
+
 def _vertex_list(text: str) -> list[str]:
     return text.split(",")
 
@@ -222,7 +233,7 @@ def _cmd_analyze(args) -> int:
     lines = [
         f"rank_k0 {summary.rank_k0}",
         f"rank_k1(r={_rank_text(r)}) {_rank_text(summary.rank_k1)}",
-        "torsion " + (",".join(str(d) for d in summary.torsion) or "none"),
+        "torsion " + (",".join(map(_digits, summary.torsion)) or "none"),
         f"singular {summary.singular_count}",
         f"is_ck {no_sinks}",
         f"strongly_graded {no_sinks}",

@@ -9,6 +9,7 @@ no float arithmetic ever touches a finite rank).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from math import gcd
 from typing import NamedTuple
 
@@ -28,12 +29,15 @@ __all__ = [
 INF = float("inf")
 
 
-class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...])])):
-    """Immutable integer matrix (row-major)."""
+class IntMatrix(NamedTuple("IntMatrix", [("cells", tuple[tuple[tuple[int, int], ...], ...]),
+                                          ("cols", int)])):
+    """Immutable integer matrix, stored sparse: for each row the ``(column,
+    value)`` pairs of its nonzero entries in column order, and the width."""
 
     __slots__ = ()
 
     def __new__(cls, entries) -> "IntMatrix":
+        """The matrix with the given dense rows, all of one width."""
         entries = tuple(tuple(row) for row in entries)
         widths = {len(row) for row in entries}
         if len(widths) > 1:
@@ -42,15 +46,20 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
             for x in row:
                 if not isinstance(x, int):
                     raise ValueError(f"non-integer entry {x!r}")
-        return tuple.__new__(cls, (entries,))
+        cells = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in entries)
+        return cls._make((cells, widths.pop() if widths else 0))
+
+    def __reduce__(self):
+        return self._make, (tuple(self),)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.cells)
 
     @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, rebuilt on each read."""
+        return tuple(tuple(dict(row).get(j, 0) for j in range(self.cols)) for row in self.cells)
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -61,70 +70,95 @@ def presentation_matrix(g: Graph) -> IntMatrix:
 
     Rows run over all vertices, columns over the regular (emitting) ones,
     both in declaration order.  The cokernel of this matrix presents K0.
+    The rows are built from the out-edges of each regular vertex in turn,
+    so each gains its entries in column order, in O(V + E) in all.
     """
-    col = {v: j for j, v in enumerate(v for v in g.vertices if g._out[v])}
-    rows = {v: [0] * len(col) for v in g.vertices}
-    for v, j in col.items():
-        rows[v][j] = 1
-    for e in g.edges:
-        rows[e.dst][col[e.src]] -= 1
-    return IntMatrix(rows.values())
+    rows = {v: {} for v in g.vertices}
+    j = 0
+    for v in g.vertices:
+        out = g._out[v]
+        if out:
+            own = rows[v]
+            own[j] = 1
+            for e in out:
+                row = rows[e.dst]
+                row[j] = row.get(j, 0) - 1
+            if not own[j]:
+                del own[j]
+            j += 1
+    return IntMatrix._make((tuple(tuple(row.items()) for row in rows.values()), j))
+
+
+def _sparsest_unit(rows, cols, by_length) -> tuple[int, int] | None:
+    """The next pivot: in the shortest row holding a ±1, the ±1 whose column
+    has the fewest entries, or None.  That is the least Markowitz cost (row
+    length - 1) * (column count - 1) in the row; Duff, Erisman and Reid
+    restrict the search to the sparsest rows so.  ``by_length[k]`` lists rows
+    filed at length k, latest last.  A row read here that was pivoted, has
+    moved to another length or holds no ±1 is dropped; an update files it
+    again."""
+    for k in range(1, len(cols) + 1):
+        bucket = by_length.get(k)
+        while bucket:
+            i = bucket[-1]
+            row = rows[i]
+            if row is not None and len(row) == k:
+                pivot, least = None, 0
+                for j, x in row.items():
+                    if (x == 1 or x == -1) and (pivot is None or len(cols[j]) < least):
+                        pivot, least = (i, j), len(cols[j])
+                if pivot is not None:
+                    return pivot
+            bucket.pop()
+    return None
 
 
 def _unit_pivots(m: IntMatrix) -> tuple[int, list[dict[int, int]]]:
-    """Stage 1: eliminate ±1 pivots sparsely.
+    """Stage 1: eliminate ±1 pivots on sparse rows.
 
     Returns the number of pivots and the nonzero rows of the Schur
-    complement left, as ``{column: value}`` dicts.
+    complement left, as ``{column: value}`` dicts.  Only the rows a pivot
+    updates change length, so only they are filed again, and a pivot costs
+    its row, its column and its fill.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}  # column -> rows with a nonzero there
-    for i, entries in enumerate(m.entries):
-        row = {j: x for j, x in enumerate(entries) if x}
+    rows: list[dict[int, int] | None] = [dict(row) for row in m.cells]
+    cols: list[set[int]] = [set() for _ in range(m.cols)]  # column -> rows with a nonzero there
+    by_length: defaultdict[int, list[int]] = defaultdict(list)
+    for i, row in enumerate(rows):
         if row:
-            rows[i] = row
+            by_length[len(row)].append(i)
             for j in row:
-                cols.setdefault(j, set()).add(i)
+                cols[j].add(i)
     ones = 0
-    while True:
-        # the unit entry of least Markowitz cost (row nonzeros - 1) * (column
-        # nonzeros - 1); rows go shortest first, so the scan stops once no
-        # later row can beat the best cost found
-        pivot = None
-        best = -1
-        cmin = min((len(s) for s in cols.values() if s), default=1) - 1
-        for i in sorted(rows, key=lambda i: len(rows[i])):
-            row = rows[i]
-            ri = len(row) - 1
-            if pivot is not None and ri * cmin >= best:
-                break
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = ri * (len(cols[j]) - 1)
-                    if pivot is None or cost < best:
-                        pivot, best = (i, j), cost
-        if pivot is None:
-            return ones, list(rows.values())
+    while (pivot := _sparsest_unit(rows, cols, by_length)) is not None:
         i, j = pivot
-        prow = rows.pop(i)
+        prow = rows[i]
+        rows[i] = None
         u = prow.pop(j)
+        held = cols[j]
+        held.discard(i)
         for k in prow:
             cols[k].discard(i)
-        for r in cols.pop(j) - {i}:
+        for r in held:
             row = rows[r]
-            f = row.pop(j) * u
+            f = row.pop(j) * u  # u is ±1, its own inverse
             for k, y in prow.items():
-                v = row.get(k, 0) - f * y
-                if v:
-                    if k not in row:
-                        cols[k].add(r)
-                    row[k] = v
+                x = row.get(k)
+                if x is None:
+                    row[k] = -f * y
+                    cols[k].add(r)
                 else:
-                    del row[k]
-                    cols[k].discard(r)
-            if not row:
-                del rows[r]
+                    x -= f * y
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
+                        cols[k].discard(r)
+            if row:
+                by_length[len(row)].append(r)
+        held.clear()
         ones += 1
+    return ones, [row for row in rows if row]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -204,13 +238,20 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     row and column operations, so each keeps the invariant factors of the
     matrix it is handed:
 
-    1. Sparse unit pivots.  While an entry is ±1, the one of least Markowitz
-       cost clears its column by row operations; the column operations that
-       then clear its row touch no other row.  Its row and column drop out
-       with one factor 1, and the Schur complement left keeps every other
-       factor.  Sparse presentation matrices end here or nearly so.
-    2. A row Hermite normal form of the remainder, whose entries stay bounded
-       by its pivots (``_row_hnf``).  Zero rows drop out, so rank deficiency
+    1. Sparse unit pivots (``_unit_pivots``) on the matrix's sparse rows,
+       copied into ``{column: value}`` dicts beside a set of rows per column
+       in O(nonzeros).  While some row holds a ±1, the ±1 of a shortest such
+       row whose column is sparsest clears its column by row operations; the
+       column operations that then clear its row touch no other row.  Its row
+       and column drop out with one factor 1, and the Schur complement left
+       keeps every other factor.  A pivot costs its row, its column and the
+       fill it makes; no pivot passes over the whole matrix.  Sparse
+       presentation matrices end here or nearly so.
+    2. A row Hermite normal form of the remainder, made dense over the
+       columns it still uses, whose entries stay bounded by its pivots
+       (``_row_hnf``): O(r^2 c) big-integer operations for r rows and c
+       columns, so this is the stage that grows fastest when many rows are
+       left.  Zero rows drop out, so rank deficiency
        needs no special case.  Each row whose pivot is 1 drops out with its
        pivot column and one factor 1: the rows around a unit pivot are
        reduced to 0 in its column, so that column is a unit vector.  The
@@ -219,8 +260,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
        (Kannan-Bachem).  The first row of each new core is the old core's
        first column, ``(d, 0, ..., 0)``, so each round either splits off the
        first row and column (when d divides the old first row) or replaces d
-       by a proper divisor, and the loop ends.  Pairwise gcd/lcm swaps then
-       order the diagonal into a divisibility chain.
+       by a proper divisor, and the loop ends.  Each round is one HNF of the
+       k x k core, which holds only the rows whose pivot is not 1.  Pairwise
+       gcd/lcm swaps then order the diagonal into a divisibility chain.
 
     Python integers keep every intermediate value exact.
     """

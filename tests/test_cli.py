@@ -67,6 +67,26 @@ def test_analyze_finite_unit_rank(tmp_path, capsys):
     assert "criterion5 false\n" in out
 
 
+def test_analyze_prints_torsion_past_the_integer_string_limit(tmp_path, capsys):
+    # a doubled n-cycle has K0 = Z/(2^n - 1); 2^15000 - 1 has 4,516 digits,
+    # more than str() converts under the interpreter's default limit
+    n = 15_000
+    text = "".join(f"vertex v{i}\n" for i in range(n)) + "".join(
+        f"edge e{i}{k} v{i} v{(i + 1) % n}\n" for i in range(n) for k in "ab")
+    path = tmp_path / "doubled.txt"
+    path.write_text(text, encoding="utf-8")
+    assert run(["analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "rank_k0 0" and lines[2].startswith("torsion ")
+    digits = lines[2].removeprefix("torsion ")
+    assert len(digits) == 4516 and digits[0] != "0"
+    value = 0
+    for start in range(0, len(digits), 500):
+        chunk = digits[start:start + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == 2**n - 1
+
+
 def test_analyze_rejects_bad_unit_rank(tmp_path, capsys):
     assert run(["analyze", write_graph(tmp_path, rose2()), "--unit-rank", "-3"]) == 2
     capsys.readouterr()

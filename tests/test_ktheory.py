@@ -10,8 +10,11 @@ matrices too.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -20,7 +23,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leavitt.ktheory
-from conftest import arrow, funnel_into_cycle, graphs, random_graph, rose2, single_loop
+from conftest import (
+    arrow,
+    funnel_into_cycle,
+    graphs,
+    loops_and_chords,
+    looped_pair,
+    random_graph,
+    rose2,
+    single_loop,
+    triangle,
+    two_way_line,
+)
 from leavitt.cli import run
 from leavitt.graph import Edge, Graph, classify, parse_graph, serialize_graph
 from leavitt.ktheory import (
@@ -152,10 +166,44 @@ def test_int_matrix_rejects_non_integer():
         IntMatrix(((1.5,),))
 
 
+def test_int_matrix_keeps_its_width_without_nonzero_entries():
+    m = IntMatrix(((), ()))
+    assert (m.rows, m.cols) == (2, 0) and m.cells == ((), ()) and m.entries == ((), ())
+    assert IntMatrix(((0, 0),)) != IntMatrix(((0,),))
+    assert (IntMatrix(((0, 0),)).rows, IntMatrix(((0, 0),)).cols) == (1, 2)
+    assert (IntMatrix(()).rows, IntMatrix(()).cols) == (0, 0)
+
+
+def test_int_matrix_stores_each_rows_nonzero_entries_in_column_order():
+    m = IntMatrix([[0, 3, 0], [-1, 0, 2], [0, 0, 0]])
+    assert m.cells == (((1, 3),), ((0, -1), (2, 2)), ())
+    assert m.entries == ((0, 3, 0), (-1, 0, 2), (0, 0, 0))
+    assert (m.rows, m.cols) == (3, 3)
+    assert m == IntMatrix(m.entries) and hash(m) == hash(IntMatrix(m.entries))
+    assert m != IntMatrix([[0, 3, 0], [-1, 0, 2]])
+
+
+def test_int_matrix_survives_copy_and_pickle():
+    m = IntMatrix([[0, 3], [1, 0]])
+    for other in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert other == m and type(other) is IntMatrix and repr(other) == "IntMatrix(2x2)"
+
+
+def dense_presentation(g: Graph) -> list[list[int]]:
+    """I - A^t over the regular vertices, entry by entry from the edge list."""
+    regular = [w for w in g.vertices if any(e.src == w for e in g.edges)]
+    return [[int(v == w) - sum(e.src == w and e.dst == v for e in g.edges) for w in regular]
+            for v in g.vertices]
+
+
 def test_presentation_examples():
     assert presentation_matrix(arrow()).entries == ((1,), (-1,))
     assert presentation_matrix(single_loop()).entries == ((0,),)
     assert presentation_matrix(rose2()).entries == ((-1,),)
+    assert presentation_matrix(single_loop()).cells == ((),)
+    for g in (arrow(), single_loop(), rose2(), funnel_into_cycle(), triangle(), two_way_line(),
+              loops_and_chords(), looped_pair(), Graph(("a", "b"), ()), Graph((), ())):
+        assert presentation_matrix(g) == IntMatrix(dense_presentation(g)), g
 
 
 # ── Smith normal form against the oracles ─────────────────────────────────────
@@ -235,12 +283,45 @@ def test_snf_matches_sympy(kind):
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import invariant_factors
 
+    # sympy spends ~30 s on the sparse n = 100 draw, which has two nonunit
+    # factors; at n = 200 it ran for minutes
     rng = random.Random(f"sympy:{kind}")
-    for n in (20, 30, 40):
+    for n in (20, 30, 40, 60, 80, 100) if kind == "sparse" else (20, 30, 40):
         m = 3 * n if kind == "sparse" else n * n // 2
         b = presentation_matrix(sink_free_multigraph(rng, n, m, n // 5 if kind == "sinks" else 0))
         expected = invariant_factors(Matrix(b.entries), domain=ZZ)
         assert smith_normal_form(b) == tuple(abs(int(d)) for d in expected if d)
+
+
+_unit_rich = st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, -5))
+
+
+def _moved(rows: list[list[int]], rng: random.Random) -> list[list[int]]:
+    """The rows and columns of ``rows`` permuted and their signs flipped."""
+    r, c = len(rows), len(rows[0])
+    pr, pc = rng.sample(range(r), r), rng.sample(range(c), c)
+    sr, sc = [rng.choice((1, -1)) for _ in range(r)], [rng.choice((1, -1)) for _ in range(c)]
+    return [[sr[i] * sc[j] * rows[pr[i]][pc[j]] for j in range(c)] for i in range(r)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(lambda d: _shaped(*d, _unit_rich)),
+       st.integers(0, 2**32 - 1))
+def test_snf_does_not_depend_on_pivot_order(rows, seed):
+    # permuting rows and columns and flipping signs changes which ±1 the
+    # sparse stage meets first and in what order, but not the factors
+    assert smith_normal_form(IntMatrix(_moved(rows, random.Random(seed)))) == (
+        smith_normal_form(IntMatrix(rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_vertices=9, max_edges=24), st.integers(0, 2**32 - 1))
+def test_snf_does_not_depend_on_declaration_order(g, seed):
+    rng = random.Random(seed)
+    shuffled = Graph(tuple(rng.sample(g.vertices, len(g.vertices))),
+                     tuple(rng.sample(g.edges, len(g.edges))))
+    assert smith_normal_form(presentation_matrix(shuffled)) == (
+        smith_normal_form(presentation_matrix(g)))
 
 
 def test_snf_hnf_unit_pivots_drop_out(monkeypatch):
@@ -296,6 +377,35 @@ def test_snf_roadmap_gate():
         rank, d = bareiss(b.entries)
         assert len(factors) == rank
         assert prod(factors) == abs(d)
+
+
+def cycle(n: int, parallel: int) -> Graph:
+    """The n-cycle v0 -> v1 -> ... -> v0 with ``parallel`` edges at each step."""
+    vs = tuple(f"v{i}" for i in range(n))
+    return Graph(vs, tuple(Edge(f"e{i}_{k}", vs[i], vs[(i + 1) % n])
+                           for i in range(n) for k in range(parallel)))
+
+
+@pytest.mark.parametrize("parallel, torsion, rank_k0", [
+    (2, lambda n: (2**n - 1,), 0),  # I - 2P^t has determinant 1 - 2^n and cyclic cokernel
+    (1, lambda n: (), 1),           # I - P^t has rank n - 1
+], ids=["doubled", "plain"])
+def test_cycles_at_scale_in_closed_form(parallel, torsion, rank_k0):
+    # a dense n x n presentation would be 4 * 10^8 cells
+    n = 20_000
+    g = cycle(n, parallel)
+    start = time.perf_counter()
+    s = k_summary(g)
+    elapsed = time.perf_counter() - start
+    assert (s.torsion, s.rank_k0, s.singular_count) == (torsion(n), rank_k0, 0)
+    assert elapsed < 2.0, elapsed
+    tracemalloc.start()
+    try:
+        assert k_summary(g) == s
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, peak
 
 
 # ── rank formulas ─────────────────────────────────────────────────────────────

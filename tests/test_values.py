@@ -70,7 +70,8 @@ MAKERS.update(LpaElement=LpaElement, CkFamily=lambda: CkFamily({}, {}))
 
 @pytest.mark.parametrize("name, field", [
     ("Graph", "vertices"), ("PathSeq", "source"), ("MonoidElement", "counts"),
-    ("MoveRecord", "kind"), ("KSummary", "rank_k0"), ("IntMatrix", "entries"),
+    ("MoveRecord", "kind"), ("KSummary", "rank_k0"), ("IntMatrix", "cells"),
+    ("IntMatrix", "entries"),
     ("Forest", "roots"), ("LpaElement", "terms"), ("CkFamily", "vertex_images"),
 ])
 def test_attributes_cannot_be_set_or_deleted(name, field):
