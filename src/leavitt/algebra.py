@@ -33,24 +33,9 @@ from typing import Iterable, Mapping, NamedTuple
 from .graph import Edge, Graph, PathSeq, _frozen, path_in
 
 __all__ = [
-    "LpaElement",
-    "zero",
-    "element",
-    "vertex_element",
-    "path_element",
-    "monomial",
-    "star",
-    "designated_edge",
-    "normal_form",
-    "equals",
-    "degree",
-    "CkFamily",
-    "CkReport",
-    "verify_ck_family",
-    "parse_element",
-    "format_element",
-    "parse_family",
-    "format_family",
+    "LpaElement", "zero", "element", "vertex_element", "path_element", "monomial", "star",
+    "designated_edge", "normal_form", "equals", "degree", "CkFamily", "CkReport",
+    "verify_ck_family", "parse_element", "format_element", "parse_family", "format_family",
 ]
 
 
@@ -82,24 +67,18 @@ class LpaElement:
         return bool(self.terms)
 
     def __add__(self, other: "LpaElement") -> "LpaElement":
-        return _combine(self, other, operator.add)
+        return _nonzero(_combine(self, other, operator.add))
 
     def __neg__(self) -> "LpaElement":
         return self.scaled(-1)
 
     def __sub__(self, other: "LpaElement") -> "LpaElement":
-        return _combine(self, other, operator.sub)
+        return _nonzero(_combine(self, other, operator.sub))
 
     def __mul__(self, other):
         if not isinstance(other, LpaElement):
             return self.scaled(other)
-        acc: dict[tuple[PathSeq, PathSeq], int | Fraction] = {}
-        for (alpha, beta), c in self.terms.items():
-            for (gamma, delta), d in other.terms.items():
-                key = _term_product(alpha, beta, gamma, delta)
-                if key is not None:
-                    acc[key] = acc.get(key, 0) + c * d
-        return _nonzero(acc)
+        return _nonzero(_product_into({}, self, other))
 
     def __rmul__(self, other) -> "LpaElement":
         return self.scaled(other)
@@ -127,17 +106,28 @@ def _nonzero(acc: dict) -> LpaElement:
     return LpaElement({k: c if type(c) is int else _scalar(c) for k, c in acc.items() if c})
 
 
-def _combine(x: LpaElement, y: LpaElement, op) -> LpaElement:
-    """``x + y`` or ``x - y``, as ``op`` is ``operator.add`` or ``operator.sub``."""
+def _combine(x: LpaElement, y: LpaElement, op) -> dict:
+    """The term map of ``x + y`` or ``x - y`` (``op`` is ``operator.add`` or ``sub``), zeros kept."""
     acc = dict(x.terms)
     for k, c in y.terms.items():
         acc[k] = op(acc.get(k, 0), c)
-    return _nonzero(acc)
+    return acc
+
+
+def _product_into(acc: dict, x: LpaElement, y: LpaElement) -> dict:
+    """Add the terms of ``x * y`` into the term map ``acc``, and return it."""
+    for (alpha, beta), c in x.terms.items():
+        for (gamma, delta), d in y.terms.items():
+            key = _term_product(alpha, beta, gamma, delta)
+            if key is not None:
+                acc[key] = acc.get(key, 0) + c * d
+    return acc
 
 
 def _term_product(alpha: PathSeq, beta: PathSeq, gamma: PathSeq, delta: PathSeq):
     """(alpha beta*)(gamma delta*) by prefix cancellation: the key of the
-    product term, or None when it is 0."""
+    product term, or None when it is 0.  A longer path is a checked path grown
+    by the rest of the other inner path, so only the new joint is checked."""
     if beta.source != gamma.source:
         return None
     m, k = len(beta.edges), len(gamma.edges)
@@ -145,11 +135,15 @@ def _term_product(alpha: PathSeq, beta: PathSeq, gamma: PathSeq, delta: PathSeq)
         if beta.edges != gamma.edges[:m]:
             return None
         if m < k:
-            alpha = PathSeq(alpha.source, alpha.edges + gamma.edges[m:])
+            if alpha.target != beta.target:
+                raise ValueError(f"edge {gamma.edges[m].name!r} does not start where the path ends")
+            alpha = tuple.__new__(PathSeq, (alpha.source, alpha.edges + gamma.edges[m:], gamma.target))
         return alpha, delta
     if gamma.edges != beta.edges[:k]:
         return None
-    return alpha, PathSeq(delta.source, delta.edges + beta.edges[k:])
+    if delta.target != gamma.target:
+        raise ValueError(f"edge {beta.edges[k].name!r} does not start where the path ends")
+    return alpha, tuple.__new__(PathSeq, (delta.source, delta.edges + beta.edges[k:], beta.target))
 
 
 def zero() -> LpaElement:
@@ -215,8 +209,13 @@ def normal_form(g: Graph, x: LpaElement) -> LpaElement:
     one plus tail-irreducible ones of equal length; the result is
     independent of rewrite order (checked by the confluence tests).
     """
+    return _nonzero(_rewritten(g, list(x.terms.items())))
+
+
+def _rewritten(g: Graph, work: list) -> dict:
+    """The term map of the ``(key, coeff)`` pairs in ``work`` rewritten to the
+    normal form; sums that cancel stay in it as zeros."""
     designated, out = g._designated, g._out
-    work = list(x.terms.items())
     acc: dict[tuple[PathSeq, PathSeq], int | Fraction] = {}
     while work:
         key, c = work.pop()
@@ -229,12 +228,24 @@ def normal_form(g: Graph, x: LpaElement) -> LpaElement:
                 work.extend(((a0.extend(e), b0.extend(e)), -c) for e in out[f.src] if e != f)
                 continue
         acc[key] = acc.get(key, 0) + c
-    return _nonzero(acc)
+    return acc
+
+
+def _cancels(g: Graph, acc: dict) -> bool:
+    """Whether the term map ``acc`` is 0 in the algebra: its nonzero terms
+    are rewritten toward the normal form, where every coefficient cancels."""
+    work = [kc for kc in acc.items() if kc[1]]
+    return not work or not any(_rewritten(g, work).values())
 
 
 def equals(g: Graph, x: LpaElement, y: LpaElement) -> bool:
-    """Equality in the algebra: the difference reduces to zero."""
-    return not normal_form(g, x - y)
+    """Equality in the algebra, as one zero test: the term map of ``x - y`` is
+    rewritten toward the normal form, and every coefficient must cancel.  No
+    element is built for the difference or its normal form.
+    ``verify_ck_family`` costs one accumulation per relation whose product
+    can be nonzero (a map seeded with minus the expected side, the product
+    added into it) and one such zero test each."""
+    return _cancels(g, _combine(x, y, operator.sub))
 
 
 def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]) -> int | None:
@@ -246,15 +257,11 @@ def degree(g: Graph, x: LpaElement, weights: Mapping[str, int]) -> int | None:
     nf = normal_form(g, x)
     if not nf:
         return 0
-    degs = set()
-    for left, right in nf.terms:
-        try:
-            d = sum(weights[e.name] for e in left.edges) - sum(
-                weights[e.name] for e in right.edges
-            )
-        except KeyError as exc:
-            raise ValueError(f"weight map is missing edge {exc.args[0]!r}") from None
-        degs.add(d)
+    try:
+        degs = {sum(weights[e.name] for e in left.edges) - sum(weights[e.name] for e in right.edges)
+                for left, right in nf.terms}
+    except KeyError as exc:
+        raise ValueError(f"weight map is missing edge {exc.args[0]!r}") from None
     return degs.pop() if len(degs) == 1 else None
 
 
@@ -310,12 +317,13 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
     """Check that the family satisfies the defining relations of the target's
     algebra inside the host algebra.
 
-    Checks, term by term via normal forms: vertex images are nonzero pairwise
+    Checks that vertex images are nonzero (by their normal forms) pairwise
     orthogonal idempotents; edge images absorb their endpoint idempotents on
     both sides (and so do their stars); distinct edges are *-orthogonal with
     ``T_e* T_e`` the range idempotent; and every emitting target vertex splits
-    as the sum of ``T_e T_e*`` over its edges.  The report names each failed
-    relation.
+    as the sum of ``T_e T_e*`` over its edges.  Each relation is one
+    accumulation and one zero test (see :func:`equals`).  The report names
+    each failed relation.
     """
     missing = [v for v in target.vertices if v not in family.vertex_images]
     missing += [e.name for e in target.edges if e.name not in family.edge_images]
@@ -328,6 +336,14 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
     ts = {name: star(te) for name, te in t.items()}
     fails: list[str] = []
 
+    def holds(want: LpaElement | None, *products: tuple[LpaElement, LpaElement]) -> bool:
+        # the sum of the products equals want (None for 0): one term map,
+        # seeded with -want, takes every product, and all of it must cancel
+        acc = {} if want is None else {k: -c for k, c in want.terms.items()}
+        for x, y in products:
+            _product_into(acc, x, y)
+        return _cancels(host, acc)
+
     def pairs(kind, names, lefts, rights, diagonal) -> None:
         # lefts[i] * rights[j] must be diagonal[i] when i == j and 0 otherwise.
         # An off-diagonal pair whose factors do not meet multiplies to exactly
@@ -335,7 +351,7 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
         # in (i, j) order.
         for i, meets in enumerate(_meeting(lefts, rights)):
             for j in sorted(meets | {i}):
-                if not equals(host, lefts[i] * rights[j], diagonal[i] if i == j else zero()):
+                if not holds(diagonal[i] if i == j else None, (lefts[i], rights[j])):
                     fails.append(f"{kind}: {names[i]},{names[j]}")
 
     for v in vs:
@@ -344,22 +360,16 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
     qs = [q[v] for v in vs]
     pairs("orthogonal idempotents", vs, qs, qs, qs)
     for e in es:
-        te = t[e.name]
-        if not equals(host, q[e.src] * te, te) or not equals(host, te * q[e.dst], te):
+        te, se = t[e.name], ts[e.name]
+        if not holds(te, (q[e.src], te)) or not holds(te, (te, q[e.dst])):
             fails.append(f"absorption: {e.name}")
-        se = ts[e.name]
-        if not equals(host, q[e.dst] * se, se) or not equals(host, se * q[e.src], se):
+        if not holds(se, (q[e.dst], se)) or not holds(se, (se, q[e.src])):
             fails.append(f"ghost absorption: {e.name}")
     names = [e.name for e in es]
     pairs("CK-1", names, [ts[n] for n in names], [t[n] for n in names], [q[e.dst] for e in es])
     for v in vs:
         outs = target.out_edges(v)
-        if not outs:
-            continue
-        total = zero()
-        for e in outs:
-            total = total + t[e.name] * ts[e.name]
-        if not equals(host, q[v], total):
+        if outs and not holds(q[v], *((t[e.name], ts[e.name]) for e in outs)):
             fails.append(f"CK-2: {v}")
     return CkReport(ok=not fails, failures=tuple(fails))
 
@@ -469,18 +479,14 @@ def format_element(x: LpaElement) -> str:
     if not x.terms:
         return "0"
     parts: list[str] = []
-    for i, ((left, right), c) in enumerate(sorted(x.terms.items(), key=_term_order)):
+    for (left, right), c in sorted(x.terms.items(), key=_term_order):
         body = left.label()
         if right.edges:
             body += f" ; {right.label()}"
         mag = abs(c)
-        if mag != 1:
-            body = f"{mag} * {body}"
-        if i == 0:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts)
+        parts.append(("+ " if c > 0 else "- ") + (body if mag == 1 else f"{mag} * {body}"))
+    text = " ".join(parts)  # "+ a - b": the first sign is written "" or "-"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def parse_family(text: str, host: Graph) -> tuple[Graph, CkFamily]:
@@ -514,21 +520,14 @@ def parse_family(text: str, host: Graph) -> tuple[Graph, CkFamily]:
             edges.append(Edge(parts[1], parts[2], parts[3]))
             eimg[parts[1]] = parse_element(host, rhs.strip())
         else:
-            raise ValueError(
-                f"line {lineno}: expected 'vertex <name> = <element>' or "
-                "'edge <name> <src> <dst> = <element>'"
-            )
+            raise ValueError(f"line {lineno}: expected 'vertex <name> = <element>' or "
+                             "'edge <name> <src> <dst> = <element>'")
     return Graph(tuple(vertices), tuple(edges)), CkFamily(vimg, eimg)
 
 
 def format_family(target: Graph, family: CkFamily) -> str:
     """Write a family in the file format read back by :func:`parse_family`."""
-    lines = [
-        f"vertex {v} = {format_element(family.vertex_images[v])}"
-        for v in target.vertices
-    ]
-    lines += [
-        f"edge {e.name} {e.src} {e.dst} = {format_element(family.edge_images[e.name])}"
-        for e in target.edges
-    ]
-    return "".join(line + "\n" for line in lines)
+    lines = [f"vertex {v} = {format_element(family.vertex_images[v])}\n" for v in target.vertices]
+    lines += [f"edge {e.name} {e.src} {e.dst} = {format_element(family.edge_images[e.name])}\n"
+              for e in target.edges]
+    return "".join(lines)

@@ -358,11 +358,20 @@ def serialize_graph(g: Graph) -> str:
 
 
 def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a."""
+    """64-bit FNV-1a, eight bytes per step with one mask.
+
+    The low 64 bits of a product depend only on the low 64 bits of its
+    factors, and XOR with a byte touches only the low byte, so masking once
+    per eight bytes gives the digest of masking after every byte.
+    """
     h = 0xCBF29CE484222325
-    for b in data:
-        h ^= b
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    it = iter(data)
+    for b0, b1, b2, b3, b4, b5, b6, b7 in zip(it, it, it, it, it, it, it, it):
+        h = (((((((((h ^ b0) * 0x100000001B3 ^ b1) * 0x100000001B3 ^ b2) * 0x100000001B3 ^ b3)
+                  * 0x100000001B3 ^ b4) * 0x100000001B3 ^ b5) * 0x100000001B3 ^ b6)
+               * 0x100000001B3 ^ b7) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    for b in data[len(data) - len(data) % 8:]:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
 

@@ -314,6 +314,40 @@ def test_associativity_sampled():
         assert (a * b) * c == a * (b * c)
 
 
+def test_product_checks_the_one_new_joint():
+    # LpaElement(terms) does not check its map, so a term whose paths end
+    # apart can reach a product; growing one of its paths across the broken
+    # joint raises, as building the path through PathSeq(...) does
+    g = funnel_into_cycle()
+    g1, a = g.edge("g1"), g.edge("a")
+    bad = (PathSeq("5", (g1,)), PathSeq("1"))  # ends at 4 and at 1
+    at_1, along_a = PathSeq("1"), PathSeq("1", (a,))
+    with pytest.raises(ValueError, match="'a' does not start where the path ends"):
+        LpaElement({bad: 1}) * LpaElement({(along_a, PathSeq("3")): 1})
+    with pytest.raises(ValueError, match="'a' does not start where the path ends"):
+        LpaElement({(PathSeq("3"), along_a): 1}) * LpaElement({bad[::-1]: 1})
+    with pytest.raises(ValueError):
+        PathSeq("5", (g1, a))
+    # the same shapes with matching ranges multiply
+    good = LpaElement({(at_1, at_1): 1})
+    assert good * LpaElement({(along_a, PathSeq("3")): 1}) == path_element(g, ["a"])
+    assert LpaElement({(PathSeq("3"), along_a): 1}) * good == star(path_element(g, ["a"]))
+
+
+def test_product_keys_are_checked_paths():
+    rng = random.Random(61)
+    grown = 0
+    for g in (funnel_into_cycle(), two_way_line(), rose2()):
+        for _ in range(100):
+            x, y = random_element(g, rng, max_terms=4), random_element(g, rng, max_terms=4)
+            paths = {p for key in [*x.terms, *y.terms] for p in key}
+            for key in (x * y).terms:
+                for p in key:
+                    assert PathSeq(p.source, p.edges) == p
+                    grown += p not in paths
+    assert grown > 250, grown  # paths the product grew, not only ones it was given
+
+
 def test_star_involution_and_antimultiplicativity():
     rng = random.Random(6)
     g = funnel_into_cycle()
@@ -558,35 +592,62 @@ def test_family_ck2_flagged():
 # ── the products verify skips ─────────────────────────────────────────────────
 
 
+def ref_normal_form(g: Graph, terms: dict) -> dict:
+    """A term map rewritten to its normal form, written out afresh: the
+    designated edge is re-derived as the least-named out-edge, every path is
+    built through the checking ``PathSeq(...)`` constructor, and every
+    coefficient is a Fraction."""
+    out: dict = {}
+    work = [(key, Fraction(c)) for key, c in terms.items()]
+    while work:
+        (a, b), c = work.pop()
+        if a.edges and b.edges and a.edges[-1] == b.edges[-1]:
+            f, outs = a.edges[-1], g.out_edges(a.edges[-1].src)
+            if f.name == min(e.name for e in outs):
+                work.append(((PathSeq(a.source, a.edges[:-1]), PathSeq(b.source, b.edges[:-1])), c))
+                work += [((PathSeq(a.source, a.edges[:-1] + (e,)), PathSeq(b.source, b.edges[:-1] + (e,))), -c)
+                         for e in outs if e.name != f.name]
+                continue
+        out[a, b] = out.get((a, b), Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
 def all_pairs_verify(target: Graph, family: CkFamily, host: Graph) -> CkReport:
-    """The relation checker with every (v, w) and (e, f) product formed: the
+    """The relation checker with every (v, w) and (e, f) product formed, each
+    by the reference product ``ref_mul`` and compared by ``ref_normal_form``
+    of the difference, so it shares no arithmetic with the library: the
     reference that ``verify_ck_family``, which skips the pairs that cannot
     meet, must agree with line for line."""
-    q, t = family.vertex_images, family.edge_images
+    q = {v: x.terms for v, x in family.vertex_images.items()}
+    t = {name: x.terms for name, x in family.edge_images.items()}
+
+    def same(x: dict, y: dict) -> bool:
+        return not ref_normal_form(host, ref_combine(x, y, -1))
+
     fails = [f"nonzero: vertex image {v} reduces to 0"
-             for v in target.vertices if not normal_form(host, q[v])]
+             for v in target.vertices if not ref_normal_form(host, q[v])]
     for v in target.vertices:
         for w in target.vertices:
-            if not equals(host, q[v] * q[w], q[v] if v == w else zero()):
+            if not same(ref_mul(q[v], q[w]), q[v] if v == w else {}):
                 fails.append(f"orthogonal idempotents: {v},{w}")
     for e in target.edges:
-        te, se = t[e.name], star(t[e.name])
-        if not equals(host, q[e.src] * te, te) or not equals(host, te * q[e.dst], te):
+        te, se = t[e.name], ref_star(t[e.name])
+        if not same(ref_mul(q[e.src], te), te) or not same(ref_mul(te, q[e.dst]), te):
             fails.append(f"absorption: {e.name}")
-        if not equals(host, q[e.dst] * se, se) or not equals(host, se * q[e.src], se):
+        if not same(ref_mul(q[e.dst], se), se) or not same(ref_mul(se, q[e.src]), se):
             fails.append(f"ghost absorption: {e.name}")
     for e in target.edges:
         for f in target.edges:
-            want = q[e.dst] if e.name == f.name else zero()
-            if not equals(host, star(t[e.name]) * t[f.name], want):
+            want = q[e.dst] if e.name == f.name else {}
+            if not same(ref_mul(ref_star(t[e.name]), t[f.name]), want):
                 fails.append(f"CK-1: {e.name},{f.name}")
     for v in target.vertices:
         outs = target.out_edges(v)
         if outs:
-            total = zero()
+            total: dict = {}
             for e in outs:
-                total = total + t[e.name] * star(t[e.name])
-            if not equals(host, q[v], total):
+                total = ref_combine(total, ref_mul(t[e.name], ref_star(t[e.name])), 1)
+            if not same(q[v], total):
                 fails.append(f"CK-2: {v}")
     return CkReport(ok=not fails, failures=tuple(fails))
 
@@ -650,6 +711,53 @@ def test_verify_matches_all_pairs_reference():
     assert failing >= 36  # the doubled corner families and the random ones
 
 
+# Rational orthogonal matrices (U U^t = I): mixing a group of parallel edges
+# e_1..e_k by one, T_{e_i} = sum_j U_ij e_j, is again a Cuntz-Krieger family,
+# and its relations hold only once the products' Fraction coefficients are
+# summed, e.g. 1/9 + 4/9 + 4/9 = 1 in T_e* T_e.  The skewed matrices have
+# rows that are neither unit nor orthogonal, so the mix breaks CK-1 and CK-2.
+ORTHOGONAL = {2: ((Fraction(3, 5), Fraction(4, 5)), (Fraction(-4, 5), Fraction(3, 5))),
+              3: tuple(tuple(Fraction(c, 3) for c in row) for row in ((1, 2, 2), (2, 1, -2), (2, -2, 1)))}
+SKEWED = {2: ((Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3))),
+          3: tuple(tuple(Fraction(c, 3) for c in row) for row in ((1, 2, 2), (2, 1, 2), (2, 2, 1)))}
+
+
+def mixed_cases(seed: int, count: int) -> list[tuple[Graph, CkFamily, Graph]]:
+    """Seeded ``(host, family, host)`` triples: the identity family of a random
+    multigraph with groups of two or three parallel edges, each group mixed by
+    ``ORTHOGONAL``; in every other case one group is mixed by ``SKEWED``."""
+    rng = random.Random(seed)
+    cases: list = []
+    while len(cases) < count:
+        vs = [f"v{i}" for i in range(rng.randint(1, 4))]
+        groups = []
+        for i in range(rng.randint(1, 2 * len(vs))):
+            a, b, k = rng.choice(vs), rng.choice(vs), rng.choice((1, 2, 3))
+            groups.append([Edge(f"e{i}{j}", a, b) for j in "xyz"[:k]])
+        wide = [group for group in groups if len(group) > 1]
+        if not wide:
+            continue
+        skewed = rng.choice(wide) if len(cases) % 2 else None
+        g = Graph(vs, [e for group in groups for e in group])
+        images = {}
+        for group in groups:
+            u = ((1,),) if len(group) == 1 else (SKEWED if group is skewed else ORTHOGONAL)[len(group)]
+            for row, e in zip(u, group):
+                images[e.name] = element((c, PathSeq(f.src, (f,)), PathSeq(f.dst)) for c, f in zip(row, group))
+        cases.append((g, CkFamily({v: vertex_element(g, v) for v in vs}, images), g))
+    return cases
+
+
+def test_verify_matches_all_pairs_reference_on_fraction_mixed_families():
+    ok = 0
+    for target, fam, host in mixed_cases(31, 60):
+        assert any(type(c) is Fraction for x in fam.edge_images.values() for c in x.terms.values())
+        report = verify_ck_family(target, fam, host)
+        assert report == all_pairs_verify(target, fam, host)
+        ok += report.ok
+    assert ok == 30  # every orthogonal mix passes and every skewed one fails
+
+
 def corner_case_159():
     """A seeded single-root corner family of 159 edges, all its coefficients
     ±1: ``(host, forest, corner graph, family)``."""
@@ -670,9 +778,12 @@ def test_verify_products_linear_in_family_size(monkeypatch):
     v, e = len(target.vertices), len(target.edges)
     assert (v, e) == (12, 159)
 
-    calls = []
-    real_mul = LpaElement.__mul__
-    monkeypatch.setattr(LpaElement, "__mul__", lambda x, y: calls.append(1) or real_mul(x, y))
+    import leavitt.algebra
+
+    calls = []  # every product, whether x * y or one added into a relation's term map
+    real_product = leavitt.algebra._product_into
+    monkeypatch.setattr(leavitt.algebra, "_product_into",
+                        lambda acc, x, y: calls.append(1) or real_product(acc, x, y))
     assert verify_ck_family(target, fam, g).ok
 
     def nested(us) -> int:

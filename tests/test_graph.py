@@ -166,6 +166,26 @@ def test_hash_matches_published_fnv1a64_vectors():
     assert graph_hash(line) == "b2fa9e490635ae24"  # the README's line.txt
 
 
+def fnv1a64_bytewise(data: bytes) -> int:
+    """64-bit FNV-1a as published: one byte per step, masked after each."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) % 2**64
+    return h
+
+
+def test_hash_matches_bytewise_fnv1a64():
+    # fnv1a64 steps eight bytes with one mask; lengths 0..17 cover every
+    # tail length after zero and after one full step, and two full steps
+    rng = random.Random(7)
+    for n in range(18):
+        for _ in range(20):
+            data = bytes(rng.randrange(256) for _ in range(n))
+            assert fnv1a64(data) == fnv1a64_bytewise(data), data
+    data = rng.randbytes(100_000)
+    assert fnv1a64(data) == fnv1a64_bytewise(data)
+
+
 # ── paths ─────────────────────────────────────────────────────────────────────
 
 
