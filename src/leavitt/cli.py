@@ -22,8 +22,10 @@ stdout or ``--output``.  Reports are ``key value`` lines.  Exit codes: 0 on
 success, 1 on a domain error (one-line diagnostic on stderr) or a failed
 verification, 2 on usage errors.
 
-Each leaf parser names its handler, and each handler imports the modules
-it runs, so a process pays at start-up only for its own command.
+One table, ``_TABLE``, names each command path once with its help, its
+handler and its arguments; the parser is built from it.  Each handler
+imports the modules it runs, so a process pays at start-up only for its own
+command.
 """
 
 from __future__ import annotations
@@ -91,135 +93,6 @@ def _digits(d: int) -> str:
 
 def _vertex_list(text: str) -> list[str]:
     return text.split(",")
-
-
-_VERTEX = ("vertex", {})
-_N = ("n", {"type": _positive_int})
-# name, help, the arguments after <graph>, and the leavitt.moves function
-_MOVE_COMMANDS = (
-    ("expand-hereditary", "replace the complement of a hereditary set by path vertices",
-     [("vertices", {"type": _vertex_list, "help": "comma-separated hereditary vertex set"})],
-     "expand_hereditary"),
-    ("attach-head", "attach a head of length n", [_VERTEX, _N], "attach_head"),
-    ("subdivide", "subdivide an edge into n+1 pieces", [("edge", {}), _N], "subdivide_edge"),
-    ("attach-sources", "attach n new sources aimed at a vertex", [_VERTEX, _N],
-     "attach_sources"),
-    ("eliminate-source", "remove a source and its edges", [_VERTEX], "eliminate_source"),
-    ("matrix", "the n x n matrix form: a head of length n-1 at every vertex", [_N],
-     "matrix_graph"),
-)
-
-
-# each command in help order, with its leaves in help order
-_COMMANDS = {"analyze": (), "move": tuple(row[0] for row in _MOVE_COMMANDS), "desourcify": (),
-             "corner": (), "verify": (), "monoid": ("equiv", "full", "rebalance")}
-
-
-def _command_path(argv: list[str]) -> tuple[str, ...]:
-    """The command, with its leaf if it has leaves, that ``argv`` starts
-    with; ``()`` when its first tokens name none."""
-    leaves = _COMMANDS.get(argv[0]) if argv else None
-    if leaves == ():
-        return (argv[0],)
-    return tuple(argv[:2]) if leaves and len(argv) > 1 and argv[1] in leaves else ()
-
-
-@functools.lru_cache(maxsize=None)
-def _build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and path: parsing
-    keeps no state in it between calls.  ``()`` builds the whole tree; a
-    path from ``_command_path`` builds only the parsers along it, whose
-    usage lines still list every choice, so an argv that starts with the
-    path parses, fails and prints as it would on the whole tree."""
-
-    def wanted(name: str, depth: int = 0) -> bool:
-        return not path or path[depth] == name
-
-    def choices(parser, dest: str, names) -> argparse._SubParsersAction:
-        return parser.add_subparsers(dest=dest, required=True,
-                                     metavar="{" + ",".join(names) + "}" if path else None)
-
-    top = argparse.ArgumentParser(
-        prog="leavitt",
-        description="Graph moves, corners, K-theory and monoid tools "
-        "for Leavitt path algebras.",
-    )
-    sub = choices(top, "command", _COMMANDS)
-
-    if wanted("analyze"):
-        p = sub.add_parser("analyze", help="K-theory ranks and classification verdicts")
-        p.set_defaults(run=_cmd_analyze)
-        p.add_argument("graph")
-        p.add_argument("--unit-rank", type=_unit_rank, default=0,
-                       help="rank of the coefficient field's unit group "
-                            "(nonnegative integer or 'inf'; default 0)")
-
-    if wanted("move"):
-        p = sub.add_parser("move", help="apply one isomorphism-preserving graph move")
-        movesub = choices(p, "move", _COMMANDS["move"])
-        for name, help, params, fn in _MOVE_COMMANDS:
-            if not wanted(name, 1):
-                continue
-            m = movesub.add_parser(name, help=help)
-            m.set_defaults(run=functools.partial(_cmd_move, fn, [dest for dest, _ in params]))
-            m.add_argument("graph")
-            for dest, kwargs in params:
-                m.add_argument(dest, **kwargs)
-            m.add_argument("--output")
-
-    if wanted("desourcify"):
-        p = sub.add_parser("desourcify", help="eliminate all sources, then repair the "
-                           "head degrees by subdivision")
-        p.set_defaults(run=_cmd_desourcify)
-        p.add_argument("graph")
-        p.add_argument("--trace", help="write the move trace to this file")
-        p.add_argument("--output")
-
-    if wanted("corner"):
-        p = sub.add_parser("corner", help="corner graph cut out by a directed forest")
-        p.set_defaults(run=_cmd_corner)
-        p.add_argument("graph")
-        p.add_argument("--roots", type=_vertex_list, required=True,
-                       help="comma-separated root vertices")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--emit-family", action="store_true",
-                           help="print the corner generators' images instead")
-        group.add_argument("--emit-weights", action="store_true",
-                           help="print the grading weights instead")
-        p.add_argument("--output")
-
-    if wanted("verify"):
-        p = sub.add_parser("verify", help="check a generator family against the "
-                           "defining relations")
-        p.set_defaults(run=_cmd_verify)
-        p.add_argument("graph", help="host graph the images live in")
-        p.add_argument("family", help="family file (vertex/edge lines with elements)")
-
-    if wanted("monoid"):
-        p = sub.add_parser("monoid", help="graph monoid computations")
-        monsub = choices(p, "monoid", _COMMANDS["monoid"])
-        if wanted("equiv", 1):
-            m = monsub.add_parser("equiv", help="bounded search for a relation chain")
-            m.add_argument("graph")
-            m.add_argument("a")
-            m.add_argument("b")
-            m.add_argument("--steps", type=_positive_int, default=8,
-                           help="total step bound (default 8)")
-            m.add_argument("--size", type=_positive_int, default=64,
-                           help="total multiplicity bound (default 64)")
-        if wanted("full", 1):
-            m = monsub.add_parser("full", help="is the element's closure everything?")
-            m.add_argument("graph")
-            m.add_argument("element")
-        if wanted("rebalance", 1):
-            m = monsub.add_parser("rebalance", help="expand a full element until every "
-                                  "vertex is covered")
-            m.add_argument("graph")
-            m.add_argument("element")
-        for m in monsub.choices.values():
-            m.set_defaults(run=_cmd_monoid)
-
-    return top
 
 
 def _cmd_analyze(args) -> int:
@@ -298,28 +171,136 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_monoid(args) -> int:
-    from .monoid import (Equivalent, equivalent, format_monoid, is_full, parse_monoid,
-                         rebalance_full)
+def _cmd_equiv(args) -> int:
+    from .monoid import Equivalent, equivalent, parse_monoid
 
     g = parse_graph(_read_text(args.graph))
-    if args.monoid == "equiv":
-        a = parse_monoid(g, args.a)
-        b = parse_monoid(g, args.b)
-        outcome = equivalent(g, a, b, args.steps, args.size)
-        if isinstance(outcome, Equivalent):
-            sys.stdout.write(f"equivalent true\nsteps {outcome.steps}\n")
-        else:
-            sys.stdout.write("equivalent unknown\n"
-                             f"exhausted {str(outcome.exhausted).lower()}\n")
-        return 0
-    m = parse_monoid(g, args.element)
-    if args.monoid == "full":
-        sys.stdout.write(f"full {str(is_full(g, m)).lower()}\n")
-        return 0
-    out = rebalance_full(g, m)
+    a = parse_monoid(g, args.a)
+    b = parse_monoid(g, args.b)
+    outcome = equivalent(g, a, b, args.steps, args.size)
+    if isinstance(outcome, Equivalent):
+        sys.stdout.write(f"equivalent true\nsteps {outcome.steps}\n")
+    else:
+        sys.stdout.write(f"equivalent unknown\nexhausted {str(outcome.exhausted).lower()}\n")
+    return 0
+
+
+def _cmd_full(args) -> int:
+    from .monoid import is_full, parse_monoid
+
+    g = parse_graph(_read_text(args.graph))
+    sys.stdout.write(f"full {str(is_full(g, parse_monoid(g, args.element))).lower()}\n")
+    return 0
+
+
+def _cmd_rebalance(args) -> int:
+    from .monoid import format_monoid, parse_monoid, rebalance_full
+
+    g = parse_graph(_read_text(args.graph))
+    out = rebalance_full(g, parse_monoid(g, args.element))
     sys.stdout.write(f"result {format_monoid(out)}\n")
     return 0
+
+
+_GRAPH, _ELEMENT, _OUTPUT = ("graph", {}), ("element", {}), ("--output", {})
+_VERTEX, _N = ("vertex", {}), ("n", {"type": _positive_int})
+
+
+def _move(help: str, fn: str, *params) -> tuple:
+    """The row of a move that prints ``leavitt.moves.<fn>(graph, *params)``."""
+    handler = functools.partial(_cmd_move, fn, [dest for dest, _ in params])
+    return help, handler, [_GRAPH, *params, _OUTPUT]
+
+
+# Every command path in help order, each after its parent: its help (for the
+# root, the description), its handler (None where leaves follow) and its
+# arguments as (name, add_argument keywords); a list of them is a mutually
+# exclusive group.
+_TABLE = {
+    (): ("Graph moves, corners, K-theory and monoid tools for Leavitt path algebras.", None, []),
+    ("analyze",): ("K-theory ranks and classification verdicts", _cmd_analyze, [
+        _GRAPH, ("--unit-rank", {"type": _unit_rank, "default": 0,
+                                 "help": "rank of the coefficient field's unit group "
+                                         "(nonnegative integer or 'inf'; default 0)"})]),
+    ("move",): ("apply one isomorphism-preserving graph move", None, []),
+    ("move", "expand-hereditary"): _move(
+        "replace the complement of a hereditary set by path vertices", "expand_hereditary",
+        ("vertices", {"type": _vertex_list, "help": "comma-separated hereditary vertex set"})),
+    ("move", "attach-head"): _move("attach a head of length n", "attach_head", _VERTEX, _N),
+    ("move", "subdivide"): _move("subdivide an edge into n+1 pieces", "subdivide_edge",
+                                 ("edge", {}), _N),
+    ("move", "attach-sources"): _move("attach n new sources aimed at a vertex",
+                                      "attach_sources", _VERTEX, _N),
+    ("move", "eliminate-source"): _move("remove a source and its edges", "eliminate_source",
+                                        _VERTEX),
+    ("move", "matrix"): _move("the n x n matrix form: a head of length n-1 at every vertex",
+                              "matrix_graph", _N),
+    ("desourcify",): (
+        "eliminate all sources, then repair the head degrees by subdivision", _cmd_desourcify,
+        [_GRAPH, ("--trace", {"help": "write the move trace to this file"}), _OUTPUT]),
+    ("corner",): ("corner graph cut out by a directed forest", _cmd_corner, [
+        _GRAPH, ("--roots", {"type": _vertex_list, "required": True,
+                             "help": "comma-separated root vertices"}),
+        [("--emit-family", {"action": "store_true",
+                            "help": "print the corner generators' images instead"}),
+         ("--emit-weights", {"action": "store_true",
+                             "help": "print the grading weights instead"})],
+        _OUTPUT]),
+    ("verify",): ("check a generator family against the defining relations", _cmd_verify, [
+        ("graph", {"help": "host graph the images live in"}),
+        ("family", {"help": "family file (vertex/edge lines with elements)"})]),
+    ("monoid",): ("graph monoid computations", None, []),
+    ("monoid", "equiv"): ("bounded search for a relation chain", _cmd_equiv, [
+        _GRAPH, ("a", {}), ("b", {}),
+        ("--steps", {"type": _positive_int, "default": 8, "help": "total step bound (default 8)"}),
+        ("--size", {"type": _positive_int, "default": 64,
+                    "help": "total multiplicity bound (default 64)"})]),
+    ("monoid", "full"): ("is the element's closure everything?", _cmd_full, [_GRAPH, _ELEMENT]),
+    ("monoid", "rebalance"): ("expand a full element until every vertex is covered",
+                              _cmd_rebalance, [_GRAPH, _ELEMENT]),
+}
+
+
+def _command_path(argv: list[str]) -> tuple[str, ...]:
+    """The command, with its leaf if it has leaves, that ``argv`` starts
+    with; ``()`` when its first tokens name none."""
+    for n in (2, 1):
+        row = _TABLE.get(tuple(argv[:n]))
+        if row is not None and row[1] is not None:
+            return tuple(argv[:n])
+    return ()
+
+
+@functools.lru_cache(maxsize=None)
+def _build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and path: parsing
+    keeps no state in it between calls.  ``()`` builds the whole tree; a
+    path from ``_command_path`` builds only the parsers along it, whose
+    usage lines still list every choice, so an argv that starts with the
+    path parses, fails and prints as it would on the whole tree."""
+    subparsers: dict[tuple[str, ...], argparse._SubParsersAction] = {}
+    for key, (help, handler, params) in _TABLE.items():
+        if key[:len(path)] != path[:len(key)]:  # neither on the path nor below it
+            continue
+        if key:
+            p = subparsers[key[:-1]].add_parser(key[-1], help=help)
+        else:
+            top = p = argparse.ArgumentParser(prog="leavitt", description=help)
+        if handler is None:
+            leaves = [k[-1] for k in _TABLE if k and k[:-1] == key]
+            subparsers[key] = p.add_subparsers(
+                dest=key[-1] if key else "command", required=True,
+                metavar="{" + ",".join(leaves) + "}" if path else None)
+        else:
+            p.set_defaults(run=handler)
+        for spec in params:
+            if isinstance(spec, list):
+                group = p.add_mutually_exclusive_group()
+                for name, kwargs in spec:
+                    group.add_argument(name, **kwargs)
+            else:
+                p.add_argument(spec[0], **spec[1])
+    return top
 
 
 def run(argv: list[str]) -> int:

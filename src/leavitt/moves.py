@@ -1,4 +1,9 @@
-"""Isomorphism-preserving moves on finite directed graphs.
+"""Moves on finite directed graphs that preserve the Leavitt path algebra up
+to isomorphism or Morita equivalence: ``expand_hereditary`` up to
+isomorphism, ``attach_head``, ``attach_sources``, ``eliminate_source``,
+``subdivide_edge`` and ``matrix_graph`` up to Morita equivalence only (a
+head of length 1 at the rose R_3 sends [1] = [v] != 0 in K_0 = Z/2 to
+2[v] = 0; subdividing R_1's loop turns k[x, x^-1] into M_2(k[x, x^-1])).
 
 Each move is a pure function from a graph to a graph.  Generated names are
 deterministic: a path-vertex created by hereditary expansion is its edge
@@ -133,7 +138,8 @@ def _peel(vertices: Iterable[str], edges: Iterable[Edge]) -> list[str]:
 
 def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
     """Replace the graph by the hereditary set plus one source vertex per
-    entry path, each emitting a single edge onto the path's range.
+    entry path, each emitting a single edge onto the path's range; the
+    algebra is kept up to isomorphism.
 
     The result keeps the set's vertices and the edges emitted inside it, adds
     a vertex named by each entry path, and an edge ``ov_<path>`` from that
@@ -200,7 +206,7 @@ def _with_heads(g: Graph, heads: Iterable[tuple[str, int]]) -> Graph:
 
 
 def attach_head(g: Graph, v0: str, n: int) -> Graph:
-    """Attach a chain of ``n`` new vertices feeding into ``v0``."""
+    """Attach a chain of ``n`` new vertices feeding into ``v0`` (Morita equivalent)."""
     return _with_heads(g, [(v0, n)])
 
 
@@ -225,12 +231,12 @@ def _subdivided(g: Graph, chains: Iterable[tuple[str, int]]) -> Graph:
 
 
 def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
-    """Replace edge ``e0`` by a chain through ``n`` new vertices."""
+    """Replace edge ``e0`` by a chain through ``n`` new vertices (Morita equivalent)."""
     return _subdivided(g, [(e0, n)])
 
 
 def attach_sources(g: Graph, v0: str, n: int) -> Graph:
-    """Attach ``n`` new source vertices, each with one edge into ``v0``."""
+    """Attach ``n`` new sources, each with one edge into ``v0`` (Morita equivalent)."""
     g.require_vertex(v0)
     _check_count(n)
     vs = tuple(f"{v0}.s{i}" for i in range(1, n + 1))
@@ -239,7 +245,7 @@ def attach_sources(g: Graph, v0: str, n: int) -> Graph:
 
 
 def eliminate_source(g: Graph, v: str) -> Graph:
-    """Remove a source vertex together with the edges it emits.
+    """Remove a source vertex and the edges it emits (Morita equivalent).
 
     The source must emit an edge: removing an isolated vertex changes K0.
     """
@@ -406,41 +412,24 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     its vertex by that length.  The trace has five records whatever the size
     of the core: ``EliminateSources`` for the peel, ``ExpandHereditary``,
     ``EliminateSources`` for the path vertices, then ``AttachHeads`` and
-    ``SubdivideEdges``, both applied to the graph the eliminations leave.
-    Each is built as one graph, so each graph the pipeline passes through is
-    hashed once.  A graph with no sources comes back unchanged with an empty
-    trace.
+    ``SubdivideEdges``, both applied to the core, which is what both
+    elimination phases leave.  Each is built as one graph, so each graph the
+    pipeline passes through is hashed once.  A graph with no sources comes
+    back unchanged with an empty trace.
     """
     profile = classify(g)
     if profile.sinks:
         raise ValueError("desourcify requires a graph with no sinks")
     if not profile.sources:
         return g, MoveTrace(())
-    records: list[MoveRecord] = []
-    hashes: dict[Graph, str] = {}
-
-    def record(kind: str, param: str, src: Graph, out: Graph) -> None:
-        # equal graphs serialize identically, so each one is hashed once even
-        # when two moves produce it (eliminating the path-vertex sources
-        # rebuilds the core itself)
-        for x in (src, out):
-            if x not in hashes:
-                hashes[x] = graph_hash(x)
-        records.append(MoveRecord(kind, (param,), hashes[src], hashes[out]))
-
-    def eliminate(cur: Graph, sources: list[str]) -> Graph:
-        # each is a source of cur at its turn that emits an edge (no edge runs
-        # into a source, so peeling a sink-free graph leaves no sink, and each
-        # path vertex emits one edge), so the checks are left to replay
-        out = _without(cur, frozenset(sources))
-        record("EliminateSources", ",".join(sources), cur, out)
-        return out
-
-    core = eliminate(g, _peel(g.vertices, g.edges))
+    # each peeled vertex is a source at its turn that emits an edge (no edge
+    # runs into a source, so peeling a sink-free graph leaves no sink), so
+    # the checks are left to replay
+    peel = _peel(g.vertices, g.edges)
+    core = _without(g, frozenset(peel))
     if not core.vertices:
         raise AssertionError("a finite sink-free graph keeps a cycle; the core cannot be empty")
     expanded, paths = _expansion(g, core.vertex_set)
-    record("ExpandHereditary", ",".join(sorted(core.vertices)), g, expanded)
     # the expansion's only sources are its path vertices, each emitting one
     # edge into the core; the paths come sorted by name, and so each group
     aimed: dict[str, list[str]] = {}
@@ -449,17 +438,26 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     heads = [(v, len(aimed[v])) for v in sorted(aimed)]
     # the core has no source, so each core vertex receives an edge from it
     chains = [(min(e.name for e in core._in[v]), n) for v, n in heads]
-    base = eliminate(expanded, [s for v, _ in heads for s in aimed[v]])
-    record("AttachHeads", ",".join(f"{v}:{n}" for v, n in heads), base, _with_heads(base, heads))
-    out = _subdivided(base, chains)
-    record("SubdivideEdges", ",".join(f"{e}:{n}" for e, n in chains), base, out)
-    return out, MoveTrace(tuple(records))
+    out = _subdivided(core, chains)
+    # eliminating the path vertices leaves the core itself: its vertices and
+    # the edges they emit, in input order
+    g_hash, core_hash, expanded_hash = graph_hash(g), graph_hash(core), graph_hash(expanded)
+    return out, MoveTrace((
+        MoveRecord("EliminateSources", (",".join(peel),), g_hash, core_hash),
+        MoveRecord("ExpandHereditary", (",".join(sorted(core.vertices)),), g_hash, expanded_hash),
+        MoveRecord("EliminateSources", (",".join(s for v, _ in heads for s in aimed[v]),),
+                   expanded_hash, core_hash),
+        MoveRecord("AttachHeads", (",".join(f"{v}:{n}" for v, n in heads),), core_hash,
+                   graph_hash(_with_heads(core, heads))),
+        MoveRecord("SubdivideEdges", (",".join(f"{e}:{n}" for e, n in chains),), core_hash,
+                   graph_hash(out)),
+    ))
 
 
 # ── stabilizations ────────────────────────────────────────────────────────────
 
 
 def matrix_graph(g: Graph, n: int) -> Graph:
-    """Attach a head of length n-1 at every vertex (the n x n matrix form)."""
+    """Attach a head of length n-1 at every vertex: the n x n matrix form, M_n(L(g))."""
     _check_count(n)
     return _with_heads(g, [(v, n - 1) for v in g.vertices]) if n > 1 else g

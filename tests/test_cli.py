@@ -451,13 +451,15 @@ _PARSE_CASES = [path + tail for path in _COMMAND_PATHS for tail in ([], ["--help
 
 
 def test_command_table_lists_the_whole_tree():
-    # _command_path reads argv against cli._COMMANDS; the whole tree is pinned above
+    # _build_parser and _command_path read cli._TABLE; the whole tree is pinned above
     from leavitt import cli
 
-    table = [[]] + [[c] + leaf for c, leaves in cli._COMMANDS.items()
-                    for leaf in [[]] + [[name] for name in leaves]]
+    table = [list(path) for path in cli._TABLE]
     assert table == _COMMAND_PATHS
     assert [" ".join(path) for path in table] == list(dict(_parser_structure(cli._build_parser())))
+    # exactly the paths with leaves carry no handler
+    parents = {path[:-1] for path in cli._TABLE if path}
+    assert {path for path, (_, handler, _) in cli._TABLE.items() if handler is None} == parents
 
 
 @pytest.mark.parametrize("argv", _PARSE_CASES, ids=" ".join)

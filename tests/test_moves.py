@@ -519,6 +519,23 @@ def test_desourcify_classifies_once(monkeypatch):
     assert replay(trace, g) == core
 
 
+def test_desourcify_reuses_the_core_the_peel_leaves(monkeypatch):
+    # eliminating the expansion's path vertices leaves the peel's core, so
+    # desourcify builds four graphs: the core, the expansion, the head form
+    # and the subdivided output
+    built = []
+    original = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__", lambda g: built.append(g) or original(g))
+    g = attach_head(funnel_into_cycle(), "5", 1)
+    built.clear()
+    core, trace = desourcify(g)
+    monkeypatch.undo()
+    peel, _, path_vertices, heads, chains = trace.records
+    assert path_vertices.output_hash == peel.output_hash == heads.input_hash == chains.input_hash
+    assert len(built) == 4
+    assert replay(trace, g) == core
+
+
 def test_desourcify_traces_replay_seeded():
     # replay runs the checked eliminate_source on every recorded elimination,
     # which desourcify itself builds without repeating the checks
