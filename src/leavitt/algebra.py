@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -290,25 +291,32 @@ def _meeting(lefts: list[LpaElement], rights: list[LpaElement]) -> list[set[int]
     A term product ``(alpha beta*)(gamma delta*)`` is nonzero only when the
     inner paths share their source and ``gamma`` extends ``beta`` or is a
     proper prefix of it, so ``x * y`` is exactly zero unless some term of
-    ``x`` meets some term of ``y``.  The right factors' inner paths are
-    indexed by ``(source, edges)`` and by every prefix of ``edges``.
+    ``x`` meets some term of ``y``.  The right factors' inner paths go into
+    one trie per source; each ``beta`` walks its trie once, meeting the paths
+    that end before it does and, at its own end, all that pass through.
     """
-    whole: dict[tuple, set[int]] = {}  # (source, gamma's edges) -> positions
-    through: dict[tuple, set[int]] = {}  # (source, a prefix of them) -> positions
+    def node():  # (children by edge, positions ending here, passing through)
+        return defaultdict(node), set(), set()
+
+    roots = defaultdict(node)
     for j, y in enumerate(rights):
         for gamma, _ in y.terms:
-            s, path = gamma.source, gamma.edges
-            whole.setdefault((s, path), set()).add(j)
-            for k in range(len(path) + 1):
-                through.setdefault((s, path[:k]), set()).add(j)
+            at = roots[gamma.source]
+            at[2].add(j)
+            for e in gamma.edges:
+                at = at[0][e]
+                at[2].add(j)
+            at[1].add(j)
+    off = ({}, (), ())  # where a walk goes that leaves the trie
     out = []
     for x in lefts:
         meets: set[int] = set()
         for _, beta in x.terms:
-            s, path = beta.source, beta.edges
-            meets.update(through.get((s, path), ()))
-            for k in range(len(path)):
-                meets.update(whole.get((s, path[:k]), ()))
+            at = roots.get(beta.source, off)
+            for e in beta.edges:
+                meets.update(at[1])
+                at = at[0].get(e, off)
+            meets.update(at[2])
         out.append(meets)
     return out
 

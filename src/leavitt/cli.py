@@ -23,9 +23,13 @@ success, 1 on a domain error (one-line diagnostic on stderr) or a failed
 verification, 2 on usage errors.
 
 One table, ``_TABLE``, names each command path once with its help, its
-handler and its arguments; the parser is built from it.  Each handler
-imports the modules it runs, so a process pays at start-up only for its own
-command.
+handler and its arguments; the parser is built from it.  Every leaf's first
+argument is ``graph``, and :func:`run` alone reads, writes and fails: it
+parses the graph, calls ``handler(graph, args)`` for the leaf's text and
+exit code, writes the text to ``--output`` where the leaf has that option
+and to stdout otherwise, and turns a ``ValueError`` or ``OSError`` from any
+step into the diagnostic.  Each handler imports the modules it runs, so a
+process pays at start-up only for its own command.
 """
 
 from __future__ import annotations
@@ -95,111 +99,82 @@ def _vertex_list(text: str) -> list[str]:
     return text.split(",")
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(g, args) -> tuple[str, int]:
     from .ktheory import classify_algebra, k_summary
 
-    g = parse_graph(_read_text(args.graph))
     r = args.unit_rank
     summary = k_summary(g, r)
     verdict = classify_algebra(summary)
     no_sinks = str(verdict.no_sinks).lower()
-    lines = [
-        f"rank_k0 {summary.rank_k0}",
-        f"rank_k1(r={_rank_text(r)}) {_rank_text(summary.rank_k1)}",
-        "torsion " + (",".join(map(_digits, summary.torsion)) or "none"),
-        f"singular {summary.singular_count}",
-        f"is_ck {no_sinks}",
-        f"strongly_graded {no_sinks}",
-        f"criterion4 {str(verdict.criterion4).lower()}",
-        "criterion5 "
-        + ("inapplicable: infinite unit-group rank" if verdict.criterion5 is None
-           else str(verdict.criterion5).lower()),
-    ]
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    return 0
+    torsion = ",".join(map(_digits, summary.torsion)) or "none"
+    criterion5 = ("inapplicable: infinite unit-group rank" if verdict.criterion5 is None
+                  else str(verdict.criterion5).lower())
+    return (f"rank_k0 {summary.rank_k0}\n"
+            f"rank_k1(r={_rank_text(r)}) {_rank_text(summary.rank_k1)}\n"
+            f"torsion {torsion}\n"
+            f"singular {summary.singular_count}\n"
+            f"is_ck {no_sinks}\n"
+            f"strongly_graded {no_sinks}\n"
+            f"criterion4 {str(verdict.criterion4).lower()}\n"
+            f"criterion5 {criterion5}\n"), 0
 
 
-def _cmd_move(fn: str, params: list[str], args) -> int:
+def _cmd_move(fn: str, params: list[str], g, args) -> tuple[str, int]:
     from . import moves
 
-    g = parse_graph(_read_text(args.graph))
-    out = getattr(moves, fn)(g, *(getattr(args, dest) for dest in params))
-    _emit(serialize_graph(out), args.output)
-    return 0
+    return serialize_graph(getattr(moves, fn)(g, *(getattr(args, dest) for dest in params))), 0
 
 
-def _cmd_desourcify(args) -> int:
+def _cmd_desourcify(g, args) -> tuple[str, int]:
     from .moves import desourcify, serialize_trace
 
-    g = parse_graph(_read_text(args.graph))
     out, trace = desourcify(g)
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(serialize_trace(trace))
-    _emit(serialize_graph(out), args.output)
-    return 0
+        _emit(serialize_trace(trace), args.trace)
+    return serialize_graph(out), 0
 
 
-def _cmd_corner(args) -> int:
+def _cmd_corner(g, args) -> tuple[str, int]:
     from .corners import build_forest, corner_family, corner_weights, t_corner
 
-    g = parse_graph(_read_text(args.graph))
     t = build_forest(g, args.roots)
     if args.emit_family:
         from .algebra import format_family
 
-        corner = t_corner(g, t)
-        _emit(format_family(corner, corner_family(g, t)), args.output)
-    elif args.emit_weights:
+        return format_family(t_corner(g, t), corner_family(g, t)), 0
+    if args.emit_weights:
         weights = corner_weights(g, t)
-        text = "".join(f"{e.name} {weights[e.name]}\n" for e in g.edges)
-        _emit(text, args.output)
-    else:
-        _emit(serialize_graph(t_corner(g, t)), args.output)
-    return 0
+        return "".join(f"{e.name} {weights[e.name]}\n" for e in g.edges), 0
+    return serialize_graph(t_corner(g, t)), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(host, args) -> tuple[str, int]:
     from .algebra import parse_family, verify_ck_family
 
-    host = parse_graph(_read_text(args.graph))
-    target, family = parse_family(_read_text(args.family), host)
-    report = verify_ck_family(target, family, host)
-    lines = [f"ok {str(report.ok).lower()}"]
-    lines += [f"fail {f}" for f in report.failures]
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    return 0 if report.ok else 1
+    report = verify_ck_family(*parse_family(_read_text(args.family), host), host)
+    text = f"ok {str(report.ok).lower()}\n" + "".join(f"fail {f}\n" for f in report.failures)
+    return text, 0 if report.ok else 1
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(g, args) -> tuple[str, int]:
     from .monoid import Equivalent, equivalent, parse_monoid
 
-    g = parse_graph(_read_text(args.graph))
-    a = parse_monoid(g, args.a)
-    b = parse_monoid(g, args.b)
-    outcome = equivalent(g, a, b, args.steps, args.size)
+    outcome = equivalent(g, parse_monoid(g, args.a), parse_monoid(g, args.b), args.steps, args.size)
     if isinstance(outcome, Equivalent):
-        sys.stdout.write(f"equivalent true\nsteps {outcome.steps}\n")
-    else:
-        sys.stdout.write(f"equivalent unknown\nexhausted {str(outcome.exhausted).lower()}\n")
-    return 0
+        return f"equivalent true\nsteps {outcome.steps}\n", 0
+    return f"equivalent unknown\nexhausted {str(outcome.exhausted).lower()}\n", 0
 
 
-def _cmd_full(args) -> int:
+def _cmd_full(g, args) -> tuple[str, int]:
     from .monoid import is_full, parse_monoid
 
-    g = parse_graph(_read_text(args.graph))
-    sys.stdout.write(f"full {str(is_full(g, parse_monoid(g, args.element))).lower()}\n")
-    return 0
+    return f"full {str(is_full(g, parse_monoid(g, args.element))).lower()}\n", 0
 
 
-def _cmd_rebalance(args) -> int:
+def _cmd_rebalance(g, args) -> tuple[str, int]:
     from .monoid import format_monoid, parse_monoid, rebalance_full
 
-    g = parse_graph(_read_text(args.graph))
-    out = rebalance_full(g, parse_monoid(g, args.element))
-    sys.stdout.write(f"result {format_monoid(out)}\n")
-    return 0
+    return f"result {format_monoid(rebalance_full(g, parse_monoid(g, args.element)))}\n", 0
 
 
 _GRAPH, _ELEMENT, _OUTPUT = ("graph", {}), ("element", {}), ("--output", {})
@@ -222,7 +197,7 @@ _TABLE = {
         _GRAPH, ("--unit-rank", {"type": _unit_rank, "default": 0,
                                  "help": "rank of the coefficient field's unit group "
                                          "(nonnegative integer or 'inf'; default 0)"})]),
-    ("move",): ("apply one isomorphism-preserving graph move", None, []),
+    ("move",): ("apply one graph move that keeps the algebra up to Morita equivalence", None, []),
     ("move", "expand-hereditary"): _move(
         "replace the complement of a hereditary set by path vertices", "expand_hereditary",
         ("vertices", {"type": _vertex_list, "help": "comma-separated hereditary vertex set"})),
@@ -310,10 +285,12 @@ def run(argv: list[str]) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        return args.run(args)
+        text, code = args.run(parse_graph(_read_text(args.graph)), args)
+        _emit(text, getattr(args, "output", None))
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return code
 
 
 def main() -> None:

@@ -67,6 +67,10 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
+# namedtuple's _make, which _replace also calls, skips __new__ and its checks
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 def _frozen(self, name: str, *value) -> None:
     """``__setattr__`` and ``__delattr__`` of the immutable plain classes."""
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is immutable")
@@ -210,8 +214,7 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
             raise ValueError(f"the path ends at {at!r}, not {target!r}")
         return tuple.__new__(cls, (source, edges, at))
 
-    # namedtuple's _make, which _replace also calls, would skip the check
-    _make = classmethod(lambda cls, fields: cls(*fields))
+    _make = _checked_make
 
     @classmethod
     def of(cls, edges: Iterable[Edge]) -> "PathSeq":

@@ -42,12 +42,23 @@ class IntMatrix(NamedTuple("IntMatrix", [("cells", tuple[tuple[tuple[int, int], 
         widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        for row in entries:
-            for x in row:
-                if not isinstance(x, int):
-                    raise ValueError(f"non-integer entry {x!r}")
+        bad = [x for row in entries for x in row if not isinstance(x, int)]
+        if bad:
+            raise ValueError(f"non-integer entry {bad[0]!r}")
         cells = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in entries)
-        return cls._make((cells, widths.pop() if widths else 0))
+        return tuple.__new__(cls, (cells, widths.pop() if widths else 0))
+
+    @classmethod
+    def _make(cls, fields) -> "IntMatrix":
+        """The matrix with these sparse fields, checked as ``_replace`` and
+        unpickling need: int columns rising inside ``range(cols)``, nonzero int values."""
+        cells, cols = fields
+        cells = tuple(tuple((j, x) for j, x in row) for row in cells)
+        if not (isinstance(cols, int) and cols >= 0 and all(
+                isinstance(j, int) and prev < j < cols and isinstance(x, int) and x
+                for row in cells for prev, (j, x) in zip((-1, *(j for j, _ in row)), row))):
+            raise ValueError("malformed sparse matrix")
+        return tuple.__new__(cls, (cells, cols))
 
     def __reduce__(self):
         return self._make, (tuple(self),)
@@ -86,7 +97,7 @@ def presentation_matrix(g: Graph) -> IntMatrix:
             if not own[j]:
                 del own[j]
             j += 1
-    return IntMatrix._make((tuple(tuple(row.items()) for row in rows.values()), j))
+    return tuple.__new__(IntMatrix, (tuple(tuple(row.items()) for row in rows.values()), j))
 
 
 def _sparsest_unit(rows, cols, by_length) -> tuple[int, int] | None:

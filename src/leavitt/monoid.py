@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Graph, _decimal, _reach, _validated, classify, hs_closure
+from .graph import Graph, _checked_make, _decimal, _reach, _validated, classify, hs_closure
 
 __all__ = [
     "MonoidElement",
@@ -57,6 +57,8 @@ class MonoidElement(NamedTuple("MonoidElement", [("counts", tuple[tuple[str, int
             raise ValueError("multiplicities must be positive")
         return tuple.__new__(cls, (pairs,))
 
+    _make = _checked_make
+
     @classmethod
     def of(cls, counts: Mapping[str, int] | Iterable[tuple[str, int]]) -> "MonoidElement":
         """Build from any vertex -> count mapping, dropping zero counts."""
@@ -72,10 +74,7 @@ class MonoidElement(NamedTuple("MonoidElement", [("counts", tuple[tuple[str, int
         return sum(k for _, k in self.counts)
 
     def get(self, v: str) -> int:
-        for name, k in self.counts:
-            if name == v:
-                return k
-        return 0
+        return dict(self.counts).get(v, 0)
 
     def __bool__(self) -> bool:
         return bool(self.counts)

@@ -14,10 +14,10 @@ sources attached at ``v`` use vertices ``v.s1..v.sn`` and edges
 ``v.f1..v.fn``.  Name collisions with existing vertices or edges are caught
 by the graph constructor.  Each entry path is labelled by the walk that finds
 it, and the matrix forms attach all their heads in one graph build.
-``desourcify`` eliminates sources in two phases, each built as one graph:
-the peel of the input, always the least-named source left, then the
-path-vertex sources of the expansion, grouped by the core vertex they are
-aimed at.
+``desourcify`` peels the input's sources, always the least-named one left,
+down to its source-free core, built as one graph; eliminating the
+path-vertex sources of the expansion leaves that core again, so that phase
+reuses it.
 
 A ``MoveTrace`` is a replayable certificate: each record carries the move
 kind, its parameters, and FNV-1a hashes of its input and output graphs.
@@ -27,10 +27,11 @@ whole phase; ``AttachHeads v1:n1,...`` and ``SubdivideEdges e1:n1,...``
 are ``AttachHead`` and ``SubdivideEdge`` batched the same way.  Traces
 written one record per source, or one head and one subdivision per core
 vertex, still replay.  Traces are not always linear chains — ``desourcify``
-applies its hereditary expansion to the original input graph and documents
-the intermediate head form of each source conversion — so replay keeps
-every graph it has seen, keyed by hash, applies each record to the graph
-matching its input hash, and returns the final record's output.
+applies its hereditary expansion to the original input, and its
+``AttachHeads`` (the intermediate head form) and ``SubdivideEdges`` records
+both to the core — so replay keeps every graph it has seen, keyed by hash,
+applies each record to the graph matching its input hash, and returns the
+final record's output.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .graph import (
     Edge,
     Graph,
     PathSeq,
+    _checked_make,
     _decimal,
     _reach,
     classify,
@@ -342,8 +344,7 @@ class MoveRecord(NamedTuple("MoveRecord", [("kind", str), ("params", tuple[str, 
             raise ValueError(f"{kind} takes {arity} parameter(s)")
         return tuple.__new__(cls, (kind, params, input_hash, output_hash))
 
-    # namedtuple's _make, which _replace also calls, would skip the check
-    _make = classmethod(lambda cls, fields: cls(*fields))
+    _make = _checked_make
 
 
 class MoveTrace(NamedTuple):

@@ -282,6 +282,41 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# every command with --output, with arguments on which it succeeds
+_OUTPUT_COMMANDS = [
+    "move expand-hereditary {funnel} 1,2,3", "move attach-head {funnel} 1 1",
+    "move subdivide {funnel} a 1", "move attach-sources {funnel} 1 1",
+    "move eliminate-source {funnel} 5", "move matrix {funnel} 2", "desourcify {funnel}",
+    "corner {line} --roots v2", "corner {line} --roots v2 --emit-weights",
+    "corner {line} --roots v2 --emit-family",
+]
+
+
+@pytest.mark.parametrize("command", _OUTPUT_COMMANDS + ["desourcify {funnel} --trace"],
+                         ids=lambda c: " ".join(t for t in c.split() if "{" not in t))
+def test_an_unwritable_output_path_is_one_error_line(tmp_path, capsys, command):
+    files = {"funnel": write_graph(tmp_path, funnel_into_cycle(), "funnel.txt"),
+             "line": write_graph(tmp_path, two_way_line(), "line.txt")}
+    argv = [token.format(**files) for token in command.split()]
+    if argv[-1] != "--trace":
+        argv.append("--output")
+    assert run(argv + [str(tmp_path / "out.txt")]) == 0  # the command itself succeeds
+    capsys.readouterr()
+    assert run(argv + [str(tmp_path)]) == 1  # a directory cannot be written as a file
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_every_leaf_takes_the_graph_first():
+    # run parses args.graph for every leaf before it calls the handler
+    from leavitt import cli
+
+    leaves = {path: params for path, (_, handler, params) in cli._TABLE.items() if handler}
+    assert len(leaves) == 13
+    assert all(params[0][0] == "graph" for params in leaves.values())
+
+
 def test_zero_denominator_is_a_domain_error(tmp_path, capsys):
     family = tmp_path / "family.txt"
     family.write_text("vertex v = 3/0 * v\n", encoding="utf-8")
@@ -367,7 +402,7 @@ _PARSER_PIN = {
         _GRAPH,
         (("--unit-rank",), "unit_rank", "_unit_rank", 0, False,
          "rank of the coefficient field's unit group (nonnegative integer or 'inf'; default 0)"))),
-    "move": ("apply one isomorphism-preserving graph move", None, (
+    "move": ("apply one graph move that keeps the algebra up to Morita equivalence", None, (
         ((), "move", None, None, True, None),)),
     "move expand-hereditary": (
         "replace the complement of a hereditary set by path vertices", None, (

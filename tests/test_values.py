@@ -7,6 +7,9 @@ or deleted, the custom ``repr`` forms stay, and invalid input raises
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from leavitt.algebra import CkFamily, LpaElement, element
@@ -116,8 +119,40 @@ def test_custom_reprs():
     lambda: Graph(("v",), [("e", "v", "w")]),
     lambda: Forest(Graph(("v", "w"), (E, Edge("f", "w", "v"))), (),
                    (E, Edge("f", "w", "v"))),
+    # namedtuple's _make and _replace would skip the constructor's checks: a
+    # narrowed matrix made SNF raise IndexError, a float entry gave a float
+    # factor, and this monoid element made a search answer wrongly
+    lambda: IntMatrix([[1, 2], [3, 4]])._replace(cols=1),
+    lambda: IntMatrix._make(((((0, 2.5),),), 1)),
+    lambda: IntMatrix._make(((((1, 3), (0, 2)),), 2)),
+    lambda: IntMatrix._make(((((0, 1), (0, 2)),), 2)),
+    lambda: IntMatrix._make(((((0, 0),),), 1)),
+    lambda: IntMatrix._make(((((0.0, 1),),), 1)),
+    lambda: IntMatrix._make(((((-1, 1),),), 1)),
+    lambda: IntMatrix._make(((), -1)),
+    lambda: MonoidElement([("v", 1)])._replace(counts=(("w", 0), ("v", -2), ("v", 5))),
+    lambda: MonoidElement._make(((("v", 1.5),),)),
 ], ids=["path", "move-kind", "move-arity", "ragged", "non-integer", "duplicate-vertex",
-        "zero-count", "graph-duplicate", "graph-endpoint", "forest-cycle"])
+        "zero-count", "graph-duplicate", "graph-endpoint", "forest-cycle",
+        "matrix-narrowed", "matrix-float-value", "matrix-columns-unsorted",
+        "matrix-column-repeated", "matrix-zero-stored", "matrix-float-column",
+        "matrix-negative-column", "matrix-negative-width", "monoid-replaced",
+        "monoid-float-count"])
 def test_invalid_input_raises_value_error(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("name", ["PathSeq", "MonoidElement", "MoveRecord", "KSummary",
+                                  "IntMatrix"])
+def test_tuples_round_trip_through_make_replace_copy_and_pickle(name):
+    value = VALUES[name][0]()
+    assert type(value)._make(tuple(value)) == value
+    assert value._replace() == value
+    assert copy.copy(value) == value and copy.deepcopy(value) == value
+    back = pickle.loads(pickle.dumps(value))
+    assert type(back) is type(value) and back == value
+
+
+def test_a_widened_matrix_gains_a_zero_column():
+    assert IntMatrix([[1, 2], [3, 4]])._replace(cols=3) == IntMatrix([[1, 2, 0], [3, 4, 0]])
