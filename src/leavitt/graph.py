@@ -233,11 +233,6 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
             raise ValueError(f"edge {e.name!r} does not start where the path ends")
         return tuple.__new__(PathSeq, (self.source, self.edges + (e,), e.dst))
 
-    def prepend(self, e: Edge) -> "PathSeq":
-        if e.dst != self.source:
-            raise ValueError(f"edge {e.name!r} does not end where the path starts")
-        return tuple.__new__(PathSeq, (e.src, (e,) + self.edges, self.target))
-
     def drop_last(self) -> "PathSeq":
         if not self.edges:
             raise ValueError("cannot shorten a length-0 path")

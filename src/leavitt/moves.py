@@ -12,8 +12,11 @@ names joined with dots and its edge is ``ov_<path>``; a head attached at
 ``e0`` by ``n`` uses vertices ``e0.v1..e0.vn`` and edges ``e0.e1..e0.e(n+1)``;
 sources attached at ``v`` use vertices ``v.s1..v.sn`` and edges
 ``v.f1..v.fn``.  Name collisions with existing vertices or edges are caught
-by the graph constructor.  Each entry path is labelled by the walk that finds
-it, and the matrix forms attach all their heads in one graph build.
+by the graph constructor.  Each entry path is an ``EntryPath`` record: the
+walk that finds it gives its label, its range, its first edge and the record
+of the entry path that edge extends, and builds no ``PathSeq``; only
+``expansion_family`` asks a record for its checked ``path``.  The matrix
+forms attach all their heads in one graph build.
 ``desourcify`` peels the input's sources, always the least-named one left,
 down to its source-free core, built as one graph; eliminating the
 path-vertex sources of the expansion leaves that core again, so that phase
@@ -59,6 +62,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MoveRecord",
     "MoveTrace",
+    "EntryPath",
     "entry_paths",
     "expand_hereditary",
     "attach_head",
@@ -78,9 +82,34 @@ __all__ = [
 # ── hereditary expansion ──────────────────────────────────────────────────────
 
 
-def entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
+class EntryPath(NamedTuple):
+    """A path entering a hereditary set through its final edge, stored as its
+    first edge and the entry path that edge extends (``None`` when the path
+    is the boundary edge alone).  ``label`` is the path's edge names joined
+    with dots and ``target`` its range, in the set."""
+
+    label: str
+    target: str
+    edge: Edge
+    rest: EntryPath | None
+
+    @property
+    def path(self) -> PathSeq:
+        """The path as a ``PathSeq``, its joints and range checked."""
+        edges = []
+        p: EntryPath | None = self
+        while p is not None:
+            edges.append(p.edge)
+            p = p.rest
+        return PathSeq(self.edge.src, tuple(edges), self.target)
+
+    def __repr__(self) -> str:  # the record chain may be as long as the path
+        return f"EntryPath({self.label!r})"
+
+
+def entry_paths(g: Graph, hs: Iterable[str]) -> list[EntryPath]:
     """All paths entering the hereditary set through their final edge, as
-    ``(label, path)`` pairs sorted by label.
+    ``EntryPath`` records sorted by label.
 
     Every vertex of such a path except its range lies outside the set.  This
     raises unless every vertex outside the set reaches it and no cycle lies
@@ -102,15 +131,18 @@ def entry_paths(g: Graph, hs: Iterable[str]) -> list[tuple[str, PathSeq]]:
     if len(can_reach) + len(h) < len(g.vertices):
         v = next(v for v in g.vertices if v not in h and v not in can_reach)
         raise ValueError(f"vertex {v!r} does not reach the hereditary set")
-    # walk back from each boundary edge, growing each path and its label by
-    # one edge per step; pushing in reverse pops in depth-first preorder
+    # walk back from each boundary edge, each record linking to the one it
+    # extends by one edge; pushing in reverse pops in depth-first preorder
     # (declaration order), which the stable sort keeps among equal labels
+    into = g._in
     out = []
-    stack = [(b.name, PathSeq(b.src, (b,))) for b in reversed(boundary)]
+    stack = [EntryPath(b.name, b.dst, b, None) for b in reversed(boundary)]
+    push = stack.append
     while stack:
-        label, p = top = stack.pop()
-        out.append(top)
-        stack += [(f"{e.name}.{label}", p.prepend(e)) for e in reversed(g._in[p.source])]
+        p = stack.pop()
+        out.append(p)
+        for e in reversed(into[p.edge.src]):
+            push(tuple.__new__(EntryPath, (f"{e.name}.{p.label}", p.target, e, p)))
     out.sort(key=itemgetter(0))
     return out
 
@@ -150,14 +182,14 @@ def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
     return _expansion(g, frozenset(hs))[0]
 
 
-def _expansion(g: Graph, h: frozenset[str]) -> tuple[Graph, list[tuple[str, PathSeq]]]:
+def _expansion(g: Graph, h: frozenset[str]) -> tuple[Graph, list[EntryPath]]:
     """The expanded graph and the entry paths it was built from.  Building
     the graph rejects entry labels that collide."""
     paths = entry_paths(g, h)
-    vertices = [v for v in g.vertices if v in h] + [name for name, _ in paths]
+    vertices = [v for v in g.vertices if v in h] + [p.label for p in paths]
     edges = [e for e in g.edges if e.src in h]
     edges += map(tuple.__new__, repeat(Edge),
-                 [(f"ov_{name}", name, p.target) for name, p in paths])
+                 [(f"ov_{p.label}", p.label, p.target) for p in paths])
     return Graph(vertices, edges), paths
 
 
@@ -174,9 +206,10 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
     for v in g.vertices:
         if v in h:
             vertex_images[v] = vertex_element(g, v)
-    for name, p in paths:
-        vertex_images[name] = element([(1, p, p)])
-        edge_images[f"ov_{name}"] = element([(1, p, PathSeq(p.target))])
+    for entry in paths:
+        p = entry.path
+        vertex_images[entry.label] = element([(1, p, p)])
+        edge_images[f"ov_{entry.label}"] = element([(1, p, PathSeq(p.target))])
     for e in g.edges:
         if e.src in h:
             edge_images[e.name] = element([(1, PathSeq.of((e,)), PathSeq(e.dst))])
@@ -434,8 +467,8 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     # the expansion's only sources are its path vertices, each emitting one
     # edge into the core; the paths come sorted by name, and so each group
     aimed: dict[str, list[str]] = {}
-    for name, p in paths:
-        aimed.setdefault(p.target, []).append(name)
+    for p in paths:
+        aimed.setdefault(p.target, []).append(p.label)
     heads = [(v, len(aimed[v])) for v in sorted(aimed)]
     # the core has no source, so each core vertex receives an edge from it
     chains = [(min(e.name for e in core._in[v]), n) for v, n in heads]

@@ -69,9 +69,9 @@ def test_criterion_01_hereditary_expansion(capsys):
         hs = ["1", "2", "3"]
         out = expand_hereditary(g, hs)
         assert (len(out.vertices), len(out.edges)) == (7, 7)
-        pairs = entry_paths(g, hs)
-        assert [label for label, _ in pairs] == ["f1", "f2", "g1.f1", "g1.f2"]
-        assert all(label == p.label() for label, p in pairs)
+        paths = entry_paths(g, hs)
+        assert [p.label for p in paths] == ["f1", "f2", "g1.f1", "g1.f2"]
+        assert all(p.label == p.path.label() for p in paths)
 
 
 def test_criterion_02_head_subdivision_sources(capsys):

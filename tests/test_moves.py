@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+import tracemalloc
 from collections import Counter
+from graphlib import TopologicalSorter
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,7 @@ from leavitt.graph import (
 )
 from leavitt.ktheory import k_summary
 from leavitt.moves import (
+    EntryPath,
     MoveRecord,
     MoveTrace,
     _peel,
@@ -64,16 +67,16 @@ from leavitt.moves import (
 
 
 def test_entry_paths_funnel():
-    pairs = entry_paths(funnel_into_cycle(), ["1", "2", "3"])
-    assert [label for label, _ in pairs] == ["f1", "f2", "g1.f1", "g1.f2"]
-    assert all(label == p.label() for label, p in pairs)
+    paths = entry_paths(funnel_into_cycle(), ["1", "2", "3"])
+    assert [p.label for p in paths] == ["f1", "f2", "g1.f1", "g1.f2"]
+    assert all(p.label == p.path.label() for p in paths)
 
 
 def test_entry_labels_that_collide_are_rejected():
     # the path a.b and the edge a.b both enter {h} with the label "a.b"
     g = Graph(("x", "y", "h"), (Edge("a", "x", "y"), Edge("b", "y", "h"),
                                 Edge("a.b", "x", "h"), Edge("l", "h", "h")))
-    assert [label for label, _ in entry_paths(g, ["h"])] == ["a.b", "a.b", "b"]
+    assert [p.label for p in entry_paths(g, ["h"])] == ["a.b", "a.b", "b"]
     with pytest.raises(ValueError, match="duplicate vertex 'a.b'"):
         expand_hereditary(g, ["h"])
 
@@ -91,8 +94,8 @@ def test_expand_joins_each_entry_label_once(monkeypatch):
     # the walk that finds a path grows its label one edge at a time, so
     # neither caller joins a path's edge names again
     g, hs = funnel_into_cycle(), ["1", "2", "3"]
-    pairs = entry_paths(g, hs)
-    assert all(label == p.label() for label, p in pairs)
+    paths = entry_paths(g, hs)
+    assert all(p.label == p.path.label() for p in paths)
     joined = []
     real_label = PathSeq.label
     monkeypatch.setattr(PathSeq, "label", lambda p: joined.append(p) or real_label(p))
@@ -101,25 +104,34 @@ def test_expand_joins_each_entry_label_once(monkeypatch):
     assert joined == []
 
 
-def test_entry_paths_check_only_the_new_joint(monkeypatch):
-    # x0 -> {a_i, b_i} -> x_(i+1) diamonds into a loop at x10: 4,092 entry
-    # paths, each grown from its parent by one edge, so only the two one-edge
-    # paths, one per boundary edge, go through the full check of PathSeq.__new__
-    xs = [f"x{i}" for i in range(11)]
-    edges = [Edge("loop", "x10", "x10")]
-    for i in range(10):
+def diamond_ladder(rungs: int) -> Graph:
+    """x0 -> {a_i, b_i} -> x_(i+1) diamonds into a loop at x_rungs, whose
+    2^(rungs + 2) - 4 entry paths double with each rung."""
+    xs = [f"x{i}" for i in range(rungs + 1)]
+    edges = [Edge("loop", xs[-1], xs[-1])]
+    for i in range(rungs):
         edges += [Edge(f"p{i}", xs[i], f"a{i}"), Edge(f"q{i}", xs[i], f"b{i}"),
                   Edge(f"r{i}", f"a{i}", xs[i + 1]), Edge(f"s{i}", f"b{i}", xs[i + 1])]
-    g = Graph(xs + [f"{c}{i}" for i in range(10) for c in "ab"], edges)
+    return Graph(xs + [f"{c}{i}" for i in range(rungs) for c in "ab"], edges)
+
+
+def test_entry_paths_check_only_the_new_joint(monkeypatch):
+    # 4,092 entry paths, each a record linked to the one it extends by one
+    # edge: neither the walk nor the expansion builds a PathSeq, and the
+    # check of PathSeq.__new__ runs only when a record's path is asked for
+    g = diamond_ladder(10)
     made = []
     real_new = PathSeq.__new__
     monkeypatch.setattr(PathSeq, "__new__",
                         lambda cls, *args: made.append(args) or real_new(cls, *args))
-    pairs = entry_paths(g, ["x10"])
-    assert len(pairs) == 4092
-    assert sorted(made) == [("a9", (g.edge("r9"),)), ("b9", (g.edge("s9"),))]
-    assert all(label == p.label() for label, p in pairs)
-    assert all(p.target == "x10" for _, p in pairs)
+    paths = entry_paths(g, ["x10"])
+    expand_hereditary(g, ["x10"])
+    assert len(paths) == 4092
+    assert made == []
+    built = [p.path for p in paths]
+    assert len(made) == 4092
+    assert all(p.label == q.label() for p, q in zip(paths, built))
+    assert all(p.target == q.target == "x10" for p, q in zip(paths, built))
 
 
 def feeder_into_core(rng: random.Random) -> tuple[Graph, tuple[str, ...]]:
@@ -171,7 +183,7 @@ def test_entry_paths_match_forward_enumeration():
                     want.append((".".join(names + (e.name,)), names + (e.name,)))
                 else:
                     stack.append((e.dst, names + (e.name,)))
-        got = [(label, tuple(e.name for e in p.edges)) for label, p in entry_paths(g, core)]
+        got = [(p.label, tuple(e.name for e in p.path.edges)) for p in entry_paths(g, core)]
         assert Counter(got) == Counter(want)
         assert [label for label, _ in got] == sorted(label for label, _ in want)
         # equal labels keep the depth-first preorder of the backward walk, in
@@ -180,6 +192,60 @@ def test_entry_paths_match_forward_enumeration():
         assert got == sorted(want, key=lambda lw: (lw[0], [position[x] for x in reversed(lw[1])]))
         collided += len(got) > len({label for label, _ in got})
     assert collided >= 50, collided
+
+
+def path_count(g: Graph, hs) -> int:
+    """The number of entry paths into ``hs``, by an O(V + E) count over the
+    acyclic part outside it: the paths leaving an outside vertex are one per
+    edge into the set plus those leaving each outside vertex it feeds."""
+    h = frozenset(hs)
+    outside = [v for v in g.vertices if v not in h]
+    fed = TopologicalSorter({v: {e.dst for e in g.out_edges(v) if e.dst not in h}
+                             for v in outside})
+    leaving: dict[str, int] = {}
+    for v in fed.static_order():  # a vertex after every vertex it feeds
+        leaving[v] = sum(1 if e.dst in h else leaving[e.dst] for e in g.out_edges(v))
+    return sum(leaving.values())
+
+
+def test_entry_paths_count_matches_path_count_oracle():
+    for rungs in range(8, 15):
+        g = diamond_ladder(rungs)
+        assert len(entry_paths(g, [f"x{rungs}"])) == path_count(g, [f"x{rungs}"]) \
+            == 2 ** (rungs + 2) - 4
+    rng = random.Random(53)
+    for _ in range(250):
+        g, core = feeder_into_core(rng)
+        assert len(entry_paths(g, core)) == path_count(g, core)
+
+
+def test_entry_paths_record_path_checks_its_joints():
+    # a record links edges without checking them; its path is checked when built
+    g = funnel_into_cycle()
+    g1, f1, a = g.edge("g1"), g.edge("f1"), g.edge("a")
+    good = EntryPath("g1.f1", "1", g1, EntryPath("f1", "1", f1, None))
+    assert good.path == PathSeq.of((g1, f1))
+    broken = EntryPath("g1.a", "3", g1, EntryPath("a", "3", a, None))
+    with pytest.raises(ValueError, match="edge 'a' does not start where the path ends"):
+        broken.path
+    misaimed = EntryPath("f1", "2", f1, None)
+    with pytest.raises(ValueError, match="the path ends at '1', not '2'"):
+        misaimed.path
+
+
+def test_entry_paths_peak_memory_on_twelve_rungs():
+    # 16,380 entry paths, each one record holding its label and a link to
+    # its parent's record, with no edge tuple of its own
+    g = diamond_ladder(12)
+    g._in  # the in-edge index is the graph's, built once
+    tracemalloc.start()
+    try:
+        paths = entry_paths(g, ["x12"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(paths) == 16380
+    assert peak < 5_000_000, peak
 
 
 def test_expand_funnel_frozen():
