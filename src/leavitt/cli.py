@@ -120,6 +120,8 @@ def _cmd_analyze(g, args) -> tuple[str, int]:
 
 
 def _cmd_move(fn: str, params: list[str], g, args) -> tuple[str, int]:
+    # looked up by name when the command runs: this keeps moves out of other commands'
+    # imports, and the span wrappers, which replace module attributes, see every move
     from . import moves
 
     return serialize_graph(getattr(moves, fn)(g, *(getattr(args, dest) for dest in params))), 0

@@ -88,6 +88,7 @@ class Graph:
 
     def __init__(self, vertices: Iterable[str] = (), edges: Iterable = ()) -> None:
         vars(self).update(vertices=vertices, edges=edges)
+        # kept a named method: perfbench/spans.py wraps it to count graph.graphs_built
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -42,7 +42,7 @@ class IntMatrix(NamedTuple("IntMatrix", [("cells", tuple[tuple[tuple[int, int], 
         widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged matrix")
-        bad = [x for row in entries for x in row if not isinstance(x, int)]
+        bad = [x for row in entries for x in row if type(x) is not int]
         if bad:
             raise ValueError(f"non-integer entry {bad[0]!r}")
         cells = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in entries)
@@ -54,8 +54,8 @@ class IntMatrix(NamedTuple("IntMatrix", [("cells", tuple[tuple[tuple[int, int], 
         unpickling need: int columns rising inside ``range(cols)``, nonzero int values."""
         cells, cols = fields
         cells = tuple(tuple((j, x) for j, x in row) for row in cells)
-        if not (isinstance(cols, int) and cols >= 0 and all(
-                isinstance(j, int) and prev < j < cols and isinstance(x, int) and x
+        if not (type(cols) is int and cols >= 0 and all(
+                type(j) is int and prev < j < cols and type(x) is int and x
                 for row in cells for prev, (j, x) in zip((-1, *(j for j, _ in row)), row))):
             raise ValueError("malformed sparse matrix")
         return tuple.__new__(cls, (cells, cols))
@@ -303,7 +303,7 @@ class KSummary(NamedTuple):
 def _check_unit_rank(r: "int | float") -> None:
     if r == INF:
         return
-    if not isinstance(r, int) or r < 0:
+    if type(r) is not int or r < 0:
         raise ValueError("unit rank must be a nonnegative integer or INF")
 
 

@@ -220,7 +220,7 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
 
 
 def _check_count(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("the length must be a positive integer")
 
 

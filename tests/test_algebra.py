@@ -1029,7 +1029,8 @@ def test_family_file_round_trip():
     target = expand_hereditary(g, hs)
     fam = expansion_family(g, hs)
     text = format_family(target, fam)
-    target2, fam2 = parse_family(text, g)
+    # comment lines and blank lines are skipped
+    target2, fam2 = parse_family("# expansion family\n\n" + text + "\n   \n", g)
     assert target2 == target
     assert fam2.vertex_images == fam.vertex_images
     assert fam2.edge_images == fam.edge_images
@@ -1043,3 +1044,5 @@ def test_family_file_rejects_malformed():
         parse_family("edge e v = v\n", g)
     with pytest.raises(ValueError):
         parse_family("vertex v = v\nvertex v = v\n", g)
+    with pytest.raises(ValueError, match="^line 5: duplicate edge 'a'$"):
+        parse_family("# two loops\nvertex v = v\n\nedge a v v = e\nedge a v v = f\n", g)

@@ -107,8 +107,20 @@ def test_forest_validation():
                    (Edge("t", "r", "a"), Edge("u", "b", "c"), Edge("w", "c", "b")))
     with pytest.raises(ValueError, match="cycle"):  # b <-> c beside the tree r -> a
         Forest(beside, ("r",), beside.edges)
+    for edges, message in (
+            ((Edge("alpha", "v1", "v2"),), "tree edge 'alpha' is not an edge of the host"),
+            ((Edge("zz", "v2", "v1"),), "unknown edge 'zz'"),
+            ((delta, alpha, alpha), "duplicate tree edge 'alpha'")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Forest(g, ("v2",), edges)
+    with pytest.raises(ValueError, match="^duplicate root$"):
+        Forest(g, ("v2", "v2"), (delta, alpha))
     ok = Forest(g, ("v2",), (delta, alpha))
     assert ok.tau("v1").label() == "delta"
+    with pytest.raises(ValueError, match="^vertex 'nope' is not in the forest$"):
+        ok.tau("nope")
+    # plain (name, src, dst) tuples are read as edges
+    assert Forest(g, ("v2",), [tuple(delta), tuple(alpha)]) == ok
 
 
 # ── corner graphs ─────────────────────────────────────────────────────────────
@@ -203,8 +215,9 @@ def test_corner_bytes_pinned():
 
 def test_corner_rejects_foreign_forest():
     t = build_forest(two_way_line(), ["v2"])
-    with pytest.raises(ValueError):
-        t_corner(loops_and_chords(), t)
+    for use in (t_corner, corner_family, corner_weights):
+        with pytest.raises(ValueError, match="^the forest belongs to a different host graph$"):
+            use(loops_and_chords(), t)
 
 
 def test_corner_of_cycle_is_loop():

@@ -196,6 +196,8 @@ def test_path_composition_checked():
     assert p.label() == "g1.f1"
     with pytest.raises(ValueError):
         path_in(g, ["f1", "g1"])
+    with pytest.raises(ValueError, match=r"^unknown edge 'zz'$"):
+        g.edge("zz")
 
 
 def test_trivial_path():
@@ -223,6 +225,8 @@ def test_path_rejects_edges_that_do_not_compose():
     assert path_in(g, ["g1", "f1"]).drop_last() == path_in(g, ["g1"])
     assert path_in(g, ["g1", "f1"]).drop_last().target == "4"
     assert path_in(g, ["g1"]).drop_last() == PathSeq("5")
+    with pytest.raises(ValueError, match=r"^cannot shorten a length-0 path$"):
+        PathSeq("5").drop_last()
 
 
 def test_path_make_and_replace_check_the_edges():
@@ -281,6 +285,9 @@ def test_saturated_closure_examples():
     assert saturated_closure(arrow(), ["2"]) == ("1", "2")
     assert saturated_closure(arrow(), []) == ()
     assert saturated_closure(triangle(), ["w"]) == ("u", "v", "w")
+    # 1 emits its only edge into {2}, so {2} is not saturated until 1 joins
+    assert not is_saturated(arrow(), ["2"])
+    assert is_saturated(arrow(), ["1", "2"])
 
 
 def test_vertex_sets_report_their_least_unknown_name():
@@ -305,6 +312,8 @@ def test_closures_match_subset_oracle(gx):
     assert set(hereditary_closure(g, xs)) == oracle_closure(g, xs, hereditary=True)
     assert set(saturated_closure(g, xs)) == oracle_closure(g, xs, saturated=True)
     assert set(hs_closure(g, xs)) == oracle_closure(g, xs, hereditary=True, saturated=True)
+    assert is_hereditary(g, xs) == hereditary_by_definition(g, set(xs))
+    assert is_saturated(g, xs) == saturated_by_definition(g, set(xs))
 
 
 @given(vertex_subsets())

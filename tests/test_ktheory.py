@@ -452,6 +452,12 @@ def test_summary_rose2():
         assert s.invariant_factors == (1,)
 
 
+@pytest.mark.parametrize("r", [-1, 1.5, "2", True])
+def test_summary_rejects_a_bad_unit_rank(r):
+    with pytest.raises(ValueError, match="^unit rank must be a nonnegative integer or INF$"):
+        k_summary(rose2(), r)
+
+
 def test_infinite_rank_collapses_when_k0_trivial():
     # rank inf times zero must not poison the sum: K0 of rose-2 is finite
     s = k_summary(rose2(), INF)

@@ -396,6 +396,9 @@ def test_move_argument_errors():
         attach_head(tri, "nope", 1)
     with pytest.raises(ValueError):
         attach_head(tri, "v", 0)
+    for n in (True, 1.0):
+        with pytest.raises(ValueError, match="^the length must be a positive integer$"):
+            attach_head(tri, "v", n)
     with pytest.raises(ValueError):
         subdivide_edge(tri, "nope", 1)
     with pytest.raises(ValueError):
@@ -927,6 +930,8 @@ def test_trace_round_trip_and_replay():
     core, trace = desourcify(g)
     text = serialize_trace(trace)
     assert parse_trace(text) == trace
+    # comment lines and blank lines are skipped
+    assert parse_trace("# desourcify funnel\n\n" + text + "   \n") == trace
     assert replay(trace, g) == core
 
 

@@ -46,6 +46,7 @@ def test_equal_fields_give_equal_objects_with_equal_hashes(name):
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert a != make_other()
+    assert a != object()
 
 
 def test_constructors_normalize_before_comparing():
@@ -59,6 +60,7 @@ def test_elements_compare_by_terms_and_are_unhashable():
     p = PathSeq("v")
     assert element([(1, p, p)]) == element([(1, p, p)])
     assert element([(1, p, p)]) != element([(2, p, p)])
+    assert element([(1, p, p)]) != object()
     assert LpaElement() == LpaElement({}) and not LpaElement()
     with pytest.raises(TypeError):
         hash(element([(1, p, p)]))
@@ -113,6 +115,7 @@ def test_custom_reprs():
     lambda: MoveRecord("AttachHead", ("v",), "", ""),
     lambda: IntMatrix([[1, 2], [3]]),
     lambda: IntMatrix([[1.5]]),
+    lambda: IntMatrix([[True]]),
     lambda: MonoidElement([("v", 1), ("v", 2)]),
     lambda: MonoidElement([("v", 0)]),
     lambda: Graph(("v", "v")),
@@ -124,6 +127,7 @@ def test_custom_reprs():
     # factor, and this monoid element made a search answer wrongly
     lambda: IntMatrix([[1, 2], [3, 4]])._replace(cols=1),
     lambda: IntMatrix._make(((((0, 2.5),),), 1)),
+    lambda: IntMatrix._make(((((0, True),),), 1)),
     lambda: IntMatrix._make(((((1, 3), (0, 2)),), 2)),
     lambda: IntMatrix._make(((((0, 1), (0, 2)),), 2)),
     lambda: IntMatrix._make(((((0, 0),),), 1)),
@@ -132,9 +136,9 @@ def test_custom_reprs():
     lambda: IntMatrix._make(((), -1)),
     lambda: MonoidElement([("v", 1)])._replace(counts=(("w", 0), ("v", -2), ("v", 5))),
     lambda: MonoidElement._make(((("v", 1.5),),)),
-], ids=["path", "move-kind", "move-arity", "ragged", "non-integer", "duplicate-vertex",
-        "zero-count", "graph-duplicate", "graph-endpoint", "forest-cycle",
-        "matrix-narrowed", "matrix-float-value", "matrix-columns-unsorted",
+], ids=["path", "move-kind", "move-arity", "ragged", "non-integer", "bool-entry",
+        "duplicate-vertex", "zero-count", "graph-duplicate", "graph-endpoint", "forest-cycle",
+        "matrix-narrowed", "matrix-float-value", "matrix-bool-value", "matrix-columns-unsorted",
         "matrix-column-repeated", "matrix-zero-stored", "matrix-float-column",
         "matrix-negative-column", "matrix-negative-width", "monoid-replaced",
         "monoid-float-count"])
