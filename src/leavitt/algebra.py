@@ -31,7 +31,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Edge, Graph, PathSeq, _frozen, path_in
+from .graph import Edge, Graph, PathSeq, _checked_make, _frozen, path_in
 
 __all__ = [
     "LpaElement", "zero", "element", "vertex_element", "path_element", "monomial", "star",
@@ -278,6 +278,8 @@ class CkFamily(NamedTuple("CkFamily", [("vertex_images", dict[str, LpaElement]),
     def __new__(cls, vertex_images: Mapping[str, LpaElement],
                 edge_images: Mapping[str, LpaElement]) -> "CkFamily":
         return tuple.__new__(cls, (dict(vertex_images), dict(edge_images)))
+
+    _make = _checked_make
 
 
 class CkReport(NamedTuple):

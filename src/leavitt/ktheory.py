@@ -185,8 +185,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
-def _row_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Stage 2: the nonzero rows of a row Hermite normal form (Kannan-Bachem).
+def _row_hnf(rows: list[list[int]]) -> list[tuple[int, list[int]]]:
+    """The nonzero rows of a row Hermite normal form (Kannan-Bachem), each
+    with its pivot column, in column order.
 
     Rows are inserted one at a time.  Each is eliminated against the pivot
     of every column it reaches with a 2x2 transform of determinant 1, and
@@ -194,6 +195,7 @@ def _row_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
     are left reduced by the insertion before, so only the columns from the
     first one whose pivot row changed are reduced again.
     """
+    ncols = len(rows[0]) if rows else 0
     piv: list[list[int] | None] = [None] * ncols  # column -> row leading there
     for row in rows:
         changed = ncols  # the first column whose pivot row changed
@@ -226,26 +228,13 @@ def _row_hnf(rows: list[list[int]], ncols: int) -> list[list[int]]:
                 if q:
                     p = piv[j]
                     above[j:] = [y - q * z for y, z in zip(above[j:], p[j:])]
-    return [p for p in piv if p is not None]
-
-
-def _diagonal_factors(core: list[list[int]]) -> list[int]:
-    """Stage 3: diagonalize the triangular core by row HNFs of its transpose,
-    alternating, then sort the diagonal into a divisibility chain."""
-    while any(x for i, row in enumerate(core) for j, x in enumerate(row) if i != j):
-        core = _row_hnf([list(col) for col in zip(*core)], len(core))
-    d = [row[i] for i, row in enumerate(core)]
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] // g * d[j]
-    return d
+    return [(j, p) for j, p in enumerate(piv) if p is not None]
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of an integer matrix, all positive.
 
-    The factor count equals the rank.  Three stages, each made of unimodular
+    The factor count equals the rank.  Two stages, each made of unimodular
     row and column operations, so each keeps the invariant factors of the
     matrix it is handed:
 
@@ -258,33 +247,41 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
        keeps every other factor.  A pivot costs its row, its column and the
        fill it makes; no pivot passes over the whole matrix.  Sparse
        presentation matrices end here or nearly so.
-    2. A row Hermite normal form of the remainder, made dense over the
-       columns it still uses, whose entries stay bounded by its pivots
-       (``_row_hnf``): O(r^2 c) big-integer operations for r rows and c
-       columns, so this is the stage that grows fastest when many rows are
-       left.  Zero rows drop out, so rank deficiency
-       needs no special case.  Each row whose pivot is 1 drops out with its
-       pivot column and one factor 1: the rows around a unit pivot are
-       reduced to 0 in its column, so that column is a unit vector.  The
-       other columns stay, free ones included.
-    3. Row HNFs of the transpose, alternating, until the core is diagonal
-       (Kannan-Bachem).  The first row of each new core is the old core's
-       first column, ``(d, 0, ..., 0)``, so each round either splits off the
-       first row and column (when d divides the old first row) or replaces d
-       by a proper divisor, and the loop ends.  Each round is one HNF of the
-       k x k core, which holds only the rows whose pivot is not 1.  Pairwise
-       gcd/lcm swaps then order the diagonal into a divisibility chain.
+    2. Alternating row Hermite normal forms (``_row_hnf``, Kannan-Bachem)
+       of the remainder, made dense over the columns it still uses.  An HNF
+       keeps its entries bounded by its pivots and costs O(r^2 c)
+       big-integer operations for r rows and c columns, so this is the
+       stage that grows fastest when many rows are left.  Zero rows drop
+       out, so rank deficiency needs no special case.  Each row whose pivot
+       is 1 drops out with its pivot column and one factor 1: the rows
+       around a unit pivot are reduced to 0 in its column, so that column
+       is a unit vector.  The other columns stay, free ones included.  The
+       loop stops when the core is diagonal and otherwise goes round again
+       on its transpose, whose first row is the old first column
+       ``(d, 0, ..., 0)``: each round shrinks the core or replaces d by a
+       proper divisor, so the loop ends.  Pairwise gcd/lcm swaps then order
+       the diagonal into a divisibility chain.
 
     Python integers keep every intermediate value exact.
     """
     ones, rest = _unit_pivots(m)
     keep = sorted({j for row in rest for j in row})
-    hnf = _row_hnf([[row.get(j, 0) for j in keep] for row in rest], len(keep))
-    leads = [next(j for j, x in enumerate(row) if x) for row in hnf]
-    units = {j for j, row in zip(leads, hnf) if row[j] == 1}
-    core = [[x for j, x in enumerate(row) if j not in units]
-            for lead, row in zip(leads, hnf) if lead not in units]
-    return (1,) * (ones + len(units)) + tuple(_diagonal_factors(core))
+    core = [[row.get(j, 0) for j in keep] for row in rest]
+    while True:
+        hnf = _row_hnf(core)
+        units = {j for j, row in hnf if row[j] == 1}
+        ones += len(units)
+        core = [[x for j, x in enumerate(row) if j not in units]
+                for lead, row in hnf if lead not in units]
+        if not any(x for i, row in enumerate(core) for j, x in enumerate(row) if i != j):
+            break
+        core = [list(col) for col in zip(*core)]
+    d = [row[i] for i, row in enumerate(core)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return (1,) * ones + tuple(d)
 
 
 class KSummary(NamedTuple):

@@ -343,14 +343,34 @@ def test_snf_does_not_depend_on_declaration_order(g, seed):
 
 def test_snf_hnf_unit_pivots_drop_out(monkeypatch):
     # [[2, 4, 3], [3, 5, 3]] has no ±1 entry, and its Hermite normal form
-    # [[1, 1, 0], [0, 2, 3]] has one unit pivot: the diagonal stage gets only
-    # [[2, 3]], the row left once the unit pivot's row and column drop out
+    # [[1, 1, 0], [0, 2, 3]] has one unit pivot: the next round gets only the
+    # transpose of [[2, 3]], the row left once the unit pivot's row and column
+    # drop out, and the unit pivot of its HNF [[1]] drops out in turn
     cores = []
-    original = leavitt.ktheory._diagonal_factors
-    monkeypatch.setattr(leavitt.ktheory, "_diagonal_factors",
-                        lambda core: cores.append(core) or original(core))
+    original = leavitt.ktheory._row_hnf
+    monkeypatch.setattr(leavitt.ktheory, "_row_hnf",
+                        lambda rows: cores.append([list(r) for r in rows]) or original(rows))
     assert smith_normal_form(IntMatrix(((2, 4, 3), (3, 5, 3)))) == (1, 1)
-    assert cores == [[[2, 3]]]
+    assert cores == [[[2, 4, 3], [3, 5, 3]], [[2], [3]]]
+
+
+def test_snf_matches_oracle_on_seeded_3x3_sweep(monkeypatch):
+    # 3x3 matrices over {0, ±2, ±3, ±4, ±6} have no ±1 entry, so all their
+    # work is in the HNF rounds; many need three or more, which the
+    # hypothesis strategies rarely reach
+    calls = []
+    original = leavitt.ktheory._row_hnf
+    monkeypatch.setattr(leavitt.ktheory, "_row_hnf",
+                        lambda rows: calls.append(rows) or original(rows))
+    rng = random.Random("snf:3x3")
+    values = (0, 2, -2, 3, -3, 4, -4, 6, -6)
+    later = 0
+    for _ in range(3000):
+        m = tuple(tuple(rng.choice(values) for _ in range(3)) for _ in range(3))
+        calls.clear()
+        assert smith_normal_form(IntMatrix(m)) == oracle_invariant_factors(m), m
+        later += len(calls) >= 3
+    assert later >= 300
 
 
 def test_snf_factors_unchanged_on_the_benchmark_library_graphs():

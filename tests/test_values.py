@@ -148,14 +148,21 @@ def test_invalid_input_raises_value_error(make):
 
 
 @pytest.mark.parametrize("name", ["PathSeq", "MonoidElement", "MoveRecord", "KSummary",
-                                  "IntMatrix"])
+                                  "IntMatrix", "CkFamily"])
 def test_tuples_round_trip_through_make_replace_copy_and_pickle(name):
-    value = VALUES[name][0]()
+    value = MAKERS[name]()
     assert type(value)._make(tuple(value)) == value
     assert value._replace() == value
     assert copy.copy(value) == value and copy.deepcopy(value) == value
     back = pickle.loads(pickle.dumps(value))
     assert type(back) is type(value) and back == value
+    if name == "CkFamily":
+        # _make and _replace copy the images into dicts, as the constructor does
+        images = {"v": element([(1, PathSeq("v"), PathSeq("v"))])}
+        made = CkFamily._make((images, {}))
+        assert made.vertex_images == images and made.vertex_images is not images
+        replaced = value._replace(vertex_images=list(images.items()))
+        assert type(replaced.vertex_images) is dict and replaced == made
 
 
 def test_a_widened_matrix_gains_a_zero_column():
