@@ -59,6 +59,9 @@ class LpaElement:
     def __init__(self, terms: dict[tuple[PathSeq, PathSeq], int | Fraction] | None = None) -> None:
         object.__setattr__(self, "terms", {} if terms is None else terms)
 
+    def __reduce__(self):
+        return LpaElement, (self.terms,)
+
     def __eq__(self, other):
         if type(other) is not LpaElement:
             return NotImplemented
@@ -283,8 +286,11 @@ class CkFamily(NamedTuple("CkFamily", [("vertex_images", dict[str, LpaElement]),
 
 
 class CkReport(NamedTuple):
-    ok: bool
     failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def _meeting(lefts: list[LpaElement], rights: list[LpaElement]) -> list[set[int]]:
@@ -381,7 +387,7 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
         outs = target.out_edges(v)
         if outs and not holds(q[v], *((t[e.name], ts[e.name]) for e in outs)):
             fails.append(f"CK-2: {v}")
-    return CkReport(ok=not fails, failures=tuple(fails))
+    return CkReport(tuple(fails))
 
 
 # ── element text syntax ───────────────────────────────────────────────────────

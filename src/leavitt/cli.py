@@ -81,7 +81,7 @@ def _positive_int(text: str) -> int:
 
 
 def _rank_text(value) -> str:
-    return "inf" if value == float("inf") else str(value)
+    return "inf" if value == float("inf") else _digits(value)
 
 
 def _digits(d: int) -> str:
@@ -100,22 +100,21 @@ def _vertex_list(text: str) -> list[str]:
 
 
 def _cmd_analyze(g, args) -> tuple[str, int]:
-    from .ktheory import classify_algebra, k_summary
+    from .ktheory import k_summary
 
     r = args.unit_rank
     summary = k_summary(g, r)
-    verdict = classify_algebra(summary)
-    no_sinks = str(verdict.no_sinks).lower()
+    no_sinks = str(summary.no_sinks).lower()
     torsion = ",".join(map(_digits, summary.torsion)) or "none"
-    criterion5 = ("inapplicable: infinite unit-group rank" if verdict.criterion5 is None
-                  else str(verdict.criterion5).lower())
+    criterion5 = ("inapplicable: infinite unit-group rank" if summary.criterion5 is None
+                  else str(summary.criterion5).lower())
     return (f"rank_k0 {summary.rank_k0}\n"
             f"rank_k1(r={_rank_text(r)}) {_rank_text(summary.rank_k1)}\n"
             f"torsion {torsion}\n"
             f"singular {summary.singular_count}\n"
             f"is_ck {no_sinks}\n"
             f"strongly_graded {no_sinks}\n"
-            f"criterion4 {str(verdict.criterion4).lower()}\n"
+            f"criterion4 {str(summary.criterion4).lower()}\n"
             f"criterion5 {criterion5}\n"), 0
 
 

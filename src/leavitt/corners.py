@@ -23,7 +23,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
-from .graph import Edge, Graph, PathSeq, _frozen
+from .graph import Edge, Graph, PathSeq, _frozen, _validated
 
 if TYPE_CHECKING:
     from .algebra import CkFamily, LpaElement
@@ -157,11 +157,9 @@ def build_forest(g: Graph, roots: Iterable[str]) -> Forest:
     unreached one, repeatedly take the lexicographically least edge name.
     No edge ever enters the root set.
     """
-    x = set(roots)
+    x = _validated(g, roots)
     if not x:
         raise ValueError("the root set must be nonempty")
-    for v in x:
-        g.require_vertex(v)
     if x == set(g.vertices):
         raise ValueError("the root set must be a proper subset of the vertices")
     reached = set(x)

@@ -22,8 +22,6 @@ __all__ = [
     "smith_normal_form",
     "KSummary",
     "k_summary",
-    "ClassificationVerdict",
-    "classify_algebra",
 ]
 
 INF = float("inf")
@@ -286,50 +284,9 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
 
 class KSummary(NamedTuple):
     """Exact K-theory rank data of a graph algebra over a field whose unit
-    group has free rank ``unit_rank``."""
-
-    invariant_factors: tuple[int, ...]
-    torsion: tuple[int, ...]  # the nonunit invariant factors
-    rank_k0: int
-    rank_k1: "int | float"
-    rank_k1_cstar: int
-    singular_count: int
-    unit_rank: "int | float"
-
-
-def _check_unit_rank(r: "int | float") -> None:
-    if r == INF:
-        return
-    if type(r) is not int or r < 0:
-        raise ValueError("unit rank must be a nonnegative integer or INF")
-
-
-def k_summary(g: Graph, unit_rank: "int | float" = 0) -> KSummary:
-    _check_unit_rank(unit_rank)
-    b = presentation_matrix(g)
-    factors = smith_normal_form(b)
-    rho = len(factors)
-    n = len(g.vertices)
-    n_reg = b.cols
-    rank_k0 = n - rho
-    if unit_rank == INF:
-        rank_k1 = (n_reg - rho) if rank_k0 == 0 else INF
-    else:
-        rank_k1 = (n_reg - rho) + unit_rank * rank_k0
-    return KSummary(
-        invariant_factors=factors,
-        torsion=tuple(d for d in factors if d != 1),
-        rank_k0=rank_k0,
-        rank_k1=rank_k1,
-        rank_k1_cstar=n_reg - rho,
-        singular_count=n - n_reg,
-        unit_rank=unit_rank,
-    )
-
-
-class ClassificationVerdict(NamedTuple):
-    """Equivalent characterizations of when the algebra of a finite graph
-    embeds the full family of generators with no sinks.
+    group has free rank ``unit_rank``, stored as the four facts it is read
+    off: the invariant factors of I - A^t and the vertex and regular-vertex
+    counts.
 
     ``no_sinks`` is also the verdict that the algebra is an algebraic
     Cuntz-Krieger algebra and that it is strongly graded: for a finite
@@ -339,15 +296,49 @@ class ClassificationVerdict(NamedTuple):
     each criterion that applies equals ``no_sinks``.
     """
 
-    no_sinks: bool
-    criterion4: bool
-    criterion5: "bool | None"
+    invariant_factors: tuple[int, ...]
+    vertex_count: int
+    regular_count: int
+    unit_rank: "int | float"
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """The nonunit invariant factors."""
+        return tuple(d for d in self.invariant_factors if d != 1)
+
+    @property
+    def rank_k0(self) -> int:
+        return self.vertex_count - len(self.invariant_factors)
+
+    @property
+    def rank_k1_cstar(self) -> int:
+        return self.regular_count - len(self.invariant_factors)
+
+    @property
+    def rank_k1(self) -> "int | float":
+        if self.unit_rank == INF:
+            return self.rank_k1_cstar if self.rank_k0 == 0 else INF
+        return self.rank_k1_cstar + self.unit_rank * self.rank_k0
+
+    @property
+    def singular_count(self) -> int:
+        return self.vertex_count - self.regular_count
+
+    @property
+    def no_sinks(self) -> bool:
+        return self.singular_count == 0
+
+    @property
+    def criterion4(self) -> bool:
+        return self.rank_k0 == self.rank_k1_cstar
+
+    @property
+    def criterion5(self) -> "bool | None":
+        return None if self.unit_rank == INF else self.rank_k1 == (self.unit_rank + 1) * self.rank_k0
 
 
-def classify_algebra(s: KSummary) -> ClassificationVerdict:
-    """The verdicts, read off a K-theory summary without recomputing it."""
-    return ClassificationVerdict(
-        no_sinks=s.singular_count == 0,
-        criterion4=s.rank_k0 == s.rank_k1_cstar,
-        criterion5=None if s.unit_rank == INF else s.rank_k1 == (s.unit_rank + 1) * s.rank_k0,
-    )
+def k_summary(g: Graph, unit_rank: "int | float" = 0) -> KSummary:
+    if unit_rank != INF and (type(unit_rank) is not int or unit_rank < 0):
+        raise ValueError("unit rank must be a nonnegative integer or INF")
+    b = presentation_matrix(g)
+    return KSummary(smith_normal_form(b), len(g.vertices), b.cols, unit_rank)

@@ -30,7 +30,7 @@ from leavitt.algebra import CkFamily, degree, verify_ck_family
 from leavitt.cli import run
 from leavitt.corners import build_forest, corner_family, corner_weights, t_corner
 from leavitt.graph import Edge, Graph, classify, graph_hash, hs_closure, serialize_graph
-from leavitt.ktheory import INF, IntMatrix, classify_algebra, k_summary, smith_normal_form
+from leavitt.ktheory import INF, IntMatrix, k_summary, smith_normal_form
 from leavitt.monoid import Equivalent, MonoidElement, NotWithinBound, equivalent, is_full, rebalance_full
 from leavitt.moves import (
     attach_head,
@@ -111,9 +111,8 @@ def test_criterion_04_infinite_unit_rank(capsys):
         summary = k_summary(g, INF)
         assert summary.rank_k0 == 1
         assert summary.rank_k1 == INF
-        verdict = classify_algebra(summary)
-        assert not verdict.no_sinks
-        assert verdict.criterion5 is None
+        assert not summary.no_sinks
+        assert summary.criterion5 is None
 
 
 def test_criterion_05_rank_identity_suite(capsys):

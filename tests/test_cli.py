@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
 import subprocess
 import sys
 
@@ -85,6 +86,26 @@ def test_analyze_prints_torsion_past_the_integer_string_limit(tmp_path, capsys):
         chunk = digits[start:start + 500]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == 2**n - 1
+
+
+def test_analyze_prints_rank_k1_past_the_integer_string_limit(tmp_path, capsys):
+    # 12 isolated vertices and one loop: rank K0 = 13 and rank K1(C*) = 1, so
+    # r = 10^4299 - 1 gives rank K1 = 1 + 13r = 13 * 10^4299 - 12, 4,301 digits
+    text = "".join(f"vertex v{i}\n" for i in range(13)) + "edge e v12 v12\n"
+    path = tmp_path / "sinks.txt"
+    path.write_text(text, encoding="utf-8")
+    r = "9" * 4299
+    assert run(["analyze", str(path), "--unit-rank", r]) == 0
+    assert capsys.readouterr().out == (
+        "rank_k0 13\n"
+        f"rank_k1(r={r}) 12{'9' * 4297}88\n"
+        "torsion none\n"
+        "singular 12\n"
+        "is_ck false\n"
+        "strongly_graded false\n"
+        "criterion4 false\n"
+        "criterion5 false\n"
+    )
 
 
 def test_analyze_rejects_bad_unit_rank(tmp_path, capsys):
@@ -205,6 +226,11 @@ def test_corner_graph_stdout(tmp_path, capsys):
         "edge beta_v1 v3 v1\n"
         "edge beta_v3 v3 v3\n"
     )
+
+
+def test_corner_names_the_least_unknown_root(tmp_path, capsys):
+    assert run(["corner", write_graph(tmp_path, two_way_line()), "--roots", "zz,yy,xx,ww"]) == 1
+    assert capsys.readouterr().err == "error: unknown vertex 'ww'\n"
 
 
 def test_corner_emit_weights(tmp_path, capsys):
@@ -368,6 +394,32 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("rank_k0 0\n")
+
+
+def test_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    # each argv names several unknown vertices; a diagnostic that iterates a
+    # set of them would name a different one under a different seed
+    graph_file = write_graph(tmp_path, two_way_line())
+    family_file = tmp_path / "family.txt"
+    family_file.write_text("vertex ww = v1\nvertex zz = v2\n"
+                           "edge e zz yy = gamma\nedge f xx ww = delta\n", encoding="utf-8")
+    argvs = [
+        ["corner", graph_file, "--roots", "zz,yy,xx,ww"],
+        ["corner", graph_file, "--roots", "v2,yy,ww,xx,zz", "--emit-weights"],
+        ["move", "expand-hereditary", graph_file, "zz,yy,xx,ww"],
+        ["move", "eliminate-source", graph_file, "zz,yy,xx,ww"],
+        ["monoid", "full", graph_file, "zz:1 yy:1 xx:1 ww:1"],
+        ["monoid", "equiv", graph_file, "zz:1 yy:2", "xx:1 ww:1"],
+        ["verify", graph_file, str(family_file)],
+    ]
+    for argv in argvs:
+        procs = [subprocess.Popen([sys.executable, "-m", "leavitt", *argv],
+                                  env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for seed in (0, 1, 2)]
+        results = [(*p.communicate(), p.returncode) for p in procs]
+        assert results[0][2] == 1 and results[0][1].startswith("error: "), (argv, results[0])
+        assert results[1:] == results[:1] * 2, argv
 
 
 def test_console_script_if_installed(tmp_path):

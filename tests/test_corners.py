@@ -92,6 +92,11 @@ def test_build_forest_input_checks():
         build_forest(g, ["nope"])
 
 
+def test_build_forest_names_the_least_unknown_root():
+    with pytest.raises(ValueError, match="^unknown vertex 'ww'$"):
+        build_forest(two_way_line(), ["zz", "yy", "xx", "ww"])
+
+
 def test_forest_validation():
     g = two_way_line()
     gamma, delta, alpha = g.edge("gamma"), g.edge("delta"), g.edge("alpha")

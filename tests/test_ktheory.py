@@ -42,7 +42,6 @@ from leavitt.graph import Edge, Graph, classify, parse_graph, serialize_graph
 from leavitt.ktheory import (
     INF,
     IntMatrix,
-    classify_algebra,
     k_summary,
     presentation_matrix,
     smith_normal_form,
@@ -518,28 +517,28 @@ def test_torsion_example():
 
 
 def test_verdict_arrow():
-    v = classify_algebra(k_summary(arrow(), 0))
-    assert not v.no_sinks
-    assert v.criterion4 is False
-    assert v.criterion5 is False
+    s = k_summary(arrow(), 0)
+    assert not s.no_sinks
+    assert s.criterion4 is False
+    assert s.criterion5 is False
 
 
 def test_verdict_single_loop():
-    v = classify_algebra(k_summary(single_loop(), 0))
-    assert v.no_sinks
-    assert v.criterion4 is True and v.criterion5 is True
+    s = k_summary(single_loop(), 0)
+    assert s.no_sinks
+    assert s.criterion4 is True and s.criterion5 is True
 
 
 def test_verdict_infinite_rank_note():
-    v = classify_algebra(k_summary(arrow(), INF))
-    assert v.criterion5 is None
-    assert v.criterion4 == v.no_sinks
+    s = k_summary(arrow(), INF)
+    assert s.criterion5 is None
+    assert s.criterion4 == s.no_sinks
 
 
 def test_verdict_funnel():
-    v = classify_algebra(k_summary(funnel_into_cycle(), 0))
-    assert v.no_sinks
-    assert v.criterion4 == v.no_sinks and v.criterion5 == v.no_sinks
+    s = k_summary(funnel_into_cycle(), 0)
+    assert s.no_sinks
+    assert s.criterion4 == s.no_sinks and s.criterion5 == s.no_sinks
 
 
 # the main theorem for finite graphs: each rank criterion holds exactly when
@@ -549,8 +548,8 @@ def test_verdict_funnel():
 @settings(max_examples=80, deadline=None)
 @given(graphs(max_vertices=6, max_edges=12), st.integers(min_value=0, max_value=3))
 def test_consistency_on_hypothesis_graphs(g, r):
-    v = classify_algebra(k_summary(g, r))
-    assert v.criterion4 == v.no_sinks and v.criterion5 == v.no_sinks
+    s = k_summary(g, r)
+    assert s.criterion4 == s.no_sinks and s.criterion5 == s.no_sinks
 
 
 def test_consistency_on_seeded_batch():
@@ -558,9 +557,9 @@ def test_consistency_on_seeded_batch():
     for _ in range(150):
         g = random_graph(rng, max_vertices=8, max_edges=16)
         for r in (0, 1, 2, 3):
-            v = classify_algebra(k_summary(g, r))
-            assert v.criterion4 == v.no_sinks and v.criterion5 == v.no_sinks
-            assert v.no_sinks == (not classify(g).sinks)
+            s = k_summary(g, r)
+            assert s.criterion4 == s.no_sinks and s.criterion5 == s.no_sinks
+            assert s.no_sinks == (not classify(g).sinks)
 
 
 def test_analyze_runs_one_snf(tmp_path, monkeypatch, capsys):

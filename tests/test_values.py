@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -30,8 +31,7 @@ VALUES = {
                       lambda: MonoidElement([("v", 2)])),
     "MoveRecord": (lambda: MoveRecord("AttachHead", ("v", "1"), "0" * 16, "1" * 16),
                    lambda: MoveRecord("AttachHead", ("v", "2"), "0" * 16, "1" * 16)),
-    "KSummary": (lambda: KSummary((1, 2), (2,), 1, 1, 1, 0, 0),
-                 lambda: KSummary((1, 3), (3,), 1, 1, 1, 0, 0)),
+    "KSummary": (lambda: KSummary((1, 2), 3, 3, 0), lambda: KSummary((1, 3), 3, 3, 0)),
     "IntMatrix": (lambda: IntMatrix([[1, 2], [3, 4]]), lambda: IntMatrix([[1, 2]])),
     "Forest": (lambda: Forest(Graph(("v", "w"), (E,)), ("v",), (E,)),
                lambda: Forest(Graph(("v", "w"), (E,)), ("v", "w"), ())),
@@ -70,13 +70,14 @@ def test_elements_compare_by_terms_and_are_unhashable():
 
 
 MAKERS = {name: make for name, (make, _) in VALUES.items()}
-MAKERS.update(LpaElement=LpaElement, CkFamily=lambda: CkFamily({}, {}))
+MAKERS.update(LpaElement=LpaElement,
+              CkFamily=lambda: CkFamily({"v": element([(1, PathSeq("v"), PathSeq("v"))])}, {}))
 
 
 @pytest.mark.parametrize("name, field", [
     ("Graph", "vertices"), ("PathSeq", "source"), ("MonoidElement", "counts"),
-    ("MoveRecord", "kind"), ("KSummary", "rank_k0"), ("IntMatrix", "cells"),
-    ("IntMatrix", "entries"),
+    ("MoveRecord", "kind"), ("KSummary", "invariant_factors"), ("KSummary", "rank_k0"),
+    ("IntMatrix", "cells"), ("IntMatrix", "entries"),
     ("Forest", "roots"), ("LpaElement", "terms"), ("CkFamily", "vertex_images"),
 ])
 def test_attributes_cannot_be_set_or_deleted(name, field):
@@ -163,6 +164,13 @@ def test_tuples_round_trip_through_make_replace_copy_and_pickle(name):
         assert made.vertex_images == images and made.vertex_images is not images
         replaced = value._replace(vertex_images=list(images.items()))
         assert type(replaced.vertex_images) is dict and replaced == made
+
+
+def test_elements_round_trip_through_copy_and_pickle():
+    p, q = PathSeq("v", (E,)), PathSeq("w")
+    x = element([(3, p, p), (Fraction(1, 2), q, q)])
+    for back in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(back) is LpaElement and back == x
 
 
 def test_a_widened_matrix_gains_a_zero_column():
