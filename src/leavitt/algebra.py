@@ -31,11 +31,11 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Edge, Graph, PathSeq, _checked_make, _frozen, path_in
+from .graph import Edge, Graph, PathSeq, _checked_make, _decimal, _digits, _frozen, path_in
 
 __all__ = [
-    "LpaElement", "zero", "element", "vertex_element", "path_element", "monomial", "star",
-    "designated_edge", "normal_form", "equals", "degree", "CkFamily", "CkReport",
+    "LpaElement", "element", "vertex_element", "path_element", "monomial", "star",
+    "normal_form", "equals", "degree", "CkFamily", "CkReport",
     "verify_ck_family", "parse_element", "format_element", "parse_family", "format_family",
 ]
 
@@ -141,17 +141,13 @@ def _term_product(alpha: PathSeq, beta: PathSeq, gamma: PathSeq, delta: PathSeq)
         if m < k:
             if alpha.target != beta.target:
                 raise ValueError(f"edge {gamma.edges[m].name!r} does not start where the path ends")
-            alpha = tuple.__new__(PathSeq, (alpha.source, alpha.edges + gamma.edges[m:], gamma.target))
+            alpha = tuple.__new__(PathSeq, (alpha.source, alpha.edges + gamma.edges[m:]))
         return alpha, delta
     if gamma.edges != beta.edges[:k]:
         return None
     if delta.target != gamma.target:
         raise ValueError(f"edge {beta.edges[k].name!r} does not start where the path ends")
-    return alpha, tuple.__new__(PathSeq, (delta.source, delta.edges + beta.edges[k:], beta.target))
-
-
-def zero() -> LpaElement:
-    return LpaElement()
+    return alpha, tuple.__new__(PathSeq, (delta.source, delta.edges + beta.edges[k:]))
 
 
 def element(terms: Iterable[tuple]) -> LpaElement:
@@ -197,13 +193,6 @@ def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaE
 def star(x: LpaElement) -> LpaElement:
     """The involution: (c alpha beta*)* = c beta alpha*."""
     return LpaElement({(b, a): c for (a, b), c in x.terms.items()})
-
-
-def designated_edge(g: Graph, v: str) -> str | None:
-    """The lexicographically least edge emitted by ``v`` (None for sinks)."""
-    g.require_vertex(v)
-    d = g._designated.get(v)
-    return None if d is None else d.name
 
 
 def normal_form(g: Graph, x: LpaElement) -> LpaElement:
@@ -458,7 +447,7 @@ def _parse_path(g: Graph, token: str) -> PathSeq:
 def parse_element(g: Graph, text: str) -> LpaElement:
     s = "".join(text.split())
     if not s or (s == "0" and "0" not in g.vertex_set):
-        return zero()
+        return LpaElement()
     if not _TERMS_RE.fullmatch(s):
         raise ValueError("empty term")
     out: list[tuple[int | Fraction, PathSeq, PathSeq]] = []
@@ -466,10 +455,10 @@ def parse_element(g: Graph, text: str) -> LpaElement:
         coeff = -1 if sign == "-" else 1
         m = _COEFF_RE.match(term)
         if m:
-            try:
-                coeff *= Fraction(m.group(1))
-            except ZeroDivisionError:
-                raise ValueError(f"coefficient {m.group(1)!r} has a zero denominator") from None
+            num, _, den = m.group(1).partition("/")
+            if not (den := _decimal(den or "1")):
+                raise ValueError(f"coefficient {m.group(1)!r} has a zero denominator")
+            coeff *= Fraction(_decimal(num), den)
             term = term[m.end():]
         if ";" in term:
             a_text, _, b_text = term.partition(";")
@@ -500,7 +489,10 @@ def format_element(x: LpaElement) -> str:
         if right.edges:
             body += f" ; {right.label()}"
         mag = abs(c)
-        parts.append(("+ " if c > 0 else "- ") + (body if mag == 1 else f"{mag} * {body}"))
+        if mag != 1:
+            den = "" if mag.denominator == 1 else f"/{_digits(mag.denominator)}"
+            body = f"{_digits(mag.numerator)}{den} * {body}"
+        parts.append(("+ " if c > 0 else "- ") + body)
     text = " ".join(parts)  # "+ a - b": the first sign is written "" or "-"
     return text[2:] if text[0] == "+" else "-" + text[2:]
 

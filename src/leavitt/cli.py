@@ -38,7 +38,7 @@ import argparse
 import functools
 import sys
 
-from .graph import _decimal, parse_graph, serialize_graph
+from .graph import _decimal, _digits, parse_graph, serialize_graph
 
 __all__ = ["run", "main"]
 
@@ -82,17 +82,6 @@ def _positive_int(text: str) -> int:
 
 def _rank_text(value) -> str:
     return "inf" if value == float("inf") else _digits(value)
-
-
-def _digits(d: int) -> str:
-    """The decimal digits of ``d >= 0`` at any length.  ``str`` refuses
-    integers longer than the interpreter's limit (4,300 digits by default,
-    640 at the least), so they go out 600 at a time."""
-    chunks = []
-    while d >= 10**600:
-        d, low = divmod(d, 10**600)
-        chunks.append(f"{low:0600d}")
-    return str(d) + "".join(reversed(chunks))
 
 
 def _vertex_list(text: str) -> list[str]:

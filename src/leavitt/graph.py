@@ -60,11 +60,29 @@ def _check_name(kind: str, name: str) -> None:
 
 
 def _decimal(text: str) -> int:
-    """``int(text)`` for ASCII digits after an optional minus sign only;
-    ``int`` alone also reads ``+``, ``_``, spaces and non-ASCII digits."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
+    """``int(text)`` for ASCII digits after an optional minus sign only, at
+    any length; ``int`` alone also reads ``+``, ``_``, spaces and non-ASCII
+    digits, and refuses strings longer than the interpreter's limit (4,300
+    digits by default, 640 at the least), so they come in 600 at a time."""
+    digits = text.removeprefix("-")
+    if not (text.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
+    n = 0
+    for i in range(0, len(digits), 600):
+        chunk = digits[i:i + 600]
+        n = n * 10**len(chunk) + int(chunk)
+    return -n if text[0] == "-" else n
+
+
+def _digits(d: int) -> str:
+    """The decimal digits of ``d >= 0`` at any length, the inverse of
+    :func:`_decimal`: ``str`` refuses integers past the same limit, so they
+    go out 600 at a time."""
+    chunks = []
+    while d >= 10**600:
+        d, low = divmod(d, 10**600)
+        chunks.append(f"{low:0600d}")
+    return str(d) + "".join(reversed(chunks))
 
 
 # namedtuple's _make, which _replace also calls, skips __new__ and its checks
@@ -189,17 +207,16 @@ class Graph:
             raise ValueError(f"unknown edge {name!r}") from None
 
 
-class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]),
-                                     ("target", str)])):
+class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...])])):
     """A finite path: its source vertex and its edges, in order.
 
     The first edge leaves ``source`` and each later edge leaves where the one
     before it ends; with no edges this is the length-0 path at ``source``.
-    The edges are checked once, when the path is made, which records the
-    range as ``target``.  A path grown by one edge from a checked path checks
-    only the new joint, and a prefix of a checked path needs no check.
-    Paths compare as ``(source, edges, target)`` tuples; edge names and the
-    dotted label are only for text.
+    The edges are checked once, when the path is made; a ``target`` given
+    then is only checked, since the range is read off the last edge.  A path
+    grown by one edge from a checked path checks only the new joint, and a
+    prefix of a checked path needs no check.  Paths compare as
+    ``(source, edges)`` tuples; edge names and the dotted label are for text.
     """
 
     __slots__ = ()
@@ -213,9 +230,13 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
             at = e.dst
         if target is not None and target != at:
             raise ValueError(f"the path ends at {at!r}, not {target!r}")
-        return tuple.__new__(cls, (source, edges, at))
+        return tuple.__new__(cls, (source, edges))
 
     _make = _checked_make
+
+    @property
+    def target(self) -> str:
+        return self.edges[-1].dst if self.edges else self.source
 
     @classmethod
     def of(cls, edges: Iterable[Edge]) -> "PathSeq":
@@ -232,13 +253,12 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
     def extend(self, e: Edge) -> "PathSeq":
         if e.src != self.target:
             raise ValueError(f"edge {e.name!r} does not start where the path ends")
-        return tuple.__new__(PathSeq, (self.source, self.edges + (e,), e.dst))
+        return tuple.__new__(PathSeq, (self.source, self.edges + (e,)))
 
     def drop_last(self) -> "PathSeq":
         if not self.edges:
             raise ValueError("cannot shorten a length-0 path")
-        at = self.edges[-2].dst if len(self.edges) > 1 else self.source
-        return tuple.__new__(PathSeq, (self.source, self.edges[:-1], at))
+        return tuple.__new__(PathSeq, (self.source, self.edges[:-1]))
 
     def sort_key(self) -> tuple:
         # edge names are unique within a graph, so edges sort as their names do

@@ -2,11 +2,11 @@
 
 Elements are finite multisets over the vertex set.  The single relation
 schema, one instance per regular vertex, replaces a copy of ``v`` by the
-multiset of ranges of the edges ``v`` emits (``expand``); ``contract`` is its
-inverse.  Two elements are equal in the monoid when a chain of such moves
-connects them; ``equivalent`` searches for a chain within explicit bounds and
-answers with an honest tri-state (a found chain is definitive, a missed one
-is only inconclusive).
+multiset of ranges of the edges ``v`` emits (``expand``); contracting them
+back is its inverse.  Two elements are equal in the monoid when a chain of
+such moves connects them; ``equivalent`` searches for a chain within explicit
+bounds and answers with an honest tri-state (a found chain is definitive, a
+missed one is only inconclusive).
 
 Elements are checked against the graph once, where they enter a public
 function.  Inside, ``equivalent`` packs each state into one ``int``, a field
@@ -14,7 +14,7 @@ of W bits per vertex in the graph's vertex order, with W chosen so that no
 count or edge multiplicity reaches the field's top bit; that guard bit lets
 one subtraction test a whole contraction.  ``rebalance_full`` works on a
 vertex -> count map.  Both read each vertex's relation from ``_relation``, as
-``expand`` and ``contract`` do.
+``expand`` does.
 
 Text syntax: ``v1:2 v2:1`` — whitespace-separated ``vertex:multiplicity``
 pairs; ``0`` is the empty element.
@@ -25,14 +25,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Graph, _checked_make, _decimal, _reach, _validated, classify, hs_closure
+from .graph import Graph, _checked_make, _decimal, _digits, _reach, _validated, classify, hs_closure
 
 __all__ = [
     "MonoidElement",
     "parse_monoid",
     "format_monoid",
     "expand",
-    "contract",
     "Equivalent",
     "NotWithinBound",
     "equivalent",
@@ -107,7 +106,7 @@ def parse_monoid(g: Graph, text: str) -> MonoidElement:
 def format_monoid(m: MonoidElement) -> str:
     if not m:
         return "0"
-    return " ".join(f"{v}:{k}" for v, k in m.counts)
+    return " ".join(f"{v}:{_digits(k)}" for v, k in m.counts)
 
 
 def _relation(g: Graph, v: str) -> Counter[str]:
@@ -130,19 +129,6 @@ def expand(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
     return MonoidElement.of(c)
 
 
-def contract(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
-    """Inverse of :func:`expand`: swallow the out-edge ranges of ``v`` back."""
-    g.require_vertex(v)
-    _validated(g, m.support)
-    need = _relation(g, v)
-    c = Counter(dict(m.counts))
-    if any(c[w] < k for w, k in need.items()):
-        raise ValueError(f"the out-edge ranges of {v!r} are not contained in the element")
-    c.subtract(need)
-    c[v] += 1
-    return MonoidElement.of(c)
-
-
 class Equivalent(NamedTuple):
     """Definitive: a chain of the stated length connects the two elements."""
 
@@ -150,15 +136,14 @@ class Equivalent(NamedTuple):
 
 
 class NotWithinBound(NamedTuple):
-    """Inconclusive: no chain was found within the bounds.
+    """Inconclusive: no chain was found within the bounds given to
+    :func:`equivalent`.
 
     ``exhausted`` means both search frontiers died out, so no chain whose
     intermediate elements stay within the size bound exists at all; larger
     intermediate elements could still connect the pair.
     """
 
-    step_bound: int
-    size_bound: int
     exhausted: bool
 
 
@@ -222,7 +207,7 @@ def equivalent(
         common = [mine[s] + other[s] for s, _ in grown if s in other]
         if common:
             return Equivalent(min(common))
-    return NotWithinBound(step_bound, size_bound, not frontier[0] and not frontier[1])
+    return NotWithinBound(not frontier[0] and not frontier[1])
 
 
 def is_full(g: Graph, m: MonoidElement) -> bool:

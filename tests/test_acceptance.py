@@ -206,9 +206,10 @@ def test_criterion_08_snf_oracle_suite(capsys):
 
 def test_criterion_09_monoid_suite(capsys):
     with criterion(capsys, 9, "graph monoid search and rebalancing", 5.0):
-        assert equivalent(
+        out = equivalent(
             rose2(), MonoidElement.of({"v": 1}), MonoidElement.of({"v": 2}), 8, 64
-        ) == Equivalent(1)
+        )
+        assert isinstance(out, Equivalent) and out.steps == 1
         out = equivalent(
             single_loop(), MonoidElement.of({"v": 1}), MonoidElement.of({"v": 2}), 8, 64
         )

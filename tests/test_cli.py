@@ -108,6 +108,27 @@ def test_analyze_prints_rank_k1_past_the_integer_string_limit(tmp_path, capsys):
     )
 
 
+# 5,000 digits: past the interpreter's default 4,300-digit limit on int() of
+# a string and str() of an int
+LONG = 5000
+
+
+def test_analyze_reads_a_unit_rank_past_the_integer_string_limit(tmp_path, capsys):
+    # one loop: rank K0 = rank K1(C*) = 1, so r = 10^5000 - 1 gives rank K1 = 1 + r
+    r = "9" * LONG
+    assert run(["analyze", write_graph(tmp_path, single_loop()), "--unit-rank", r]) == 0
+    assert capsys.readouterr().out == (
+        "rank_k0 1\n"
+        f"rank_k1(r={r}) 1{'0' * LONG}\n"
+        "torsion none\n"
+        "singular 0\n"
+        "is_ck true\n"
+        "strongly_graded true\n"
+        "criterion4 true\n"
+        "criterion5 true\n"
+    )
+
+
 def test_analyze_rejects_bad_unit_rank(tmp_path, capsys):
     assert run(["analyze", write_graph(tmp_path, rose2()), "--unit-rank", "-3"]) == 2
     capsys.readouterr()
@@ -289,6 +310,20 @@ def test_monoid_full_and_rebalance(tmp_path, capsys):
     assert capsys.readouterr().out == "full false\n"
     assert run(["monoid", "rebalance", graph_file, "v:1"]) == 0
     assert capsys.readouterr().out == "result v:1 w:1\n"
+
+
+def test_monoid_rebalance_keeps_a_multiplicity_past_the_integer_string_limit(tmp_path, capsys):
+    k = "7" * LONG  # every vertex is covered already, so nothing is expanded
+    assert run(["monoid", "rebalance", write_graph(tmp_path, single_loop()), f"v:{k}"]) == 0
+    assert capsys.readouterr().out == f"result v:{k}\n"
+
+
+def test_verify_reads_coefficients_past_the_integer_string_limit(tmp_path, capsys):
+    n, m = "3" + "1" * (LONG - 1), "3" + "1" * (LONG - 2) + "0"  # n - m = 1
+    family = tmp_path / "family.txt"
+    family.write_text(f"vertex w = {n} * v - {m} * v\n", encoding="utf-8")
+    assert run(["verify", write_graph(tmp_path, single_loop()), str(family)]) == 0
+    assert capsys.readouterr().out == "ok true\n"
 
 
 # ── error handling and determinism ────────────────────────────────────────────

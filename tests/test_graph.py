@@ -28,6 +28,8 @@ from leavitt.graph import (
     Edge,
     Graph,
     PathSeq,
+    _decimal,
+    _digits,
     _reach,
     classify,
     fnv1a64,
@@ -186,6 +188,21 @@ def test_hash_matches_bytewise_fnv1a64():
     assert fnv1a64(data) == fnv1a64_bytewise(data)
 
 
+def test_decimal_and_digits_round_trip_at_any_length():
+    # str() and int() refuse more than 4,300 digits by default; the chunks are 600
+    for length in (1, 599, 600, 601, 1200, 4301, 5000):
+        for lead in "19":
+            n = int(lead) * 10 ** (length - 1) + (10 ** (length - 1) - 1) // 7
+            text = _digits(n)
+            assert len(text) == length
+            assert _decimal(text) == n and _decimal("-" + text) == -n
+    assert _digits(0) == "0" and _decimal("0") == 0 and _decimal("-0") == 0
+    assert _decimal("00" + "5" * 700) == _decimal("5" * 700)
+    for text in ("", "-", "1" * 700 + "x", "-" + "1" * 700 + "\u0663"):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            _decimal(text)
+
+
 # ── paths ─────────────────────────────────────────────────────────────────────
 
 
@@ -236,8 +253,10 @@ def test_path_make_and_replace_check_the_edges():
     p = PathSeq.of((f1,))
     with pytest.raises(ValueError, match="edge 'g1' does not start where the path ends"):
         p._replace(edges=(f1, g1))
-    with pytest.raises(ValueError, match="the path ends at '4', not '1'"):
-        p._replace(edges=())  # a target left stale
+    # the range is read off the edges, so no field is left stale
+    assert PathSeq._fields == ("source", "edges")
+    assert p._replace(edges=()) == PathSeq("4")
+    # a range given to the constructor is checked against the edges
     with pytest.raises(ValueError, match="the path ends at '4', not '1'"):
         PathSeq._make(("5", (g1,), "1"))
     assert p._replace(edges=(f2,)) == PathSeq("4", (f2,))

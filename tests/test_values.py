@@ -75,9 +75,9 @@ MAKERS.update(LpaElement=LpaElement,
 
 
 @pytest.mark.parametrize("name, field", [
-    ("Graph", "vertices"), ("PathSeq", "source"), ("MonoidElement", "counts"),
-    ("MoveRecord", "kind"), ("KSummary", "invariant_factors"), ("KSummary", "rank_k0"),
-    ("IntMatrix", "cells"), ("IntMatrix", "entries"),
+    ("Graph", "vertices"), ("PathSeq", "source"), ("PathSeq", "target"),
+    ("MonoidElement", "counts"), ("MoveRecord", "kind"), ("KSummary", "invariant_factors"),
+    ("KSummary", "rank_k0"), ("IntMatrix", "cells"), ("IntMatrix", "entries"),
     ("Forest", "roots"), ("LpaElement", "terms"), ("CkFamily", "vertex_images"),
 ])
 def test_attributes_cannot_be_set_or_deleted(name, field):
@@ -106,8 +106,7 @@ def test_custom_reprs():
     assert repr(PathSeq("v", (E,))) == "PathSeq('e')"
     assert repr(MonoidElement([("v", 2)])) == "MonoidElement('v:2')"
     assert repr(IntMatrix([[1, 2]])) == "IntMatrix(1x2)"
-    assert repr(NotWithinBound(4, 8, True)) == (
-        "NotWithinBound(step_bound=4, size_bound=8, exhausted=True)")
+    assert repr(NotWithinBound(True)) == "NotWithinBound(exhausted=True)"
 
 
 @pytest.mark.parametrize("make", [
