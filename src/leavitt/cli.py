@@ -42,6 +42,8 @@ from .graph import _decimal, _digits, parse_graph, serialize_graph
 
 __all__ = ["run", "main"]
 
+_ANSWER = {True: "true", None: "unknown"}  # a Decision's answer as a report word
+
 
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
@@ -147,12 +149,10 @@ def _cmd_verify(host, args) -> tuple[str, int]:
 
 
 def _cmd_equiv(g, args) -> tuple[str, int]:
-    from .monoid import Equivalent, equivalent, parse_monoid
+    from .monoid import equivalent, parse_monoid
 
-    outcome = equivalent(g, parse_monoid(g, args.a), parse_monoid(g, args.b), args.steps, args.size)
-    if isinstance(outcome, Equivalent):
-        return f"equivalent true\nsteps {outcome.steps}\n", 0
-    return f"equivalent unknown\nexhausted {str(outcome.exhausted).lower()}\n", 0
+    answer, reason = equivalent(g, parse_monoid(g, args.a), parse_monoid(g, args.b), args.steps, args.size)
+    return f"equivalent {_ANSWER[answer]}\n{reason}\n", 0
 
 
 def _cmd_full(g, args) -> tuple[str, int]:

@@ -24,7 +24,6 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 __all__ = [
-    "NAME_RE",
     "Edge",
     "Graph",
     "PathSeq",
@@ -41,8 +40,7 @@ __all__ = [
     "graph_hash",
 ]
 
-NAME_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
-_NAME_CHARS = re.compile(r"[A-Za-z0-9_.]*\Z")  # NAME_RE for nonempty names run together
+_NAME_CHARS = re.compile(r"[A-Za-z0-9_.]*\Z")  # names, also run together; none is empty
 _name, _src, _dst = itemgetter(0), itemgetter(1), itemgetter(2)  # the fields of an Edge
 
 
@@ -55,7 +53,7 @@ class Edge(NamedTuple):
 
 
 def _check_name(kind: str, name: str) -> None:
-    if not isinstance(name, str) or not NAME_RE.match(name):
+    if not isinstance(name, str) or not name or not _NAME_CHARS.match(name):
         raise ValueError(f"invalid {kind} name {name!r}: names match [A-Za-z0-9_.]+")
 
 

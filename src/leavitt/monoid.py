@@ -5,8 +5,10 @@ schema, one instance per regular vertex, replaces a copy of ``v`` by the
 multiset of ranges of the edges ``v`` emits (``expand``); contracting them
 back is its inverse.  Two elements are equal in the monoid when a chain of
 such moves connects them; ``equivalent`` searches for a chain within explicit
-bounds and answers with an honest tri-state (a found chain is definitive, a
-missed one is only inconclusive).
+bounds and answers with a ``Decision``: ``answer`` is ``True`` when a chain
+was found, which is definitive, and ``None`` (unknown) when none was, which
+is only inconclusive; ``reason`` is ``steps k``, ``exhausted true`` or
+``exhausted false``.
 
 Elements are checked against the graph once, where they enter a public
 function.  Inside, ``equivalent`` packs each state into one ``int``, a field
@@ -32,8 +34,7 @@ __all__ = [
     "parse_monoid",
     "format_monoid",
     "expand",
-    "Equivalent",
-    "NotWithinBound",
+    "Decision",
     "equivalent",
     "is_full",
     "rebalance_full",
@@ -129,22 +130,16 @@ def expand(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
     return MonoidElement.of(c)
 
 
-class Equivalent(NamedTuple):
-    """Definitive: a chain of the stated length connects the two elements."""
+class Decision(NamedTuple):
+    """An answer with the report line printed under it.
 
-    steps: int
-
-
-class NotWithinBound(NamedTuple):
-    """Inconclusive: no chain was found within the bounds given to
-    :func:`equivalent`.
-
-    ``exhausted`` means both search frontiers died out, so no chain whose
-    intermediate elements stay within the size bound exists at all; larger
-    intermediate elements could still connect the pair.
+    ``answer`` is ``True`` (decided yes) or ``None`` (unknown).  Equality is
+    tuple equality, so answers that differ never compare equal, and neither
+    do two reasons for the same answer.
     """
 
-    exhausted: bool
+    answer: bool | None
+    reason: str
 
 
 def equivalent(
@@ -153,19 +148,23 @@ def equivalent(
     b: MonoidElement,
     step_bound: int,
     size_bound: int,
-) -> Equivalent | NotWithinBound:
+) -> Decision:
     """Search for a chain of expand/contract moves from ``a`` to ``b``.
 
-    Bidirectional breadth-first search, alternating sides level by level, so
-    a returned ``Equivalent.steps`` is the length of a shortest chain whose
+    Bidirectional breadth-first search, alternating sides level by level.
+    ``Decision(True, "steps k")``: k is the length of a shortest chain whose
     intermediate elements never exceed ``size_bound`` total multiplicity.
+    ``Decision(None, "exhausted true")``: both frontiers died out, so no chain
+    stays within the size bound at all, though larger intermediate elements
+    could still connect the pair.  ``Decision(None, "exhausted false")``: the
+    step bound cut the search off.  Both bounds must be ``int``s of at least 1.
     """
-    if step_bound < 1 or size_bound < 1:
-        raise ValueError("bounds must be at least 1")
+    if any(type(n) is not int or n < 1 for n in (step_bound, size_bound)):
+        raise ValueError("bounds must be integers of at least 1")
     _validated(g, a.support)
     _validated(g, b.support)
     if a == b:
-        return Equivalent(0)
+        return Decision(True, "steps 0")
     # Bits [i*W, (i+1)*W) of a state count the i-th vertex.  No count or edge
     # multiplicity reaches 2**(W-1), so that top bit of each field is a guard.
     needs = {v: _relation(g, v) for v in g.vertices if g.out_edges(v)}
@@ -206,8 +205,8 @@ def equivalent(
         other = seen[1 - side]
         common = [mine[s] + other[s] for s, _ in grown if s in other]
         if common:
-            return Equivalent(min(common))
-    return NotWithinBound(not frontier[0] and not frontier[1])
+            return Decision(True, f"steps {min(common)}")
+    return Decision(None, f"exhausted {str(not frontier[0] and not frontier[1]).lower()}")
 
 
 def is_full(g: Graph, m: MonoidElement) -> bool:

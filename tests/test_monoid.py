@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from conftest import arrow, graphs, looped_pair, random_graph, rose2, single_loop, triangle
 from leavitt.graph import Edge, Graph, _validated, classify
 from leavitt.monoid import (
-    Equivalent,
+    Decision,
     MonoidElement,
-    NotWithinBound,
     _relation,
     equivalent,
     expand,
@@ -62,7 +61,7 @@ def contract(g: Graph, m: MonoidElement, v: str) -> MonoidElement:
 
 
 def reference_equivalent(g: Graph, a: MonoidElement, b: MonoidElement,
-                         step_bound: int, size_bound: int):
+                         step_bound: int, size_bound: int) -> Decision:
     """Bidirectional breadth-first search over ``MonoidElement``s."""
 
     def neighbours(m: MonoidElement) -> list[MonoidElement]:
@@ -80,7 +79,7 @@ def reference_equivalent(g: Graph, a: MonoidElement, b: MonoidElement,
         return [n for n in out if n.total <= size_bound]
 
     if a == b:
-        return Equivalent(0)
+        return Decision(True, "steps 0")
     seen = ({a: 0}, {b: 0})
     frontier = [[a], [b]]
     depth = [0, 0]
@@ -96,15 +95,9 @@ def reference_equivalent(g: Graph, a: MonoidElement, b: MonoidElement,
         frontier[side] = grown
         common = seen[0].keys() & seen[1].keys()
         if common:
-            return Equivalent(min(seen[0][s] + seen[1][s] for s in common))
-    return NotWithinBound(not frontier[0] and not frontier[1])
-
-
-def outcome(x) -> tuple:
-    """An answer of ``equivalent`` with its kind, to compare answers by: as
-    tuples, ``Equivalent(1) == NotWithinBound(True)`` and
-    ``Equivalent(0) == NotWithinBound(False)``."""
-    return type(x).__name__, *x
+            return Decision(True, f"steps {min(seen[0][s] + seen[1][s] for s in common)}")
+    exhausted = not frontier[0] and not frontier[1]
+    return Decision(None, "exhausted true" if exhausted else "exhausted false")
 
 
 def reference_rebalance(g: Graph, m: MonoidElement) -> MonoidElement:
@@ -229,29 +222,40 @@ def test_expand_contract_round_trip(g, data):
 def test_equivalent_trivial_and_one_step():
     g = rose2()
     a = MonoidElement.of({"v": 1})
-    assert outcome(equivalent(g, a, a, 1, 1)) == outcome(Equivalent(0))
-    assert outcome(equivalent(g, a, MonoidElement.of({"v": 2}), 5, 50)) == outcome(Equivalent(1))
+    assert equivalent(g, a, a, 1, 1) == Decision(True, "steps 0")
+    assert equivalent(g, a, MonoidElement.of({"v": 2}), 5, 50) == Decision(True, "steps 1")
 
 
 def test_equivalent_exhausts_single_loop():
     g = single_loop()
     out = equivalent(g, MonoidElement.of({"v": 1}), MonoidElement.of({"v": 2}), 10, 100)
-    assert outcome(out) == outcome(NotWithinBound(True))
+    assert out == Decision(None, "exhausted true")
+
+
+def test_decisions_that_differ_never_compare_equal():
+    # 1 == True and 0 == False, so a step count and a flag alone would compare equal
+    answers = [Decision(True, "steps 1"), Decision(None, "exhausted true"),
+               Decision(True, "steps 0"), Decision(None, "exhausted false")]
+    assert Decision(True, "steps 1") != Decision(None, "exhausted true")
+    assert Decision(True, "steps 0") != Decision(None, "exhausted false")
+    assert Decision(True, "steps 1") != Decision(True, "steps 2")
+    assert len(set(answers)) == 4
 
 
 def test_equivalent_bound_checks():
     g = rose2()
     a = MonoidElement.of({"v": 1})
-    with pytest.raises(ValueError):
-        equivalent(g, a, a, 0, 5)
-    with pytest.raises(ValueError):
-        equivalent(g, a, a, 5, 0)
+    for bad in (0, -1, True, 2.5, float("inf")):  # bool and float are refused, not read as numbers
+        with pytest.raises(ValueError, match="bounds must be integers of at least 1"):
+            equivalent(g, a, a, bad, 5)
+        with pytest.raises(ValueError, match="bounds must be integers of at least 1"):
+            equivalent(g, a, a, 5, bad)
 
 
 def test_equivalent_reports_unexhausted_cutoff():
     g = rose2()
     out = equivalent(g, MonoidElement.of({"v": 1}), MonoidElement.of({"v": 5}), 1, 2)
-    assert isinstance(out, NotWithinBound) and not out.exhausted
+    assert out == Decision(None, "exhausted false")
 
 
 def test_equivalent_symmetric_steps():
@@ -262,7 +266,7 @@ def test_equivalent_symmetric_steps():
         b = MonoidElement.of({rng.choice(g.vertices): rng.randint(1, 2)})
         fwd = equivalent(g, a, b, 4, 40)
         rev = equivalent(g, b, a, 4, 40)
-        if isinstance(fwd, Equivalent):
+        if fwd.answer:
             assert fwd == rev
 
 
@@ -294,8 +298,7 @@ def test_equivalent_matches_reference_search():
         # every other pair is a few moves apart, so chains are found too
         b = random_walk(rng, g, a, 4) if i % 2 else random_element(rng, g)
         steps, size = rng.randint(1, 5), rng.randint(1, 8)
-        assert outcome(equivalent(g, a, b, steps, size)) == outcome(
-            reference_equivalent(g, a, b, steps, size))
+        assert equivalent(g, a, b, steps, size) == reference_equivalent(g, a, b, steps, size)
 
 
 def test_equivalent_matches_reference_at_packing_edges():
@@ -320,8 +323,7 @@ def test_equivalent_matches_reference_at_packing_edges():
                 b = expanded(rng, g, a, rng.randint(1, 3))
                 a, b = (b, a) if i % 4 == 1 else (a, b)
             steps = rng.randint(1, 6)
-            assert outcome(equivalent(g, a, b, steps, size)) == outcome(
-                reference_equivalent(g, a, b, steps, size))
+            assert equivalent(g, a, b, steps, size) == reference_equivalent(g, a, b, steps, size)
     # a 24-vertex graph, every other vertex looped
     vs = tuple(f"v{i}" for i in range(24))
     es = [Edge(f"e{k}", rng.choice(vs), rng.choice(vs)) for k in range(40)]
@@ -329,7 +331,7 @@ def test_equivalent_matches_reference_at_packing_edges():
     for _ in range(20):
         a = MonoidElement.of({rng.choice(vs): 1 for _ in range(2)})
         b = expanded(rng, g, a, rng.randint(1, 3))
-        assert outcome(equivalent(g, a, b, 6, 8)) == outcome(reference_equivalent(g, a, b, 6, 8))
+        assert equivalent(g, a, b, 6, 8) == reference_equivalent(g, a, b, 6, 8)
 
 
 def test_equivalent_matches_reference_on_long_searches():
@@ -343,8 +345,8 @@ def test_equivalent_matches_reference_on_long_searches():
         g = Graph(vs, tuple(es))
         a, b = MonoidElement.of({"m0": 1}), MonoidElement.of({"m0": 2})
         out = equivalent(g, a, b, 16, 16)
-        assert outcome(out) == outcome(reference_equivalent(g, a, b, 16, 16))
-        assert outcome(out) == outcome(Equivalent(10) if found else NotWithinBound(False))
+        assert out == reference_equivalent(g, a, b, 16, 16)
+        assert out == (Decision(True, "steps 10") if found else Decision(None, "exhausted false"))
 
 
 def test_equivalent_keeps_preconditions_at_a_loop():
@@ -352,9 +354,8 @@ def test_equivalent_keeps_preconditions_at_a_loop():
     # must not let v expand from w alone or contract w back to 0
     g = Graph(("v", "w"), (Edge("l", "v", "v"), Edge("vw", "v", "w"), Edge("m", "w", "w")))
     w = MonoidElement.of({"w": 1})
-    assert outcome(equivalent(g, w, MonoidElement(), 4, 8)) == outcome(NotWithinBound(True))
-    assert outcome(reference_equivalent(g, w, MonoidElement(), 4, 8)) == outcome(
-        NotWithinBound(True))
+    assert equivalent(g, w, MonoidElement(), 4, 8) == Decision(None, "exhausted true")
+    assert reference_equivalent(g, w, MonoidElement(), 4, 8) == Decision(None, "exhausted true")
 
 
 @settings(max_examples=60)
@@ -366,7 +367,7 @@ def test_expand_stays_equivalent(g, data):
     v = data.draw(st.sampled_from(regular))
     m = MonoidElement.of({v: 1})
     out = equivalent(g, m, expand(g, m, v), 1, 10_000)
-    assert isinstance(out, Equivalent) and out.steps <= 1
+    assert out in (Decision(True, "steps 0"), Decision(True, "steps 1"))
 
 
 # ── fullness ──────────────────────────────────────────────────────────────────
@@ -422,8 +423,7 @@ def test_rebalance_output_is_equivalent():
             continue
         out = rebalance_full(g, m)
         assert all(out.get(v) >= 1 for v in g.vertices)
-        cert = equivalent(g, m, out, 30, 5000)
-        assert isinstance(cert, Equivalent)
+        assert equivalent(g, m, out, 30, 5000).answer is True
         done += 1
 
 

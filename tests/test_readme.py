@@ -1,10 +1,12 @@
-"""The README's Library snippets, run against its worked example's line.txt,
-and its command synopsis, checked against the command-line parser."""
+"""The README's worked example, run command by command, its Library
+snippets, run against the example's line.txt, and its command synopsis,
+checked against the command-line parser."""
 
 from __future__ import annotations
 
 import argparse
 import re
+import shlex
 from pathlib import Path
 
 from leavitt import cli
@@ -12,13 +14,36 @@ from leavitt import cli
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _write_file_block(text: str, name: str, where: Path) -> None:
+    """Write the code block that closes the paragraph naming `name`."""
+    block = re.search(rf"`{re.escape(name)}`(?:(?!\n\n).)*\n\n```\n(.*?)```", text, re.S)
+    (where / name).write_text(block.group(1), encoding="utf-8")
+
+
+def test_worked_example_prints_what_the_readme_says(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    example = text.split("\n### Worked example\n", 1)[1].split("\n### ", 1)[0]
+    for name in ("line.txt", "rose.txt"):
+        _write_file_block(example, name, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for block in re.findall(r"```\n(.*?)```", example, re.S):
+        # each `$ leavitt` line, then the lines it prints up to the next one
+        for command, printed in re.findall(r"^\$ leavitt (.*)\n((?:(?!\$ ).*\n)*)", block, re.M):
+            argv = shlex.split(command)
+            if argv[:2] == ["desourcify", "spiky.txt"]:  # the README gives no spiky.txt
+                continue
+            assert (cli.run(argv), capsys.readouterr()) == (0, (printed, "")), command
+            ran.append(argv[0])
+    assert set(ran) == {"analyze", "corner", "verify", "move", "monoid"}
+
+
 def test_library_snippets_print_what_the_readme_says(tmp_path, monkeypatch, capsys):
     text = README.read_text(encoding="utf-8")
-    line_txt = re.search(r"`line\.txt`[^\n]*\n\n```\n(.*?)```", text, re.S).group(1)
     library = text.split("\n## Library\n", 1)[1]
     snippets = re.findall(r"```python\n(.*?)```", library, re.S)
     assert len(snippets) == 2
-    (tmp_path / "line.txt").write_text(line_txt, encoding="utf-8")
+    _write_file_block(text, "line.txt", tmp_path)
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     for code in snippets:

@@ -17,7 +17,7 @@ from leavitt.algebra import CkFamily, LpaElement, element
 from leavitt.corners import Forest
 from leavitt.graph import Edge, Graph, PathSeq
 from leavitt.ktheory import IntMatrix, KSummary
-from leavitt.monoid import MonoidElement, NotWithinBound
+from leavitt.monoid import Decision, MonoidElement
 from leavitt.moves import MoveRecord
 
 E = Edge("e", "v", "w")
@@ -32,6 +32,7 @@ VALUES = {
     "MoveRecord": (lambda: MoveRecord("AttachHead", ("v", "1"), "0" * 16, "1" * 16),
                    lambda: MoveRecord("AttachHead", ("v", "2"), "0" * 16, "1" * 16)),
     "KSummary": (lambda: KSummary((1, 2), 3, 3, 0), lambda: KSummary((1, 3), 3, 3, 0)),
+    "Decision": (lambda: Decision(True, "steps 1"), lambda: Decision(None, "exhausted true")),
     "IntMatrix": (lambda: IntMatrix([[1, 2], [3, 4]]), lambda: IntMatrix([[1, 2]])),
     "Forest": (lambda: Forest(Graph(("v", "w"), (E,)), ("v",), (E,)),
                lambda: Forest(Graph(("v", "w"), (E,)), ("v", "w"), ())),
@@ -79,6 +80,7 @@ MAKERS.update(LpaElement=LpaElement,
     ("MonoidElement", "counts"), ("MoveRecord", "kind"), ("KSummary", "invariant_factors"),
     ("KSummary", "rank_k0"), ("IntMatrix", "cells"), ("IntMatrix", "entries"),
     ("Forest", "roots"), ("LpaElement", "terms"), ("CkFamily", "vertex_images"),
+    ("Decision", "answer"),
 ])
 def test_attributes_cannot_be_set_or_deleted(name, field):
     obj = MAKERS[name]()
@@ -106,7 +108,7 @@ def test_custom_reprs():
     assert repr(PathSeq("v", (E,))) == "PathSeq('e')"
     assert repr(MonoidElement([("v", 2)])) == "MonoidElement('v:2')"
     assert repr(IntMatrix([[1, 2]])) == "IntMatrix(1x2)"
-    assert repr(NotWithinBound(True)) == "NotWithinBound(exhausted=True)"
+    assert repr(Decision(None, "exhausted true")) == "Decision(answer=None, reason='exhausted true')"
 
 
 @pytest.mark.parametrize("make", [
@@ -147,7 +149,7 @@ def test_invalid_input_raises_value_error(make):
         make()
 
 
-@pytest.mark.parametrize("name", ["PathSeq", "MonoidElement", "MoveRecord", "KSummary",
+@pytest.mark.parametrize("name", ["PathSeq", "MonoidElement", "MoveRecord", "KSummary", "Decision",
                                   "IntMatrix", "CkFamily"])
 def test_tuples_round_trip_through_make_replace_copy_and_pickle(name):
     value = MAKERS[name]()
