@@ -31,12 +31,12 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import Edge, Graph, PathSeq, _checked_make, _decimal, _digits, _frozen, path_in
+from .graph import Edge, Graph, PathSeq, _checked_make, _decimal, _digits, _frozen
 
 __all__ = [
-    "LpaElement", "element", "vertex_element", "path_element", "monomial", "star",
-    "normal_form", "equals", "degree", "CkFamily", "CkReport",
-    "verify_ck_family", "parse_element", "format_element", "parse_family", "format_family",
+    "LpaElement", "element", "vertex_element", "star", "normal_form", "equals", "degree",
+    "CkFamily", "CkReport", "verify_ck_family",
+    "parse_element", "format_element", "parse_family", "format_family",
 ]
 
 
@@ -160,7 +160,7 @@ def element(terms: Iterable[tuple]) -> LpaElement:
         if coeff == 0:
             raise ValueError("zero coefficient")
         if alpha.target != beta.target:
-            raise ValueError("monomial paths must share their range")
+            raise ValueError("the paths of a term must share their range")
         key = (alpha, beta)
         acc[key] = acc.get(key, 0) + coeff
     return _nonzero(acc)
@@ -170,24 +170,6 @@ def vertex_element(g: Graph, v: str) -> LpaElement:
     g.require_vertex(v)
     p = PathSeq(v)
     return LpaElement({(p, p): 1})
-
-
-def path_element(g: Graph, names: Iterable[str]) -> LpaElement:
-    """The element of a real path (no ghost part): alpha r(alpha)*."""
-    p = path_in(g, names)
-    return LpaElement({(p, PathSeq(p.target)): 1})
-
-
-def monomial(g: Graph, coeff, alpha: Iterable[str], beta: Iterable[str]) -> LpaElement:
-    """coeff * alpha beta* from edge-name sequences (a bare name means a vertex)."""
-
-    def resolve(part) -> PathSeq:
-        if isinstance(part, str):
-            g.require_vertex(part)
-            return PathSeq(part)
-        return path_in(g, part)
-
-    return element([(coeff, resolve(alpha), resolve(beta))])
 
 
 def star(x: LpaElement) -> LpaElement:
@@ -384,9 +366,10 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
 #   3/2 * a.b ; c   means  (3/2) (ab) c*
 #
 # Terms are separated by + and -; a term is  [rational *] path [; path]  where
-# a path is a vertex name or edge names joined with dots.  Whitespace is
-# ignored.  When the ghost path is omitted it is the length-0 path at the
-# range of the real one.  "0" (no vertex of that name) and "" denote zero.
+# a path is a vertex name or edge names joined with dots, and a token with
+# two such readings is refused as ambiguous.  Whitespace is ignored.  When
+# the ghost path is omitted it is the length-0 path at the range of the real
+# one.  "0" (no vertex of that name) and "" denote zero.
 
 _COEFF_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)\*")
 _TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")  # no term is empty
@@ -394,54 +377,57 @@ _SIGNED_TERM_RE = re.compile(r"([+-]?)([^+-]+)")
 
 
 def _parse_path(g: Graph, token: str) -> PathSeq:
+    """The one path ``token`` names: a vertex (its length-0 path) or edge
+    names joined with dots.  A vertex name counts as one more reading, so a
+    token with no reading or with two, of either kind, raises."""
     if not token:
         raise ValueError("empty path")
-    if token in g.vertex_set:
-        return PathSeq(token)
+    count, path = (1, PathSeq(token)) if token in g.vertex_set else (0, None)
     by_name, dots = g._edge_by_name, g._edge_name_dots
-    if not dots:  # no name holds a dot, so the one reading cuts at every dot
+    if not dots:  # no name holds a dot, so the one edge reading cuts at every dot
         edges = [by_name.get(name) for name in token.split(".")]
         if None not in edges:
             try:
-                return PathSeq.of(edges)
+                count, path = count + 1, PathSeq(edges[0].src, tuple(edges))
             except ValueError:  # the edges do not connect
                 pass
-        raise ValueError(f"cannot read {token!r} as a vertex or path")
-    n = len(token)
-    cuts = [i for i, ch in enumerate(token) if ch == "."] + [n]
-    # Names may contain dots, so a reading cuts the token at some of its dots.
-    # Dynamic programming over (where the next name starts, target of the last
-    # edge, None before the first) counts the readings, capped at 2, and keeps
-    # a back pointer (start, last, edge) to one of them.  A name spans at most
-    # ``dots + 1`` dot-separated pieces, so the time is linear in the token's
-    # length however many readings there are.
-    reads: dict[int, dict[str | None, tuple[int, tuple | None]]] = {0: {None: (1, None)}}
-    for i, start in enumerate([0] + [c + 1 for c in cuts[:-1]]):
-        here = reads.get(start, {})
-        for end in cuts[i:i + dots + 1]:  # every cut a name could reach
-            e = by_name.get(token[start:end])
-            if e is None:
-                continue
-            nxt = reads.setdefault(end + 1, {})
-            for last, (count, _) in here.items():
-                if last is None or last == e.src:
-                    seen = nxt.get(e.dst)
-                    if seen is None:
-                        nxt[e.dst] = (count, (start, last, e))
-                    else:
-                        nxt[e.dst] = (min(2, seen[0] + count), seen[1])
-    complete = reads.get(n + 1, {})
-    if not complete:
-        raise ValueError(f"cannot read {token!r} as a vertex or path")
-    if sum(count for count, _ in complete.values()) > 1:
-        raise ValueError(f"ambiguous path {token!r}")
-    [(_, back)] = complete.values()
-    edges: list[Edge] = []
-    while back is not None:
-        start, last, e = back
-        edges.append(e)
-        back = reads[start][last][1]
-    return PathSeq.of(reversed(edges))
+    else:
+        n = len(token)
+        cuts = [i for i, ch in enumerate(token) if ch == "."] + [n]
+        # Names may contain dots, so a reading cuts the token at some of its
+        # dots.  Dynamic programming over (where the next name starts, target
+        # of the last edge, None before the first) counts the readings, capped
+        # at 2, and keeps a back pointer (start, last, edge) to one of them.
+        # A name spans at most ``dots + 1`` dot-separated pieces, so the time
+        # is linear in the token's length however many readings there are.
+        reads: dict[int, dict[str | None, tuple[int, tuple | None]]] = {0: {None: (1, None)}}
+        for i, start in enumerate([0] + [c + 1 for c in cuts[:-1]]):
+            here = reads.get(start, {})
+            for end in cuts[i:i + dots + 1]:  # every cut a name could reach
+                e = by_name.get(token[start:end])
+                if e is None:
+                    continue
+                nxt = reads.setdefault(end + 1, {})
+                for last, (k, _) in here.items():
+                    if last is None or last == e.src:
+                        seen = nxt.get(e.dst)
+                        if seen is None:
+                            nxt[e.dst] = (k, (start, last, e))
+                        else:
+                            nxt[e.dst] = (min(2, seen[0] + k), seen[1])
+        complete = reads.get(n + 1, {})
+        count += sum(k for k, _ in complete.values())
+        if count == 1 and complete:  # the one reading is a path of edges: follow it back
+            [(_, back)] = complete.values()
+            edges = []
+            while back is not None:
+                start, last, e = back
+                edges.append(e)
+                back = reads[start][last][1]
+            path = PathSeq(edges[-1].src, tuple(reversed(edges)))
+    if count == 1:
+        return path
+    raise ValueError(f"ambiguous path {token!r}" if count else f"cannot read {token!r} as a vertex or path")
 
 
 def parse_element(g: Graph, text: str) -> LpaElement:

@@ -24,12 +24,14 @@ verification, 2 on usage errors.
 
 One table, ``_TABLE``, names each command path once with its help, its
 handler and its arguments; the parser is built from it.  Every leaf's first
-argument is ``graph``, and :func:`run` alone reads, writes and fails: it
-parses the graph, calls ``handler(graph, args)`` for the leaf's text and
-exit code, writes the text to ``--output`` where the leaf has that option
-and to stdout otherwise, and turns a ``ValueError`` or ``OSError`` from any
-step into the diagnostic.  Each handler imports the modules it runs, so a
-process pays at start-up only for its own command.
+argument is ``graph``.  :func:`run` parses the graph, calls
+``handler(graph, args)`` for the leaf's text and exit code, writes the text
+to ``--output`` where the leaf has that option and to stdout otherwise, and
+turns a ``ValueError`` or ``OSError`` from any step, the handler's included,
+into the diagnostic.  Two handlers touch files of their own: ``verify``
+reads its family file and ``desourcify`` writes its ``--trace``.  Each
+handler imports the modules it runs, so a process pays at start-up only for
+its own command.
 """
 
 from __future__ import annotations

@@ -96,8 +96,9 @@ class Graph:
     """Immutable finite directed multigraph with named vertices and edges.
 
     Edge endpoints must be declared vertices; names are unique within their
-    kind (a vertex and an edge may share a name).  Graphs compare and hash
-    by their vertex and edge tuples.
+    kind.  A vertex and an edge may share a name, but element text that uses
+    a token which names both a vertex and a path is refused as ambiguous.
+    Graphs compare and hash by their vertex and edge tuples.
     """
 
     __setattr__ = __delattr__ = _frozen
@@ -210,24 +211,21 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
 
     The first edge leaves ``source`` and each later edge leaves where the one
     before it ends; with no edges this is the length-0 path at ``source``.
-    The edges are checked once, when the path is made; a ``target`` given
-    then is only checked, since the range is read off the last edge.  A path
-    grown by one edge from a checked path checks only the new joint, and a
-    prefix of a checked path needs no check.  Paths compare as
-    ``(source, edges)`` tuples; edge names and the dotted label are for text.
+    The edges are checked once, when the path is made, and the range is read
+    off the last edge.  A path grown by one edge from a checked path checks
+    only the new joint, and a prefix of a checked path needs no check.  Paths
+    compare as ``(source, edges)`` tuples; edge names and the dotted label
+    are for text.
     """
 
     __slots__ = ()
 
-    def __new__(cls, source: str, edges: tuple[Edge, ...] = (),
-                target: str | None = None) -> "PathSeq":
+    def __new__(cls, source: str, edges: tuple[Edge, ...] = ()) -> "PathSeq":
         at = source
         for e in edges:
             if e.src != at:
                 raise ValueError(f"edge {e.name!r} does not start where the path ends")
             at = e.dst
-        if target is not None and target != at:
-            raise ValueError(f"the path ends at {at!r}, not {target!r}")
         return tuple.__new__(cls, (source, edges))
 
     _make = _checked_make
@@ -235,14 +233,6 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
     @property
     def target(self) -> str:
         return self.edges[-1].dst if self.edges else self.source
-
-    @classmethod
-    def of(cls, edges: Iterable[Edge]) -> "PathSeq":
-        """The path along ``edges``, which must be nonempty."""
-        edges = tuple(edges)
-        if not edges:
-            raise ValueError("a length-0 path needs a base vertex")
-        return cls(edges[0].src, edges)
 
     def label(self) -> str:
         """Edge names joined with dots; the vertex of a length-0 path."""
@@ -264,11 +254,6 @@ class PathSeq(NamedTuple("PathSeq", [("source", str), ("edges", tuple[Edge, ...]
 
     def __repr__(self) -> str:
         return f"PathSeq({self.label()!r})"
-
-
-def path_in(g: Graph, names: Iterable[str]) -> PathSeq:
-    """Resolve a sequence of edge names to a path of ``g``."""
-    return PathSeq.of(g.edge(n) for n in names)
 
 
 class VertexClassification(NamedTuple):

@@ -101,7 +101,10 @@ class EntryPath(NamedTuple):
         while p is not None:
             edges.append(p.edge)
             p = p.rest
-        return PathSeq(self.edge.src, tuple(edges), self.target)
+        path = PathSeq(self.edge.src, tuple(edges))
+        if path.target != self.target:
+            raise ValueError(f"the path ends at {path.target!r}, not {self.target!r}")
+        return path
 
     def __repr__(self) -> str:  # the record chain may be as long as the path
         return f"EntryPath({self.label!r})"
@@ -212,7 +215,7 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
         edge_images[f"ov_{entry.label}"] = element([(1, p, PathSeq(p.target))])
     for e in g.edges:
         if e.src in h:
-            edge_images[e.name] = element([(1, PathSeq.of((e,)), PathSeq(e.dst))])
+            edge_images[e.name] = element([(1, PathSeq(e.src, (e,)), PathSeq(e.dst))])
     return CkFamily(vertex_images, edge_images)
 
 
@@ -325,13 +328,13 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
     edge_images: dict[str, LpaElement] = {}
     for x in g.edges:
         if x.name != e0:
-            px = PathSeq.of((host.edge(x.name),))
+            px = PathSeq(x.src, (host.edge(x.name),))
             edge_images[x.name] = element([(1, px, PathSeq(x.dst))])
-    chain = PathSeq.of(host.edge(f"{e0}.e{i}") for i in range(n + 1, 0, -1))
+    chain = PathSeq(e.src, tuple(host.edge(f"{e0}.e{i}") for i in range(n + 1, 0, -1)))
     edge_images[e0] = element([(1, chain, PathSeq(chain.target))])
     for i in range(1, n + 1):
-        pe = PathSeq.of((host.edge(f"{e0}.e{i}"),))
-        edge_images[f"{v0}.e{i}"] = element([(1, pe, PathSeq(pe.target))])
+        pe = host.edge(f"{e0}.e{i}")
+        edge_images[f"{v0}.e{i}"] = element([(1, PathSeq(pe.src, (pe,)), PathSeq(pe.dst))])
     return CkFamily(vertex_images, edge_images)
 
 

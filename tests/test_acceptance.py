@@ -298,6 +298,26 @@ def test_every_public_name_resolves_once():
         assert [attr for attr in public if not hasattr(module, attr)] == [], name
 
 
+def test_every_public_module_name_is_in_all():
+    # a public function, class or assignment missing from __all__ is one the
+    # benchmark's span tracer and the test above never see
+    for path in sorted(Path(leavitt.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module("leavitt" if path.stem == "__init__" else f"leavitt.{path.stem}")
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    names = target.elts if isinstance(target, ast.Tuple) else [target]
+                    defined += [t.id for t in names if isinstance(t, ast.Name)]
+        public = getattr(module, "__all__", [])
+        assert [d for d in defined if not d.startswith("_") and d not in public] == [], path.name
+
+
 def test_every_private_module_name_is_used():
     # a private helper left behind when its last caller is deleted
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

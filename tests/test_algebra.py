@@ -9,6 +9,7 @@ axioms are sampled with seeded random elements.
 from __future__ import annotations
 
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -28,17 +29,15 @@ from leavitt.algebra import (
     equals,
     format_element,
     format_family,
-    monomial,
     normal_form,
     parse_element,
     parse_family,
-    path_element,
     star,
     verify_ck_family,
     vertex_element,
 )
 from leavitt.corners import build_forest, corner_family, t_corner
-from leavitt.graph import Edge, Graph, PathSeq, path_in
+from leavitt.graph import Edge, Graph, PathSeq
 from leavitt.moves import attach_head, expand_hereditary, expansion_family, subdivide_edge, subdivision_family
 
 
@@ -90,7 +89,7 @@ def random_path(g: Graph, rng: random.Random, max_len: int = 3) -> PathSeq:
     return p
 
 
-def random_monomial(g: Graph, rng: random.Random) -> tuple[Fraction, PathSeq, PathSeq]:
+def random_term(g: Graph, rng: random.Random) -> tuple[Fraction, PathSeq, PathSeq]:
     """A random term ``(coeff, alpha, beta)`` with r(alpha) = r(beta)."""
     a = random_path(g, rng)
     edges = []
@@ -103,13 +102,13 @@ def random_monomial(g: Graph, rng: random.Random) -> tuple[Fraction, PathSeq, Pa
         edges.append(e)
         at = e.src
     edges.reverse()
-    b = PathSeq.of(edges) if edges else PathSeq(a.target)
+    b = PathSeq(edges[0].src if edges else a.target, tuple(edges))
     coeff = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
     return coeff, a, b
 
 
 def random_element(g: Graph, rng: random.Random, max_terms: int = 3) -> LpaElement:
-    return element(random_monomial(g, rng) for _ in range(rng.randint(1, max_terms)))
+    return element(random_term(g, rng) for _ in range(rng.randint(1, max_terms)))
 
 
 def assert_canonical(x: LpaElement) -> None:
@@ -139,7 +138,7 @@ def test_every_operation_returns_sorted_merged_elements():
     for g in (funnel_into_cycle(), two_way_line(), rose2()):
         for _ in range(30):
             x, y = random_element(g, rng, max_terms=5), random_element(g, rng, max_terms=5)
-            ms = [random_monomial(g, rng) for _ in range(4)]
+            ms = [random_term(g, rng) for _ in range(4)]
             c = Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 2]))
             parsed = parse_element(g, unmerged_text(x, y, x))
             assert parsed == x + y + x
@@ -201,7 +200,7 @@ def test_coefficients_match_fraction_reference():
         for _ in range(40):
             xs, refs = [], []
             for _ in range(2):
-                triples = [(rng.choice(coeffs), a, b) for _, a, b in (random_monomial(g, rng) for _ in range(4))]
+                triples = [(rng.choice(coeffs), a, b) for _, a, b in (random_term(g, rng) for _ in range(4))]
                 triples += triples[:2]  # repeated terms, so halves also sum to integers
                 xs.append(element(triples))
                 refs.append(ref_element(triples))
@@ -247,7 +246,7 @@ def test_coefficients_must_be_exact():
         with pytest.raises(TypeError, match="int or a Fraction"):
             element([(bad, v, v)])
         with pytest.raises(TypeError, match="int or a Fraction"):
-            monomial(g, bad, "v", "v")
+            element([(1, v, v), (bad, v, v)])
 
 
 def test_sort_key_orders_paths_as_edge_names_do():
@@ -259,14 +258,14 @@ def test_sort_key_orders_paths_as_edge_names_do():
         assert sorted(paths, key=lambda p: p.sort_key()) == by_names
 
 
-# ── monomial products ─────────────────────────────────────────────────────────
+# ── term products ─────────────────────────────────────────────────────────────
 
 
 def test_ghost_cancellation():
     g = rose2()
-    e_ghost = monomial(g, 1, "v", ["e"])  # e*
-    e_edge = monomial(g, 1, ["e"], "v")
-    f_edge = monomial(g, 1, ["f"], "v")
+    e_ghost = parse_element(g, "v ; e")  # e*
+    e_edge = parse_element(g, "e ; v")
+    f_edge = parse_element(g, "f ; v")
     assert e_ghost * e_edge == vertex_element(g, "v")
     assert e_ghost * f_edge == LpaElement()
 
@@ -274,26 +273,27 @@ def test_ghost_cancellation():
 def test_vertex_absorption():
     g = funnel_into_cycle()
     v1 = vertex_element(g, "1")
-    a = path_element(g, ["a"])
+    a = parse_element(g, "a")
     v5 = vertex_element(g, "5")
     assert v1 * a == a
     assert a * vertex_element(g, "3") == a
     assert v5 * a == LpaElement()
 
 
-def test_monomial_requires_common_range():
+def test_parsed_term_requires_common_range():
     g = funnel_into_cycle()
-    with pytest.raises(ValueError):
-        monomial(g, 1, ["a"], ["c"])  # a ends at 3, c ends at 1
+    with pytest.raises(ValueError, match="paths do not share a range"):
+        parse_element(g, "a ; c")  # a ends at 3, c ends at 1
 
 
-def test_monomial_rejects_zero_coefficient():
+def test_element_rejects_zero_coefficient():
     g = rose2()
     v = PathSeq("v")
+    e = PathSeq("v", (g.edge("e"),))
     with pytest.raises(ValueError, match="zero coefficient"):
         element([(Fraction(0), v, v)])
     with pytest.raises(ValueError, match="zero coefficient"):
-        monomial(g, 0, ["e"], ["e"])
+        element([(0, e, e)])
     # a sum that cancels is zero, not an error
     assert element([(1, v, v), (-1, v, v)]) == LpaElement()
 
@@ -301,14 +301,14 @@ def test_monomial_rejects_zero_coefficient():
 def test_element_requires_common_range():
     g = funnel_into_cycle()
     with pytest.raises(ValueError, match="share their range"):
-        element([(1, path_in(g, ["a"]), path_in(g, ["c"]))])
+        element([(1, PathSeq("1", (g.edge("a"),)), PathSeq("2", (g.edge("c"),)))])
 
 
 def test_associativity_sampled():
     rng = random.Random(5)
     g = funnel_into_cycle()
     for _ in range(60):
-        a, b, c = (element([random_monomial(g, rng)]) for _ in range(3))
+        a, b, c = (element([random_term(g, rng)]) for _ in range(3))
         assert (a * b) * c == a * (b * c)
 
 
@@ -328,8 +328,8 @@ def test_product_checks_the_one_new_joint():
         PathSeq("5", (g1, a))
     # the same shapes with matching ranges multiply
     good = LpaElement({(at_1, at_1): 1})
-    assert good * LpaElement({(along_a, PathSeq("3")): 1}) == path_element(g, ["a"])
-    assert LpaElement({(PathSeq("3"), along_a): 1}) * good == star(path_element(g, ["a"]))
+    assert good * LpaElement({(along_a, PathSeq("3")): 1}) == parse_element(g, "a")
+    assert LpaElement({(PathSeq("3"), along_a): 1}) * good == star(parse_element(g, "a"))
 
 
 def test_product_keys_are_checked_paths():
@@ -375,9 +375,7 @@ def test_ck2_reduces_to_zero():
         out = g.out_edges(v)
         if not out:
             continue
-        x = vertex_element(g, v) - sum(
-            (monomial(g, 1, [e.name], [e.name]) for e in out), LpaElement()
-        )
+        x = vertex_element(g, v) - parse_element(g, " + ".join(f"{e.name} ; {e.name}" for e in out))
         assert normal_form(g, x) == LpaElement()
 
 
@@ -386,17 +384,17 @@ def test_rose2_designated_rewrite():
     assert g._designated["v"].name == "e"
     assert funnel_into_cycle()._designated["4"].name == "f1"  # f1 < f2
     assert "2" not in arrow()._designated  # a sink
-    ee = monomial(g, 1, ["e"], ["e"])
-    expect = vertex_element(g, "v") - monomial(g, 1, ["f"], ["f"])
+    ee = parse_element(g, "e ; e")
+    expect = parse_element(g, "v - f ; f")
     assert normal_form(g, ee) == expect
     # ff* does not end in the designated edge e, so it is already normal
-    ff = monomial(g, 1, ["f"], ["f"])
+    ff = parse_element(g, "f ; f")
     assert normal_form(g, ff) == ff
 
 
 def test_equals_examples():
     g = rose2()
-    ck2 = monomial(g, 1, ["e"], ["e"]) + monomial(g, 1, ["f"], ["f"])
+    ck2 = parse_element(g, "e ; e + f ; f")
     assert equals(g, ck2, vertex_element(g, "v"))
     assert equals(g, LpaElement(), element(()))
 
@@ -424,7 +422,7 @@ def test_equals_respects_ring_operations():
     rng = random.Random(13)
     g = rose2()
     v = vertex_element(g, "v")
-    ck2 = monomial(g, 1, ["e"], ["e"]) + monomial(g, 1, ["f"], ["f"])
+    ck2 = parse_element(g, "e ; e + f ; f")
     for _ in range(20):
         z = random_element(g, rng)
         assert equals(g, v + z, ck2 + z)
@@ -443,29 +441,29 @@ def test_degree_standard_weights():
     g = funnel_into_cycle()
     w = standard_weights(g)
     assert degree(g, vertex_element(g, "1"), w) == 0
-    assert degree(g, path_element(g, ["a"]), w) == 1
-    assert degree(g, monomial(g, 1, ["g1", "f1"], ["c"]), w) == 1
+    assert degree(g, parse_element(g, "a"), w) == 1
+    assert degree(g, parse_element(g, "g1.f1 ; c"), w) == 1
     assert degree(g, LpaElement(), w) == 0
 
 
 def test_degree_mixed_is_non_homogeneous():
     g = funnel_into_cycle()
     w = standard_weights(g)
-    x = vertex_element(g, "1") + path_element(g, ["a"])
+    x = parse_element(g, "1 + a")
     assert degree(g, x, w) is None
 
 
 def test_degree_requires_weights_for_surviving_edges():
     g = funnel_into_cycle()
     with pytest.raises(ValueError):
-        degree(g, path_element(g, ["b"]), {"a": 1})
+        degree(g, parse_element(g, "b"), {"a": 1})
 
 
 def test_degree_computed_on_normal_form():
     # ee* + ff* is CK-2-equal to the degree-0 vertex even though raw terms
     # pair degree +1 left with -1 right
     g = rose2()
-    x = monomial(g, 1, ["e"], ["e"]) + monomial(g, 1, ["f"], ["f"])
+    x = parse_element(g, "e ; e + f ; f")
     assert degree(g, x, standard_weights(g)) == 0
 
 
@@ -477,11 +475,11 @@ def test_omega_unitary_after_normal_form():
     # alpha = f1: both products collapse to the projection f1 f1*, the cycle
     # telescoping through the exit-free CK-2 relations
     g = funnel_into_cycle()
-    om = monomial(g, 1, ["f1", "a", "b", "c"], ["f1"])
+    om = parse_element(g, "f1.a.b.c ; f1")
     left = om * star(om)
     right = star(om) * om
     assert equals(g, left, right)
-    assert equals(g, left, monomial(g, 1, ["f1"], ["f1"]))
+    assert equals(g, left, parse_element(g, "f1 ; f1"))
 
 
 # ── family verification ───────────────────────────────────────────────────────
@@ -490,7 +488,7 @@ def test_omega_unitary_after_normal_form():
 def identity_family(g: Graph) -> CkFamily:
     return CkFamily(
         {v: vertex_element(g, v) for v in g.vertices},
-        {e.name: path_element(g, [e.name]) for e in g.edges},
+        {e.name: element([(1, PathSeq(e.src, (e,)), PathSeq(e.dst))]) for e in g.edges},
     )
 
 
@@ -541,11 +539,7 @@ def test_family_completeness_required():
 def test_family_zero_vertex_image_flagged():
     g = rose2()
     fam = identity_family(g)
-    hidden_zero = (
-        vertex_element(g, "v")
-        - monomial(g, 1, ["e"], ["e"])
-        - monomial(g, 1, ["f"], ["f"])
-    )
+    hidden_zero = parse_element(g, "v - e ; e - f ; f")
     bad = CkFamily({"v": hidden_zero}, fam.edge_images)
     report = verify_ck_family(g, bad, g)
     assert not report.ok
@@ -581,7 +575,7 @@ def test_family_ck2_flagged():
     g = rose2()
     fam = identity_family(g)
     ei = dict(fam.edge_images)
-    ei["f"] = path_element(g, ["e"])  # now sum ee* over images != v
+    ei["f"] = parse_element(g, "e")  # now sum ee* over images != v
     report = verify_ck_family(g, CkFamily(fam.vertex_images, ei), g)
     assert not report.ok
     assert any(f.startswith("CK-2: v") for f in report.failures)
@@ -848,7 +842,8 @@ def test_parse_vertex_and_sums():
     g = diamond()
     assert parse_element(g, "u") == vertex_element(g, "u")
     x = parse_element(g, "u - 2*a ; a")
-    assert x == vertex_element(g, "u") - 2 * monomial(g, 1, ["a"], ["a"])
+    aa = PathSeq("u", (g.edge("a"),))
+    assert x == vertex_element(g, "u") - element([(2, aa, aa)])
 
 
 def test_parse_zero_forms():
@@ -881,7 +876,7 @@ def test_parse_long_path_of_move_generated_names():
     g = subdivide_edge(single_loop(), "e", 12)  # edges e.e1 .. e.e13 around v
     names = [f"e.e{i}" for i in range(13, 0, -1)] * 3
     x = parse_element(g, ".".join(names))
-    assert x == path_element(g, names)
+    assert x == element([(1, PathSeq("v", tuple(map(g.edge, names))), PathSeq("v"))])
     with pytest.raises(ValueError, match="cannot read"):
         parse_element(g, ".".join(names[1:] + ["e"]))
 
@@ -921,16 +916,27 @@ def test_parse_path_split_matches_dynamic_program():
 
 def test_vertex_name_shadows_edge_name():
     g = Graph(("e",), (Edge("e", "e", "e"),))
-    assert parse_element(g, "e") == vertex_element(g, "e")
+    with pytest.raises(ValueError, match=r"^ambiguous path 'e'$"):
+        parse_element(g, "e")
     x = parse_element(g, "e.e")
     [(left, _)] = x.terms
     assert left.edges == (g.edge("e"), g.edge("e"))
+    # the path along x then y is written "x.y", which is also the vertex x.y
+    g = Graph(("r", "m", "x.y"), (Edge("x", "r", "m"), Edge("y", "m", "x.y")))
+    for text in ("x.y", "x.y ; x.y"):
+        with pytest.raises(ValueError, match=r"^ambiguous path 'x.y'$"):
+            parse_element(g, text)
+    # tokens with one reading are still read
+    assert format_element(parse_element(g, "r + y ; y - x ; x")) == "r + y ; y - x ; x"
 
 
 def test_parse_rejects_garbage():
     g = diamond()
     with pytest.raises(ValueError):
         parse_element(g, "q")
+    for text in ("a.q", "b.a"):  # an unknown edge name; edges that do not compose
+        with pytest.raises(ValueError, match=f"^cannot read '{text}' as a vertex or path$"):
+            parse_element(g, text)
     with pytest.raises(ValueError):
         parse_element(g, "a ; b")  # ranges differ: v vs w
     with pytest.raises(ValueError, match="zero denominator"):
@@ -1003,12 +1009,35 @@ def test_parse_element_matches_reference_term_loop():
     assert min(outcomes["ok"], outcomes["empty term"], outcomes["error"]) > 1000, outcomes
 
 
+def clashing_names() -> Graph:
+    """A vertex and an edge both named a, and a vertex x.y beside composable
+    edges x and y, so some paths are written as a vertex name is."""
+    return Graph(("r", "a", "m", "x.y"), (
+        Edge("a", "r", "a"), Edge("l", "a", "a"), Edge("x", "r", "m"),
+        Edge("y", "m", "x.y"), Edge("w", "x.y", "r"), Edge("k", "a", "m")))
+
+
 def test_format_parse_round_trip_sampled():
     rng = random.Random(17)
     g = funnel_into_cycle()
     for _ in range(40):
         x = random_element(g, rng)
         assert parse_element(g, format_element(x)) == x
+    # where a written path is also a vertex name, the text is refused, never
+    # read back as a different element
+    g = clashing_names()
+    outcomes = Counter()
+    for _ in range(200):
+        x = random_element(g, rng)
+        try:
+            back = parse_element(g, format_element(x))
+        except ValueError as err:
+            assert re.fullmatch(r"ambiguous path '(a|x\.y)'", str(err)), err
+            outcomes["ambiguous"] += 1
+        else:
+            assert back == x
+            outcomes["equal"] += 1
+    assert min(outcomes["ambiguous"], outcomes["equal"]) > 20, outcomes
 
 
 def test_format_parse_round_trip_past_the_integer_string_limit():

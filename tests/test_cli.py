@@ -272,6 +272,22 @@ def test_corner_family_pipes_into_verify(tmp_path, capsys):
     assert out.splitlines()[-1] == "ok true"
 
 
+def test_corner_family_naming_a_shared_token_is_refused_not_misread(tmp_path, capsys):
+    # the vertex a and the edge a share a name, so the family text "a ; a"
+    # (the path along edge a) could also read as the vertex a: verify used to
+    # read the vertex and print "ok false" for a family that holds
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("vertex r\nvertex a\nvertex b\nedge a r a\nedge l a a\n"
+                          "edge k a b\nedge j b a\nedge z r r\n", encoding="utf-8")
+    family_file = tmp_path / "fam.txt"
+    assert run(["corner", str(graph_file), "--roots", "r",
+                "--emit-family", "--output", str(family_file)]) == 0
+    assert "vertex r = r - a ; a\n" in family_file.read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert run(["verify", str(graph_file), str(family_file)]) == 1
+    assert capsys.readouterr() == ("", "error: ambiguous path 'a'\n")
+
+
 def test_verify_reports_failures_with_exit_1(tmp_path, capsys):
     graph_file = write_graph(tmp_path, two_way_line())
     family_file = tmp_path / "family.txt"

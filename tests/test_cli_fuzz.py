@@ -97,7 +97,9 @@ def monoid_text(rng: random.Random, vertices: list[str]) -> str:
     return rng.choice([" ".join(tokens), " ".join(tokens), "0", "", "v"])
 
 
-def commands(rng: random.Random, tmp, graph_txt) -> list[list[str]]:
+def commands(rng: random.Random, tmp, graph_txt) -> tuple[list[list[str]], bool]:
+    """The argument lists to run on one graph text, and whether the family
+    file they verify is a corner family of that graph."""
     try:
         g = parse_graph(graph_txt if isinstance(graph_txt, str) else "")
         vertices, edges = list(g.vertices), [e.name for e in g.edges]
@@ -116,11 +118,11 @@ def commands(rng: random.Random, tmp, graph_txt) -> list[list[str]]:
     def small():
         return rng.choice(["1", "2", "3", "0", "-2", "x"])
 
-    fam = family_text(rng, names, vertices)
+    fam, corner = family_text(rng, names, vertices), False
     if g is not None and vertices and rng.random() < 0.3:  # a corner family, which should verify
         try:
             t = build_forest(g, [rng.choice(vertices)])
-            fam = format_family(t_corner(g, t), corner_family(g, t))
+            fam, corner = format_family(t_corner(g, t), corner_family(g, t)), True
         except ValueError:
             pass
     (tmp / "f.txt").write_text(fam, encoding="utf-8")
@@ -142,7 +144,7 @@ def commands(rng: random.Random, tmp, graph_txt) -> list[list[str]]:
         ["monoid", "rebalance", graph, monoid_text(rng, vertices)],
         rng.choice([["analyze"], ["move"], ["bogus", graph], ["verify", graph],
                     ["analyze", str(tmp / "missing.txt")], ["monoid", "equiv", graph, "0"]]),
-    ]
+    ], corner
 
 
 def run_once(argv, capsys, tmp) -> tuple:
@@ -163,13 +165,19 @@ def test_every_command_survives_seeded_random_inputs(tmp_path, capsys):
     rng = random.Random(20260)
     codes = {0: 0, 1: 0, 2: 0}
     succeeded = set()
+    corners_verified = 0
     for case in range(300):
         text = graph_text(rng)
         (tmp_path / "g.txt").write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-        for argv in commands(rng, tmp_path, text):
+        argvs, corner = commands(rng, tmp_path, text)
+        for argv in argvs:
             first = run_once(argv, capsys, tmp_path)
             assert first[0] in codes, (case, argv, first)
             assert run_once(argv, capsys, tmp_path) == first, (case, argv)
+            if corner and len(argv) == 3 and argv[0] == "verify":
+                # a corner family holds, so verify accepts it or refuses its text
+                assert_corner_family_verdict(first[1], first[2], (case, argv))
+                corners_verified += first[1] == "ok true\n"
             codes[first[0]] += 1
             if first[0] == 0:
                 succeeded.add(" ".join(argv[:2]) if argv[0] in ("move", "monoid") else argv[0])
@@ -177,6 +185,40 @@ def test_every_command_survives_seeded_random_inputs(tmp_path, capsys):
     # command succeeds on some of them
     assert min(codes.values()) > 200, codes
     assert len(succeeded) == 13, sorted(succeeded)
+    assert corners_verified > 30, corners_verified
+
+
+def assert_corner_family_verdict(out: str, err: str, where) -> None:
+    """``verify`` on a corner family prints ``ok true`` or one ``error:``
+    line, never ``ok false``."""
+    assert out == "ok true\n" and err == "" or (
+        out == "" and err.startswith("error: ") and err.count("\n") == 1), (where, out, err)
+
+
+def test_corner_families_of_hosts_with_shared_names_never_misverify(tmp_path, capsys):
+    # vertex and edge names come from one pool, so a vertex may share its
+    # name with an edge, and a dotted vertex name may spell a path; a corner
+    # family written for such a host must verify or be refused, not misread
+    rng = random.Random(4211)
+    pool = ["a", "b", "c", "d", "a.b", "b.c", "c.a", "d.d"]
+    graph, family = tmp_path / "g.txt", tmp_path / "f.txt"
+    outcomes = {"ok": 0, "error": 0}
+    for case in range(150):
+        vertices = rng.sample(pool, rng.randint(2, 5))
+        names = rng.sample(pool, rng.randint(2, len(pool)))
+        edges = [Edge(name, rng.choice(vertices), rng.choice(vertices)) for name in names]
+        graph.write_text(serialize_graph(Graph(vertices, edges)), encoding="utf-8")
+        roots = ",".join(rng.sample(vertices, rng.randint(1, 2)))
+        argv = ["corner", str(graph), "--roots", roots, "--emit-family", "--output", str(family)]
+        code = run(argv)
+        capsys.readouterr()
+        if code:
+            continue
+        run(["verify", str(graph), str(family)])
+        out, err = capsys.readouterr()
+        assert_corner_family_verdict(out, err, (case, roots))
+        outcomes["ok" if out else "error"] += 1
+    assert min(outcomes.values()) > 15, outcomes
 
 
 def test_unknown_vertices_are_reported_the_same_under_any_string_hashing(tmp_path):

@@ -7,6 +7,7 @@ values frozen below.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from collections import deque
@@ -39,7 +40,6 @@ from leavitt.graph import (
     is_hereditary,
     is_saturated,
     parse_graph,
-    path_in,
     saturated_closure,
     serialize_graph,
 )
@@ -208,11 +208,11 @@ def test_decimal_and_digits_round_trip_at_any_length():
 
 def test_path_composition_checked():
     g = funnel_into_cycle()
-    p = path_in(g, ["g1", "f1"])
+    p = PathSeq("5", (g.edge("g1"), g.edge("f1")))
     assert p.source == "5" and p.target == "1" and len(p.edges) == 2
     assert p.label() == "g1.f1"
     with pytest.raises(ValueError):
-        path_in(g, ["f1", "g1"])
+        PathSeq("4", (g.edge("f1"), g.edge("g1")))
     with pytest.raises(ValueError, match=r"^unknown edge 'zz'$"):
         g.edge("zz")
 
@@ -231,17 +231,15 @@ def test_path_rejects_edges_that_do_not_compose():
     with pytest.raises(ValueError):  # f1 ends at 1, where g1 does not start
         PathSeq("4", (f1, g1))
     with pytest.raises(ValueError):
-        PathSeq.of(())
-    with pytest.raises(ValueError):
         PathSeq("5").extend(f1)
-    assert PathSeq("5").extend(g1).extend(f1) == path_in(g, ["g1", "f1"])
+    assert PathSeq("5").extend(g1).extend(f1) == PathSeq("5", (g1, f1))
     # a grown path checks its new joint: g1 leaves 5, not the target 4
     with pytest.raises(ValueError, match="does not start where the path ends"):
-        path_in(g, ["g1"]).extend(g1)
+        PathSeq("5", (g1,)).extend(g1)
     # a prefix keeps the range of its own last edge
-    assert path_in(g, ["g1", "f1"]).drop_last() == path_in(g, ["g1"])
-    assert path_in(g, ["g1", "f1"]).drop_last().target == "4"
-    assert path_in(g, ["g1"]).drop_last() == PathSeq("5")
+    assert PathSeq("5", (g1, f1)).drop_last() == PathSeq("5", (g1,))
+    assert PathSeq("5", (g1, f1)).drop_last().target == "4"
+    assert PathSeq("5", (g1,)).drop_last() == PathSeq("5")
     with pytest.raises(ValueError, match=r"^cannot shorten a length-0 path$"):
         PathSeq("5").drop_last()
 
@@ -250,18 +248,17 @@ def test_path_make_and_replace_check_the_edges():
     # namedtuple's _make and _replace build through PathSeq.__new__ too
     g = funnel_into_cycle()
     f1, f2, g1 = g.edge("f1"), g.edge("f2"), g.edge("g1")
-    p = PathSeq.of((f1,))
+    p = PathSeq("4", (f1,))
     with pytest.raises(ValueError, match="edge 'g1' does not start where the path ends"):
         p._replace(edges=(f1, g1))
-    # the range is read off the edges, so no field is left stale
+    # the range is read off the edges, so no field is left stale and the
+    # constructor takes no range to check
     assert PathSeq._fields == ("source", "edges")
+    assert list(inspect.signature(PathSeq.__new__).parameters) == ["cls", "source", "edges"]
     assert p._replace(edges=()) == PathSeq("4")
-    # a range given to the constructor is checked against the edges
-    with pytest.raises(ValueError, match="the path ends at '4', not '1'"):
-        PathSeq._make(("5", (g1,), "1"))
     assert p._replace(edges=(f2,)) == PathSeq("4", (f2,))
-    assert p._replace(source="5", edges=(g1, f1)) == path_in(g, ["g1", "f1"])
-    assert PathSeq._make(("5", (g1,), "4")) == path_in(g, ["g1"])
+    assert p._replace(source="5", edges=(g1, f1)) == PathSeq("5", (g1, f1))
+    assert PathSeq._make(("5", (g1,))) == PathSeq("5").extend(g1)
 
 
 # ── classification ────────────────────────────────────────────────────────────

@@ -224,7 +224,7 @@ def test_entry_paths_record_path_checks_its_joints():
     g = funnel_into_cycle()
     g1, f1, a = g.edge("g1"), g.edge("f1"), g.edge("a")
     good = EntryPath("g1.f1", "1", g1, EntryPath("f1", "1", f1, None))
-    assert good.path == PathSeq.of((g1, f1))
+    assert good.path == PathSeq("5", (g1, f1))
     broken = EntryPath("g1.a", "3", g1, EntryPath("a", "3", a, None))
     with pytest.raises(ValueError, match="edge 'a' does not start where the path ends"):
         broken.path
