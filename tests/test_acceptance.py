@@ -286,8 +286,23 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def module_level_names(tree: ast.Module) -> list[str]:
+    """The names a module's top level defines: its functions, its classes
+    and the targets of its assignments."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                defined += [t.id for t in names if isinstance(t, ast.Name)]
+    return defined
+
+
 def test_every_public_name_resolves_once():
-    # the benchmark's span tracer runs getattr on every __all__ entry
+    # the benchmark's span tracer runs getattr on every __all__ entry, so a
+    # public module-level name must be one of them to be seen
     for path in sorted(Path(leavitt.__file__).parent.glob("*.py")):
         if path.stem == "__main__":
             continue
@@ -296,26 +311,8 @@ def test_every_public_name_resolves_once():
         public = module.__all__
         assert len(set(public)) == len(public), name
         assert [attr for attr in public if not hasattr(module, attr)] == [], name
-
-
-def test_every_public_module_name_is_in_all():
-    # a public function, class or assignment missing from __all__ is one the
-    # benchmark's span tracer and the test above never see
-    for path in sorted(Path(leavitt.__file__).parent.glob("*.py")):
-        if path.stem == "__main__":  # importing it runs the CLI
-            continue
-        module = importlib.import_module("leavitt" if path.stem == "__init__" else f"leavitt.{path.stem}")
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        defined = []
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                    names = target.elts if isinstance(target, ast.Tuple) else [target]
-                    defined += [t.id for t in names if isinstance(t, ast.Name)]
-        public = getattr(module, "__all__", [])
-        assert [d for d in defined if not d.startswith("_") and d not in public] == [], path.name
+        assert [d for d in module_level_names(tree) if not d.startswith("_") and d not in public] == [], name
 
 
 def test_every_private_module_name_is_used():
@@ -331,16 +328,6 @@ def test_every_private_module_name_is_used():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    unused = []
-    for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            unused += [f"{name}:{d}" for d in defined
-                       if d.startswith("_") and not d.startswith("__") and d not in used]
+    unused = [f"{name}:{d}" for name, tree in trees.items() for d in module_level_names(tree)
+              if d.startswith("_") and not d.startswith("__") and d not in used]
     assert unused == []
