@@ -25,13 +25,16 @@ verification, 2 on usage errors.
 One table, ``_TABLE``, names each command path once with its help, its
 handler and its arguments; the parser is built from it.  Every leaf's first
 argument is ``graph``.  :func:`run` parses the graph, calls
-``handler(graph, args)`` for the leaf's text and exit code, writes the text
-to ``--output`` where the leaf has that option and to stdout otherwise, and
-turns a ``ValueError`` or ``OSError`` from any step, the handler's included,
-into the diagnostic.  Two handlers touch files of their own: ``verify``
-reads its family file and ``desourcify`` writes its ``--trace``.  Each
-handler imports the modules it runs, so a process pays at start-up only for
-its own command.
+``handler(graph, args)`` for the leaf's pieces of text and exit code, writes
+the pieces one at a time to ``--output`` where the leaf has that option and
+to stdout otherwise, and turns a ``ValueError`` or ``OSError`` from any step,
+the handler's included, into the diagnostic.  A report is one piece.  A graph
+is its text in pieces of at most 512 lines, each formatted only when it is
+written, after the handler's fallible work is done, so no whole copy of a
+large graph's text is held.  Two handlers touch files of their own:
+``verify`` reads its family file and ``desourcify`` writes its ``--trace``.
+Each handler imports the modules it runs, so a process pays at start-up only
+for its own command.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Iterable
 
-from .graph import _decimal, _digits, parse_graph, serialize_graph
+from .graph import _decimal, _digits, _serialized, parse_graph
 
 __all__ = ["run", "main"]
 
@@ -52,12 +56,12 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(pieces: Iterable[str], output: str | None) -> None:
     if output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _unit_rank(text: str):
@@ -92,7 +96,7 @@ def _vertex_list(text: str) -> list[str]:
     return text.split(",")
 
 
-def _cmd_analyze(g, args) -> tuple[str, int]:
+def _cmd_analyze(g, args) -> tuple[Iterable[str], int]:
     from .ktheory import k_summary
 
     r = args.unit_rank
@@ -108,65 +112,65 @@ def _cmd_analyze(g, args) -> tuple[str, int]:
             f"is_ck {no_sinks}\n"
             f"strongly_graded {no_sinks}\n"
             f"criterion4 {str(summary.criterion4).lower()}\n"
-            f"criterion5 {criterion5}\n"), 0
+            f"criterion5 {criterion5}\n",), 0
 
 
-def _cmd_move(fn: str, params: list[str], g, args) -> tuple[str, int]:
+def _cmd_move(fn: str, params: list[str], g, args) -> tuple[Iterable[str], int]:
     # looked up by name when the command runs: this keeps moves out of other commands'
     # imports, and the span wrappers, which replace module attributes, see every move
     from . import moves
 
-    return serialize_graph(getattr(moves, fn)(g, *(getattr(args, dest) for dest in params))), 0
+    return _serialized(getattr(moves, fn)(g, *(getattr(args, dest) for dest in params))), 0
 
 
-def _cmd_desourcify(g, args) -> tuple[str, int]:
+def _cmd_desourcify(g, args) -> tuple[Iterable[str], int]:
     from .moves import desourcify, serialize_trace
 
     out, trace = desourcify(g)
     if args.trace is not None:
-        _emit(serialize_trace(trace), args.trace)
-    return serialize_graph(out), 0
+        _emit((serialize_trace(trace),), args.trace)
+    return _serialized(out), 0
 
 
-def _cmd_corner(g, args) -> tuple[str, int]:
+def _cmd_corner(g, args) -> tuple[Iterable[str], int]:
     from .corners import build_forest, corner_family, corner_weights, t_corner
 
     t = build_forest(g, args.roots)
     if args.emit_family:
         from .algebra import format_family
 
-        return format_family(t_corner(g, t), corner_family(g, t)), 0
+        return (format_family(t_corner(g, t), corner_family(g, t)),), 0
     if args.emit_weights:
         weights = corner_weights(g, t)
-        return "".join(f"{e.name} {weights[e.name]}\n" for e in g.edges), 0
-    return serialize_graph(t_corner(g, t)), 0
+        return ("".join(f"{e.name} {weights[e.name]}\n" for e in g.edges),), 0
+    return _serialized(t_corner(g, t)), 0
 
 
-def _cmd_verify(host, args) -> tuple[str, int]:
+def _cmd_verify(host, args) -> tuple[Iterable[str], int]:
     from .algebra import parse_family, verify_ck_family
 
     report = verify_ck_family(*parse_family(_read_text(args.family), host), host)
     text = f"ok {str(report.ok).lower()}\n" + "".join(f"fail {f}\n" for f in report.failures)
-    return text, 0 if report.ok else 1
+    return (text,), 0 if report.ok else 1
 
 
-def _cmd_equiv(g, args) -> tuple[str, int]:
+def _cmd_equiv(g, args) -> tuple[Iterable[str], int]:
     from .monoid import equivalent, parse_monoid
 
     answer, reason = equivalent(g, parse_monoid(g, args.a), parse_monoid(g, args.b), args.steps, args.size)
-    return f"equivalent {_ANSWER[answer]}\n{reason}\n", 0
+    return (f"equivalent {_ANSWER[answer]}\n{reason}\n",), 0
 
 
-def _cmd_full(g, args) -> tuple[str, int]:
+def _cmd_full(g, args) -> tuple[Iterable[str], int]:
     from .monoid import is_full, parse_monoid
 
-    return f"full {str(is_full(g, parse_monoid(g, args.element))).lower()}\n", 0
+    return (f"full {str(is_full(g, parse_monoid(g, args.element))).lower()}\n",), 0
 
 
-def _cmd_rebalance(g, args) -> tuple[str, int]:
+def _cmd_rebalance(g, args) -> tuple[Iterable[str], int]:
     from .monoid import format_monoid, parse_monoid, rebalance_full
 
-    return f"result {format_monoid(rebalance_full(g, parse_monoid(g, args.element)))}\n", 0
+    return (f"result {format_monoid(rebalance_full(g, parse_monoid(g, args.element)))}\n",), 0
 
 
 _GRAPH, _ELEMENT, _OUTPUT = ("graph", {}), ("element", {}), ("--output", {})
@@ -277,8 +281,8 @@ def run(argv: list[str]) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        text, code = args.run(parse_graph(_read_text(args.graph)), args)
-        _emit(text, getattr(args, "output", None))
+        pieces, code = args.run(parse_graph(_read_text(args.graph)), args)
+        _emit(pieces, getattr(args, "output", None))
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -184,7 +184,7 @@ def t_corner(g: Graph, t: Forest) -> Graph:
         raise ValueError("the forest belongs to a different host graph")
     kept, pairs = t._corner
     return Graph(kept, map(tuple.__new__, repeat(Edge),
-                           [(f"{e.name}_{u}", e.src, u) for e, below in pairs for u in below]))
+                           ((f"{e.name}_{u}", e.src, u) for e, below in pairs for u in below)))
 
 
 def corner_family(g: Graph, t: Forest) -> CkFamily:

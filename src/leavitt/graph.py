@@ -21,7 +21,7 @@ import re
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "Edge",
@@ -119,7 +119,7 @@ class Graph:
         try:
             vset = set(vertices)
             if (all(vertices) and all(names)
-                    and _NAME_CHARS.match("".join(vertices) + "".join(names))
+                    and _NAME_CHARS.match("".join(vertices)) and _NAME_CHARS.match("".join(names))
                     and len(vset) == len(vertices) and len(set(names)) == len(names)
                     and vset.issuperset(map(_src, edges)) and vset.issuperset(map(_dst, edges))):
                 return
@@ -353,20 +353,30 @@ def parse_graph(text: str) -> Graph:
     return Graph(vertices, map(tuple.__new__, repeat(Edge), edges))
 
 
+_PIECE_LINES = 512  # lines per piece of text: a piece is small, a graph may not be
+
+
+def _serialized(g: Graph) -> Iterator[str]:
+    """The canonical text of ``g`` in pieces of at most ``_PIECE_LINES`` lines."""
+    for i in range(0, len(g.vertices), _PIECE_LINES):
+        yield "".join([f"vertex {v}\n" for v in g.vertices[i:i + _PIECE_LINES]])
+    for i in range(0, len(g.edges), _PIECE_LINES):
+        yield "".join([f"edge {n} {s} {d}\n" for n, s, d in g.edges[i:i + _PIECE_LINES]])
+
+
 def serialize_graph(g: Graph) -> str:
-    lines = [f"vertex {v}\n" for v in g.vertices]
-    lines += [f"edge {name} {src} {dst}\n" for name, src, dst in g.edges]
-    return "".join(lines)
+    return "".join(_serialized(g))
 
 
-def fnv1a64(data: bytes) -> int:
+def fnv1a64(data: bytes, h: int = 0xCBF29CE484222325) -> int:
     """64-bit FNV-1a, eight bytes per step with one mask.
 
     The low 64 bits of a product depend only on the low 64 bits of its
     factors, and XOR with a byte touches only the low byte, so masking once
-    per eight bytes gives the digest of masking after every byte.
+    per eight bytes gives the digest of masking after every byte.  ``h`` is
+    the hash of the bytes before ``data``, so hashing piece after piece gives
+    the hash of the whole.
     """
-    h = 0xCBF29CE484222325
     it = iter(data)
     for b0, b1, b2, b3, b4, b5, b6, b7 in zip(it, it, it, it, it, it, it, it):
         h = (((((((((h ^ b0) * 0x100000001B3 ^ b1) * 0x100000001B3 ^ b2) * 0x100000001B3 ^ b3)
@@ -379,4 +389,7 @@ def fnv1a64(data: bytes) -> int:
 
 def graph_hash(g: Graph) -> str:
     """FNV-1a of the canonical serialization, as 16 hex digits."""
-    return format(fnv1a64(serialize_graph(g).encode("utf-8")), "016x")
+    h = 0xCBF29CE484222325
+    for piece in _serialized(g):
+        h = fnv1a64(piece.encode("utf-8"), h)
+    return format(h, "016x")

@@ -192,7 +192,7 @@ def _expansion(g: Graph, h: frozenset[str]) -> tuple[Graph, list[EntryPath]]:
     vertices = [v for v in g.vertices if v in h] + [p.label for p in paths]
     edges = [e for e in g.edges if e.src in h]
     edges += map(tuple.__new__, repeat(Edge),
-                 [(f"ov_{p.label}", p.label, p.target) for p in paths])
+                 ((f"ov_{p.label}", p.label, p.target) for p in paths))
     return Graph(vertices, edges), paths
 
 

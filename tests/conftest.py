@@ -102,6 +102,17 @@ def looped_pair() -> Graph:
     )
 
 
+def diamond_ladder(rungs: int) -> Graph:
+    """x0 -> {a_i, b_i} -> x_(i+1) diamonds into a loop at x_rungs, whose
+    2^(rungs + 2) - 4 entry paths double with each rung."""
+    xs = [f"x{i}" for i in range(rungs + 1)]
+    edges = [Edge("loop", xs[-1], xs[-1])]
+    for i in range(rungs):
+        edges += [Edge(f"p{i}", xs[i], f"a{i}"), Edge(f"q{i}", xs[i], f"b{i}"),
+                  Edge(f"r{i}", f"a{i}", xs[i + 1]), Edge(f"s{i}", f"b{i}", xs[i + 1])]
+    return Graph(xs + [f"{c}{i}" for i in range(rungs) for c in "ab"], edges)
+
+
 # ── random graphs ─────────────────────────────────────────────────────────────
 
 

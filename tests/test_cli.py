@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from conftest import (
     arrow,
+    diamond_ladder,
     funnel_into_cycle,
     looped_pair,
     rose2,
@@ -21,7 +25,18 @@ from conftest import (
 )
 from leavitt.cli import run
 from leavitt.graph import Edge, Graph, graph_hash, parse_graph, serialize_graph
-from leavitt.moves import attach_head, matrix_graph, parse_trace, replay
+from leavitt.corners import build_forest, t_corner
+from leavitt.moves import (
+    attach_head,
+    attach_sources,
+    desourcify,
+    eliminate_source,
+    expand_hereditary,
+    matrix_graph,
+    parse_trace,
+    replay,
+    subdivide_edge,
+)
 
 
 def write_graph(tmp_path, g, name="graph.txt"):
@@ -620,6 +635,103 @@ def test_branch_parser_parses_as_the_whole_tree(argv, capsys):
     if path:
         top = cli._build_parser(path)._subparsers._group_actions[0]
         assert list(top.choices) == [path[0]]
+
+
+# ── streamed graph text ───────────────────────────────────────────────────────
+
+_LOOP = Graph(["v"], [Edge("l", "v", "v")])
+
+
+def _star(n: int) -> Graph:
+    """n sources, each with one edge into a looped vertex c."""
+    return Graph(["c", *(f"s{i}" for i in range(n))],
+                 [Edge("l", "c", "c"), *(Edge(f"e{i}", f"s{i}", "c") for i in range(n))])
+
+
+def _chain(n: int) -> Graph:
+    """Sources s0 -> s1 -> ... -> s<n-1> -> c, with a loop at c."""
+    chain = [*(f"s{i}" for i in range(n)), "c"]
+    return Graph(chain, [*(Edge(f"a{i}", u, w) for i, (u, w) in enumerate(zip(chain, chain[1:]))),
+                         Edge("lp", "c", "c")])
+
+
+def _fan(n: int) -> Graph:
+    """A looped root r with an edge to each of n looped leaves."""
+    leaves = [f"v{i}" for i in range(n)]
+    return Graph(["r", *leaves], [Edge("l", "r", "r"),
+                                  *(Edge(f"e{i}", "r", v) for i, v in enumerate(leaves)),
+                                  *(Edge(f"m{i}", v, v) for i, v in enumerate(leaves))])
+
+
+# each graph-producing command, its input, the library's result and the lines
+# it prints; the text goes out in pieces of at most 512 lines, vertices first
+_STREAMED = [
+    ("move eliminate-source {g} u", Graph(["u", "v"], [Edge("e", "u", "v")]),
+     lambda g: eliminate_source(g, "u"), 1),
+    ("move attach-head {g} v 255", Graph(["v"]), lambda g: attach_head(g, "v", 255), 511),
+    ("move attach-head {g} v 256", Graph(["v"]), lambda g: attach_head(g, "v", 256), 513),
+    ("move attach-head {g} v 512", Graph(["v"]), lambda g: attach_head(g, "v", 512), 1025),
+    ("move attach-sources {g} v 255", _LOOP, lambda g: attach_sources(g, "v", 255), 512),
+    ("move matrix {g} 256", _LOOP, lambda g: matrix_graph(g, 256), 512),
+    ("move subdivide {g} l 511", _LOOP, lambda g: subdivide_edge(g, "l", 511), 1024),
+    ("move expand-hereditary {g} c", _star(511), lambda g: expand_hereditary(g, ["c"]), 1024),
+    ("desourcify {g}", _chain(256), lambda g: desourcify(g)[0], 514),
+    ("corner {g} --roots r", _fan(170), lambda g: t_corner(g, build_forest(g, ["r"])), 512),
+]
+
+
+@pytest.mark.parametrize("command, g, result, lines", _STREAMED,
+                         ids=[f"{c.split(' {g}')[0]}-{n}" for c, _, _, n in _STREAMED])
+def test_streamed_graph_text_is_byte_identical(tmp_path, capsys, command, g, result, lines):
+    expected = serialize_graph(result(g))
+    assert expected.count("\n") == lines
+    argv = command.format(g=write_graph(tmp_path, g)).split()
+    assert run(argv) == 0
+    assert capsys.readouterr() == (expected, "")
+    out = tmp_path / "out.txt"
+    assert run(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_streamed_cases_cover_the_piece_boundaries():
+    assert {1, 511, 512, 513, 1025} <= {lines for *_, lines in _STREAMED}
+    assert any(not result(g).edges for _, g, result, _ in _STREAMED)
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that keeps only the length of what it is given."""
+
+    written = 0
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_printing_a_graph_holds_about_one_piece_of_its_text(tmp_path):
+    # 8,188 entry paths, about 1.6 MB of text: the command's peak may exceed
+    # the move's own by far less than the text, which it never holds whole
+    g = diamond_ladder(11)
+    argv = ["move", "expand-hereditary", write_graph(tmp_path, g), "x11"]
+    with contextlib.redirect_stdout(_Discard()):
+        assert run(argv) == 0  # imports the move and builds the parser, outside the peak
+    text = len(serialize_graph(expand_hereditary(g, ["x11"])))
+    alone = _traced_peak(lambda: expand_hereditary(diamond_ladder(11), ["x11"]))
+    sink = _Discard()
+    with contextlib.redirect_stdout(sink):
+        printed = _traced_peak(lambda: run(argv))
+    assert sink.written == text > 1_500_000
+    assert printed - alone < text / 4, (printed - alone, text)
 
 
 # ── start-up cost ─────────────────────────────────────────────────────────────

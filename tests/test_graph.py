@@ -20,6 +20,7 @@ from conftest import (
     arrow,
     funnel_into_cycle,
     graphs,
+    random_graph,
     shaped_multigraph,
     single_loop,
     triangle,
@@ -32,6 +33,7 @@ from leavitt.graph import (
     _decimal,
     _digits,
     _reach,
+    _serialized,
     classify,
     fnv1a64,
     graph_hash,
@@ -186,6 +188,38 @@ def test_hash_matches_bytewise_fnv1a64():
             assert fnv1a64(data) == fnv1a64_bytewise(data), data
     data = rng.randbytes(100_000)
     assert fnv1a64(data) == fnv1a64_bytewise(data)
+
+
+def test_hash_folds_over_any_split():
+    # graph_hash feeds fnv1a64 one piece of text at a time, carrying the hash;
+    # cuts fall anywhere in the eight-byte steps, and repeated cuts give empty pieces
+    rng = random.Random(13)
+    for n in (0, 1, 7, 8, 9, 15, 16, 17, 100, 1001):
+        data = rng.randbytes(n)
+        whole = fnv1a64(data)
+        splits = [[b"", data, b""], [data[:3], b"", data[3:]]]
+        for _ in range(30):
+            cuts = sorted(rng.randint(0, n) for _ in range(rng.randint(1, 6)))
+            splits.append([data[a:b] for a, b in zip([0, *cuts], [*cuts, n])])
+        for pieces in splits:
+            h = fnv1a64(b"")
+            for piece in pieces:
+                h = fnv1a64(piece, h)
+            assert h == whole, (n, [len(p) for p in pieces])
+
+
+def test_graph_text_comes_in_bounded_pieces_that_hash_as_the_whole():
+    rng = random.Random(31)
+    drawn = [random_graph(rng, 600, 1500) for _ in range(12)]
+    drawn += [random_graph(rng) for _ in range(50)] + [Graph(), Graph(["v"])]
+    for g in drawn:
+        pieces = list(_serialized(g))
+        text = serialize_graph(g)
+        assert "".join(pieces) == text
+        assert all(0 < piece.count("\n") <= 512 for piece in pieces)
+        assert graph_hash(g) == format(fnv1a64(text.encode("utf-8")), "016x")
+    assert any(len(list(_serialized(g))) > 2 for g in drawn)
+    assert serialize_graph(Graph()) == "" and list(_serialized(Graph())) == []
 
 
 def test_decimal_and_digits_round_trip_at_any_length():

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import leavitt.moves
 from conftest import (
     arrow,
+    diamond_ladder,
     funnel_into_cycle,
     graphs,
     k0_data,
@@ -102,17 +103,6 @@ def test_expand_joins_each_entry_label_once(monkeypatch):
     expand_hereditary(g, hs)
     leavitt.moves.expansion_family(g, hs)
     assert joined == []
-
-
-def diamond_ladder(rungs: int) -> Graph:
-    """x0 -> {a_i, b_i} -> x_(i+1) diamonds into a loop at x_rungs, whose
-    2^(rungs + 2) - 4 entry paths double with each rung."""
-    xs = [f"x{i}" for i in range(rungs + 1)]
-    edges = [Edge("loop", xs[-1], xs[-1])]
-    for i in range(rungs):
-        edges += [Edge(f"p{i}", xs[i], f"a{i}"), Edge(f"q{i}", xs[i], f"b{i}"),
-                  Edge(f"r{i}", f"a{i}", xs[i + 1]), Edge(f"s{i}", f"b{i}", xs[i + 1])]
-    return Graph(xs + [f"{c}{i}" for i in range(rungs) for c in "ab"], edges)
 
 
 def test_entry_paths_check_only_the_new_joint(monkeypatch):
@@ -720,9 +710,9 @@ def test_desourcify_trace_hashes_bounded_by_the_expansion(monkeypatch):
     fed = []
     original = leavitt.graph.fnv1a64
 
-    def counting(data):
+    def counting(data, *running):
         fed.append(len(data))
-        return original(data)
+        return original(data, *running)
 
     g = chain_into_loop(200)
     expansion = len(serialize_graph(expand_hereditary(g, ["c"])).encode("utf-8"))
