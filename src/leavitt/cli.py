@@ -35,12 +35,22 @@ large graph's text is held.  Two handlers touch files of their own:
 ``verify`` reads its family file and ``desourcify`` writes its ``--trace``.
 Each handler imports the modules it runs, so a process pays at start-up only
 for its own command.
+
+:func:`main`, behind the ``leavitt`` script and ``python -m leavitt``, flushes
+stdout and stderr after :func:`run` and ends the process with ``os._exit``,
+skipping interpreter finalization, which changes no output.  It exits through
+``SystemExit`` instead when a flush fails or a trace, profile or
+``sys.monitoring`` hook is set, so a closed pipe reports as the interpreter
+reports it and profilers and coverage get their reports; exit-time reports
+such as ``-X showrefcount`` and ``atexit`` callbacks are otherwise skipped.
+Embedders call :func:`run`, which returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Iterable
 
@@ -58,6 +68,8 @@ def _read_text(path: str) -> str:
 
 def _emit(pieces: Iterable[str], output: str | None) -> None:
     if output is None:
+        if sys.stdout is None:  # its descriptor was closed when the process started
+            raise OSError("stdout is closed")
         sys.stdout.writelines(pieces)
     else:
         with open(output, "w", encoding="utf-8") as fh:
@@ -289,8 +301,32 @@ def run(argv: list[str]) -> int:
     return code
 
 
+def _watched() -> bool:
+    """Whether a trace, profile or monitoring hook is set: coverage, pdb,
+    ``trace`` and cProfile do their last work once ``SystemExit`` reaches
+    them or the interpreter shuts down."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    # tool ids run from 0 to 5
+    return monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command in ``sys.argv`` and end the process with its exit
+    code, skipping interpreter finalization unless a hook is watching or a
+    flush fails."""
+    code = run(sys.argv[1:])
+    if not _watched():
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None when its descriptor was closed at start-up
+                    stream.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

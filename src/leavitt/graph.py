@@ -17,7 +17,6 @@ edges, in declaration order; parsing its output reproduces the graph exactly.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
@@ -40,8 +39,16 @@ __all__ = [
     "graph_hash",
 ]
 
-_NAME_CHARS = re.compile(r"[A-Za-z0-9_.]*\Z")  # names, also run together; none is empty
+_NAME_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_."
 _name, _src, _dst = itemgetter(0), itemgetter(1), itemgetter(2)  # the fields of an Edge
+
+
+def _name_chars(text: str) -> bool:
+    """Whether every character of ``text`` is one of ``[A-Za-z0-9_.]``; names
+    are checked alone and run together.  Deleting the allowed bytes is faster
+    than a regex scan, and ``isascii`` refuses surrogates before ``encode``
+    could fail on them."""
+    return text.isascii() and not text.encode().translate(None, _NAME_BYTES)
 
 
 class Edge(NamedTuple):
@@ -53,7 +60,7 @@ class Edge(NamedTuple):
 
 
 def _check_name(kind: str, name: str) -> None:
-    if not isinstance(name, str) or not name or not _NAME_CHARS.match(name):
+    if not isinstance(name, str) or not name or not _name_chars(name):
         raise ValueError(f"invalid {kind} name {name!r}: names match [A-Za-z0-9_.]+")
 
 
@@ -119,7 +126,7 @@ class Graph:
         try:
             vset = set(vertices)
             if (all(vertices) and all(names)
-                    and _NAME_CHARS.match("".join(vertices)) and _NAME_CHARS.match("".join(names))
+                    and _name_chars("".join(vertices)) and _name_chars("".join(names))
                     and len(vset) == len(vertices) and len(set(names)) == len(names)
                     and vset.issuperset(map(_src, edges)) and vset.issuperset(map(_dst, edges))):
                 return

@@ -500,6 +500,145 @@ def test_console_script_if_installed(tmp_path):
     assert proc.stdout.startswith("rank_k0 0\n")
 
 
+# ── process exit ──────────────────────────────────────────────────────────────
+
+# the environment of a child whose stdout is block-buffered, so that main's
+# flush, not each write, is what writes a short output
+def _buffered_env():
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _exit_files(tmp_path):
+    family = tmp_path / "family.txt"
+    family.write_text("vertex w = 2 * v1\n", encoding="utf-8")  # w is not idempotent
+    return {"line": write_graph(tmp_path, two_way_line(), "line.txt"),
+            "funnel": write_graph(tmp_path, funnel_into_cycle(), "funnel.txt"),
+            "family": str(family), "out": str(tmp_path / "out.txt"),
+            "trace": str(tmp_path / "trace.txt")}
+
+
+# argvs and the exit codes they give
+_EXIT_CASES = [
+    ("analyze {line}", 0),
+    ("move attach-head {line} nope 2", 1),  # an unknown vertex
+    ("verify {line} {family}", 1),  # a relation fails
+    ("analyze {line} --no-such-flag", 2),
+    ("--help", 0),
+    ("move matrix {line} 2 --output {out}", 0),
+    ("desourcify {funnel} --trace {trace}", 0),
+]
+
+
+@pytest.mark.parametrize("command, code", _EXIT_CASES,
+                         ids=[" ".join(t for t in c.split() if "{" not in t) for c, _ in _EXIT_CASES])
+def test_the_fast_exit_changes_no_observable_result(tmp_path, capsys, monkeypatch, command, code):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the same width in both
+    files = _exit_files(tmp_path)
+    argv = [token.format(**files) for token in command.split()]
+
+    def written():
+        found = {}
+        for name in ("out", "trace"):
+            if os.path.exists(files[name]):
+                with open(files[name], "rb") as fh:
+                    found[name] = fh.read()
+                os.remove(files[name])
+        return found
+
+    proc = subprocess.run([sys.executable, "-m", "leavitt", *argv], env=_buffered_env(),
+                          capture_output=True, text=True)
+    spawned = (proc.returncode, proc.stdout, proc.stderr, written())
+    in_process = (run(argv), *capsys.readouterr(), written())
+    assert spawned == in_process
+    assert spawned[0] == code
+
+
+_PARENT_EXIT = "import sys; from leavitt.cli import run; sys.exit(run(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("command, code, err", [
+    # the 8 KB buffer holds the report, so only main's flush meets the closed pipe
+    ("analyze {line}", 120, None),
+    ("move matrix {line} 400", 1, "error: [Errno 32] Broken pipe\n"),
+], ids=["small", "large"])
+def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command, code, err):
+    files = _exit_files(tmp_path)
+    argv = [token.format(**files) for token in command.split()]
+    results = []
+    for entry in (["-m", "leavitt"], ["-c", _PARENT_EXIT]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child writes anything
+        try:
+            proc = subprocess.run([sys.executable, *entry, *argv], env=_buffered_env(),
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        results.append((proc.returncode, proc.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == code
+    if err is None:  # the interpreter's own report, worded differently across versions
+        lines = results[0][1].splitlines()
+        assert len(lines) == 2 and lines[0].startswith("Exception ignored")
+        assert lines[1] == "BrokenPipeError: [Errno 32] Broken pipe"
+    else:
+        assert results[0][1] == err
+
+
+@pytest.mark.parametrize("command, code, err", [
+    ("analyze {line}", 1, "error: stdout is closed\n"),
+    ("move matrix {line} 2 --output {out}", 0, ""),
+], ids=["stdout", "output"])
+def test_a_closed_stdout_is_one_error_line(tmp_path, command, code, err):
+    files = _exit_files(tmp_path)
+    argv = [token.format(**files) for token in command.split()]
+    proc = subprocess.run([sys.executable, "-m", "leavitt", *argv], env=_buffered_env(),
+                          stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (code, err)
+    if "--output" in argv:
+        with open(files["out"], encoding="utf-8") as fh:
+            assert fh.read() == serialize_graph(matrix_graph(two_way_line(), 2))
+
+
+# Claims a hook, registers an atexit callback and runs main, which must leave
+# through SystemExit while a hook is watching, so the callback runs; and end
+# the process at once when none is.
+_HOOKED_MAIN = """
+import atexit, sys
+import leavitt.cli
+hook = sys.argv.pop(1)
+if hook == "settrace":
+    sys.settrace(lambda *args: None)
+elif hook == "setprofile":
+    sys.setprofile(lambda *args: None)
+elif hook == "monitoring":
+    sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, "probe")
+atexit.register(print, "atexit ran")
+leavitt.cli.main()
+"""
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile", "monitoring", "none"])
+def test_a_watching_hook_gets_the_exit_it_expects(tmp_path, hook):
+    if hook == "monitoring" and not hasattr(sys, "monitoring"):
+        pytest.skip("sys.monitoring is new in Python 3.12")
+    files = _exit_files(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _HOOKED_MAIN, hook, "verify", files["line"],
+                           files["family"]], env=_buffered_env(), capture_output=True, text=True)
+    report = "ok false\nfail orthogonal idempotents: w,w\n"
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == report + ("" if hook == "none" else "atexit ran\n")
+
+
+def test_cprofile_prints_its_table(tmp_path):
+    # cProfile sets a profile hook up to Python 3.11 and claims a sys.monitoring
+    # tool id from 3.12, where sys.getprofile() reads None
+    graph_file = write_graph(tmp_path, rose2())
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "leavitt", "analyze", graph_file],
+                          env=_buffered_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("rank_k0 0\n") and "function calls" in proc.stdout
+
+
 # ── parser structure ──────────────────────────────────────────────────────────
 
 # Each command path's help (as listed by its parent), description, and

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 import time
 from collections import deque
 from itertools import combinations
@@ -32,6 +33,7 @@ from leavitt.graph import (
     PathSeq,
     _decimal,
     _digits,
+    _name_chars,
     _reach,
     _serialized,
     classify,
@@ -130,6 +132,33 @@ def test_construction_reports_the_first_failure(vertices, edges, message):
     with pytest.raises(ValueError) as err:
         Graph(vertices, edges)
     assert str(err.value).startswith(message)
+
+
+_NAME_REFERENCE = re.compile(r"[A-Za-z0-9_.]*\Z")  # the name rule as a regex
+_NAME_ALLOWED = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_."
+# non-ASCII letters and digits, whitespace, controls and lone surrogates
+_NAME_STRANGERS = " \t\n\x00\x7f!-é\u00dfΩЖ中\u0663\U0001d7d8\u00a0\u2003\ud800\udfff"
+
+
+def test_name_characters_match_the_regex_reference():
+    texts = [chr(c) for c in range(0x110000)]  # every code point alone
+    rng = random.Random(35)
+    for _ in range(20_000):  # names that mix in a stranger now and then
+        chars = rng.choices(_NAME_ALLOWED, k=rng.randrange(1, 12))
+        if rng.random() < 0.5:
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(_NAME_STRANGERS))
+        texts.append("".join(chars))
+    assert [t for t in texts if _name_chars(t) != bool(_NAME_REFERENCE.match(t))] == []
+    # and through both of Graph's paths: the joined fast check and the named one
+    v = "v" * 20  # longer than any name drawn above
+    for name in texts[0x110000:0x110000 + 2_000]:
+        valid = bool(_NAME_REFERENCE.match(name))
+        for make in (lambda: Graph((v, name)), lambda: Graph((v,), (Edge(name, v, v),))):
+            if valid:
+                make()
+            else:
+                with pytest.raises(ValueError, match="invalid (vertex|edge) name"):
+                    make()
 
 
 def test_parse_rejects_malformed_line():
