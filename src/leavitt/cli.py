@@ -36,14 +36,18 @@ large graph's text is held.  Two handlers touch files of their own:
 Each handler imports the modules it runs, so a process pays at start-up only
 for its own command.
 
+Output to stdout is flushed before :func:`run` returns, so a pipe whose
+reader is gone gives ``error: [Errno 32] Broken pipe`` and exit code 1 at
+any output size; stdout is then pointed at the null device, so that no
+flush at exit reports the pipe a second time.
+
 :func:`main`, behind the ``leavitt`` script and ``python -m leavitt``, flushes
 stdout and stderr after :func:`run` and ends the process with ``os._exit``,
 skipping interpreter finalization, which changes no output.  It exits through
 ``SystemExit`` instead when a flush fails or a trace, profile or
-``sys.monitoring`` hook is set, so a closed pipe reports as the interpreter
-reports it and profilers and coverage get their reports; exit-time reports
-such as ``-X showrefcount`` and ``atexit`` callbacks are otherwise skipped.
-Embedders call :func:`run`, which returns the exit code.
+``sys.monitoring`` hook is set, so profilers and coverage get their reports;
+exit-time reports such as ``-X showrefcount`` and ``atexit`` callbacks are
+otherwise skipped.  Embedders call :func:`run`, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -70,7 +74,16 @@ def _emit(pieces: Iterable[str], output: str | None) -> None:
     if output is None:
         if sys.stdout is None:  # its descriptor was closed when the process started
             raise OSError("stdout is closed")
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()  # so a closed pipe is reported here, whatever the size
+        except BrokenPipeError:
+            # the reader is gone: what stdout still holds goes to the null
+            # device, so no later flush, at exit included, reports it again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            raise
     else:
         with open(output, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)

@@ -5,9 +5,15 @@ cycles; its roots are the vertices with no incoming forest edge, and every
 forest vertex is reached from a root along a unique forest path ``tau(v)``.
 The corner graph keeps the forest vertices that emit at least one non-forest
 edge and, for each non-forest edge ``e`` emitted inside the forest, one edge
-``e_u`` for every kept vertex ``u`` below ``r(e)`` in the forest.  That rule
-is computed once per forest: the forest is walked in preorder, so the kept
-vertices below any vertex are one run of the kept vertices in walk order.
+``e_u`` for every kept vertex ``u`` below ``r(e)`` in the forest, named
+``<e>_<u>``.  Names may contain underscores, so two such joins may coincide
+(``x`` into ``y_z`` and ``x_y`` into ``z``); the later of them in the
+corner's edge order is then named ``<e>_<u>_<k>`` for the least free
+``k >= 1``.  That
+rule, names included, is computed once per forest, so the corner graph and
+its family read the same names: the forest is walked in preorder, so the
+kept vertices below any vertex are one run of the kept vertices in walk
+order.
 
 The corner's algebra sits inside the host's as a corner by an explicit
 family: ``Q_v = tau(v) tau(v)* - sum tau(v) e e* tau(v)*`` over the forest
@@ -23,7 +29,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
-from .graph import Edge, Graph, PathSeq, _frozen, _validated
+from .graph import Edge, Graph, PathSeq, _frozen, _minted, _validated
 
 if TYPE_CHECKING:
     from .algebra import CkFamily, LpaElement
@@ -122,11 +128,11 @@ class Forest:
         return PathSeq(v, tuple(reversed(chain)))
 
     @cached_property
-    def _corner(self) -> tuple[tuple[str, ...], list[tuple[Edge, tuple[str, ...]]]]:
+    def _corner(self) -> tuple[tuple[str, ...], list[tuple[Edge, list[Edge]]]]:
         """The corner rule, computed once: the kept vertices (those emitting
         no edge or some non-tree edge) in host order, and each non-tree edge
-        emitted inside the forest, in host order, with the kept vertices below
-        its range in host order."""
+        emitted inside the forest, in host order, with its corner edges, one
+        to each kept vertex below its range in host order."""
         g, tree = self.graph, self._tree_names
         kept = tuple(v for v in self.vertices
                      if not g._out[v] or any(e.name not in tree for e in g._out[v]))
@@ -147,7 +153,13 @@ class Forest:
                 if e.dst not in below:
                     below[e.dst] = tuple(sorted(run[slice(*span[e.dst])], key=rank.__getitem__))
                 pairs.append((e, below[e.dst]))
-        return kept, pairs
+        names = _minted(set(), [f"{e.name}_{u}" for e, us in pairs for u in us])
+        corner, at = [], 0
+        for e, us in pairs:
+            corner.append((e, list(map(tuple.__new__, repeat(Edge),
+                                       zip(names[at:at + len(us)], repeat(e.src), us)))))
+            at += len(us)
+        return kept, corner
 
 
 def build_forest(g: Graph, roots: Iterable[str]) -> Forest:
@@ -182,9 +194,8 @@ def t_corner(g: Graph, t: Forest) -> Graph:
     """The corner graph cut out by the forest."""
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
-    kept, pairs = t._corner
-    return Graph(kept, map(tuple.__new__, repeat(Edge),
-                           ((f"{e.name}_{u}", e.src, u) for e, below in pairs for u in below)))
+    kept, corner = t._corner
+    return Graph(kept, [x for _, xs in corner for x in xs])
 
 
 def corner_family(g: Graph, t: Forest) -> CkFamily:
@@ -193,7 +204,7 @@ def corner_family(g: Graph, t: Forest) -> CkFamily:
 
     if t.graph != g:
         raise ValueError("the forest belongs to a different host graph")
-    kept, pairs = t._corner
+    kept, corner = t._corner
     q: dict[str, LpaElement] = {}
     for v in kept:
         tv = t.tau(v)
@@ -204,10 +215,10 @@ def corner_family(g: Graph, t: Forest) -> CkFamily:
                 terms.append((-1, ext, ext))
         q[v] = element(terms)
     td: dict[str, LpaElement] = {}
-    for e, below in pairs:
+    for e, xs in corner:
         stem = element([(1, t.tau(e.src).extend(e), t.tau(e.dst))])
-        for u in below:
-            td[f"{e.name}_{u}"] = stem * q[u]
+        for x in xs:
+            td[x.name] = stem * q[x.dst]
     return CkFamily(q, td)
 
 

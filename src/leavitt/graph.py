@@ -64,6 +64,30 @@ def _check_name(kind: str, name: str) -> None:
         raise ValueError(f"invalid {kind} name {name!r}: names match [A-Za-z0-9_.]+")
 
 
+def _minted(taken: set[str], joined: Iterable[str]) -> list[str]:
+    """The names of a build's new vertices or edges, one per joined name in
+    build order.  Each is its joined name where no name in ``taken`` (those
+    of its kind carried over into the graph being built, and those minted
+    before it) has that name already, and otherwise the joined name plus
+    ``_<k>`` for the least ``k >= 1`` that is free.  ``taken`` gains every
+    minted name."""
+    names = list(joined)
+    size = len(taken)
+    if taken.isdisjoint(names):
+        taken.update(names)
+        if len(taken) == size + len(names):  # no two joined names are equal either
+            return names
+        taken.difference_update(names)  # none of them was taken before
+    for i, base in enumerate(names):
+        name, k = base, 0
+        while name in taken:
+            k += 1
+            name = f"{base}_{k}"
+        taken.add(name)
+        names[i] = name
+    return names
+
+
 def _decimal(text: str) -> int:
     """``int(text)`` for ASCII digits after an optional minus sign only, at
     any length; ``int`` alone also reads ``+``, ``_``, spaces and non-ASCII

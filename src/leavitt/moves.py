@@ -6,13 +6,19 @@ head of length 1 at the rose R_3 sends [1] = [v] != 0 in K_0 = Z/2 to
 2[v] = 0; subdividing R_1's loop turns k[x, x^-1] into M_2(k[x, x^-1])).
 
 Each move is a pure function from a graph to a graph.  Generated names are
-deterministic: a path-vertex created by hereditary expansion is its edge
-names joined with dots and its edge is ``ov_<path>``; a head attached at
-``v`` uses vertices ``v.h1..v.hn`` and edges ``v.e1..v.en``; subdividing
-``e0`` by ``n`` uses vertices ``e0.v1..e0.vn`` and edges ``e0.e1..e0.e(n+1)``;
-sources attached at ``v`` use vertices ``v.s1..v.sn`` and edges
-``v.f1..v.fn``.  Name collisions with existing vertices or edges are caught
-by the graph constructor.  Each entry path is an ``EntryPath`` record: the
+deterministic joins of old ones: a path-vertex created by hereditary
+expansion is its edge names joined with dots and its edge is ``ov_<path>``;
+a head attached at ``v`` uses vertices ``v.h1..v.hn`` and edges
+``v.e1..v.en``; subdividing ``e0`` by ``n`` uses vertices ``e0.v1..e0.vn``
+and edges ``e0.e1..e0.e(n+1)``; sources attached at ``v`` use vertices
+``v.s1..v.sn`` and edges ``v.f1..v.fn``.  Names may contain dots and
+underscores, so a joined name may already be taken, by a vertex or edge the
+output keeps or by a name made earlier in the same build; the new vertex or
+edge is then named ``<joined>_<k>`` for the least free ``k >= 1``, decided
+in build order by the input graph and the move's parameters.  Every builder
+names through ``graph._minted`` and hands the names it made to its family
+and to ``desourcify``'s trace, and replay makes the same names again.
+Each entry path is an ``EntryPath`` record: the
 walk that finds it gives its label, its range, its first edge and the record
 of the entry path that edge extends, and builds no ``PathSeq``; only
 ``expansion_family`` asks a record for its checked ``path``.  The matrix
@@ -50,6 +56,7 @@ from .graph import (
     PathSeq,
     _checked_make,
     _decimal,
+    _minted,
     _reach,
     classify,
     graph_hash,
@@ -86,28 +93,67 @@ class EntryPath(NamedTuple):
     """A path entering a hereditary set through its final edge, stored as its
     first edge and the entry path that edge extends (``None`` when the path
     is the boundary edge alone).  ``label`` is the path's edge names joined
-    with dots and ``target`` its range, in the set."""
+    with dots and ``target`` its range, in the set.
+
+    The chain of records may be as long as the path, so comparing, hashing,
+    copying and pickling walk the ``rest`` links in a loop instead of
+    recursing once per edge."""
 
     label: str
     target: str
     edge: Edge
     rest: EntryPath | None
 
+    def _chain(self) -> list[EntryPath]:
+        """This record and the records below it, down the ``rest`` links."""
+        chain = []
+        p: EntryPath | None = self
+        while p is not None:
+            chain.append(p)
+            p = p.rest
+        return chain
+
     @property
     def path(self) -> PathSeq:
         """The path as a ``PathSeq``, its joints and range checked."""
-        edges = []
-        p: EntryPath | None = self
-        while p is not None:
-            edges.append(p.edge)
-            p = p.rest
-        path = PathSeq(self.edge.src, tuple(edges))
+        path = PathSeq(self.edge.src, tuple(p.edge for p in self._chain()))
         if path.target != self.target:
             raise ValueError(f"the path ends at {path.target!r}, not {self.target!r}")
         return path
 
+    def _key(self) -> tuple:
+        """The labels, targets and edges down the chain: equal keys are
+        equal fields at every link."""
+        return tuple(zip(*self._chain()))[:3]
+
+    def __eq__(self, other):
+        if not isinstance(other, EntryPath):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __ne__(self, other):
+        if not isinstance(other, EntryPath):
+            return NotImplemented
+        return self._key() != other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # the records below this one come first, deepest first, so a pickler
+        # or deepcopy has made each record's rest before it makes the record
+        chain = self._chain()
+        return _entry_path, (*chain[:0:-1], *self[:3])
+
     def __repr__(self) -> str:  # the record chain may be as long as the path
         return f"EntryPath({self.label!r})"
+
+
+def _entry_path(*fields) -> EntryPath:
+    """The record of :meth:`EntryPath.__reduce__`: the records below it, the
+    last of them its rest, then its label, target and edge."""
+    *below, label, target, edge = fields
+    return tuple.__new__(EntryPath, (label, target, edge, below[-1] if below else None))
 
 
 def entry_paths(g: Graph, hs: Iterable[str]) -> list[EntryPath]:
@@ -180,20 +226,23 @@ def expand_hereditary(g: Graph, hs: Iterable[str]) -> Graph:
 
     The result keeps the set's vertices and the edges emitted inside it, adds
     a vertex named by each entry path, and an edge ``ov_<path>`` from that
-    vertex to the path's range.
+    vertex to the path's range, each name minted as the ``moves`` docstring
+    says.
     """
     return _expansion(g, frozenset(hs))[0]
 
 
-def _expansion(g: Graph, h: frozenset[str]) -> tuple[Graph, list[EntryPath]]:
-    """The expanded graph and the entry paths it was built from.  Building
-    the graph rejects entry labels that collide."""
+def _expansion(g: Graph, h: frozenset[str]) -> tuple[Graph, list[EntryPath], list[Edge]]:
+    """The expanded graph, the entry paths it was built from and, for each
+    path, its new edge from the path's vertex to the path's range."""
     paths = entry_paths(g, h)
-    vertices = [v for v in g.vertices if v in h] + [p.label for p in paths]
+    vertices = [v for v in g.vertices if v in h]
     edges = [e for e in g.edges if e.src in h]
-    edges += map(tuple.__new__, repeat(Edge),
-                 ((f"ov_{p.label}", p.label, p.target) for p in paths))
-    return Graph(vertices, edges), paths
+    names = _minted(set(vertices), [p.label for p in paths])
+    new = list(map(tuple.__new__, repeat(Edge), zip(
+        _minted(set(map(itemgetter(0), edges)), [f"ov_{p.label}" for p in paths]),
+        names, map(itemgetter(1), paths))))
+    return Graph(vertices + names, edges + new), paths, new
 
 
 def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
@@ -203,16 +252,16 @@ def expansion_family(g: Graph, hs: Iterable[str]) -> CkFamily:
     from .algebra import CkFamily, element, vertex_element
 
     h = frozenset(hs)
-    _, paths = _expansion(g, h)  # raises as expand_hereditary does
+    _, paths, new = _expansion(g, h)  # raises as expand_hereditary does
     vertex_images: dict[str, LpaElement] = {}
     edge_images: dict[str, LpaElement] = {}
     for v in g.vertices:
         if v in h:
             vertex_images[v] = vertex_element(g, v)
-    for entry in paths:
+    for entry, ov in zip(paths, new):
         p = entry.path
-        vertex_images[entry.label] = element([(1, p, p)])
-        edge_images[f"ov_{entry.label}"] = element([(1, p, PathSeq(p.target))])
+        vertex_images[ov.src] = element([(1, p, p)])
+        edge_images[ov.name] = element([(1, p, PathSeq(p.target))])
     for e in g.edges:
         if e.src in h:
             edge_images[e.name] = element([(1, PathSeq(e.src, (e,)), PathSeq(e.dst))])
@@ -227,59 +276,66 @@ def _check_count(n: int) -> None:
         raise ValueError("the length must be a positive integer")
 
 
-def _with_heads(g: Graph, heads: Iterable[tuple[str, int]]) -> Graph:
+def _with_heads(g: Graph, heads: Iterable[tuple[str, int]]) -> tuple[Graph, list[list[Edge]]]:
     """``attach_head`` applied to each ``(v, n)`` in turn, with its checks at
-    each turn, built as one graph."""
-    vertices, edges, known = list(g.vertices), list(g.edges), set(g.vertex_set)
+    each turn, built as one graph; and each head's new edges, the edge out of
+    ``v.hi`` ``i``-th."""
+    vertices, edges = list(g.vertices), list(g.edges)
+    vnames, enames = set(g.vertex_set), set(map(itemgetter(0), edges))
+    heads_made = []
     for v, n in heads:
-        if v not in known:
+        if v not in vnames:
             raise ValueError(f"unknown vertex {v!r}")
         _check_count(n)
-        new = [f"{v}.h{i}" for i in range(1, n + 1)]
-        known.update(new)
-        vertices += new
-        edges += (Edge(f"{v}.e{i}", f"{v}.h{i}", f"{v}.h{i - 1}" if i > 1 else v)
-                  for i in range(1, n + 1))
-    return Graph(vertices, edges)
+        hs = _minted(vnames, [f"{v}.h{i}" for i in range(1, n + 1)])
+        new = list(map(Edge, _minted(enames, [f"{v}.e{i}" for i in range(1, n + 1)]),
+                       hs, [v, *hs[:-1]]))
+        vertices += hs
+        edges += new
+        heads_made.append(new)
+    return Graph(vertices, edges), heads_made
 
 
 def attach_head(g: Graph, v0: str, n: int) -> Graph:
     """Attach a chain of ``n`` new vertices feeding into ``v0`` (Morita equivalent)."""
-    return _with_heads(g, [(v0, n)])
+    return _with_heads(g, [(v0, n)])[0]
 
 
-def _subdivided(g: Graph, chains: Iterable[tuple[str, int]]) -> Graph:
+def _subdivided(g: Graph, chains: Iterable[tuple[str, int]]) -> tuple[Graph, list[list[Edge]]]:
     """``subdivide_edge`` applied to each ``(e0, n)`` in turn, with its checks
     at each turn, built as one graph: each chain takes the place of its edge
-    at the end of the edge list."""
+    at the end of the edge list.  Also each chain's edges, the edge out of
+    ``e0.vi`` ``i``-th and the edge out of ``e0``'s source last."""
     vertices, edges = list(g.vertices), {e.name: e for e in g.edges}
+    vnames, enames = set(g.vertex_set), set(edges)
+    chains_made = []
     for e0, n in chains:
         e = edges.pop(e0, None)
         if e is None:
             raise ValueError(f"unknown edge {e0!r}")
+        enames.remove(e0)
         _check_count(n)
-        vertices += (f"{e0}.v{i}" for i in range(1, n + 1))
-        chain = [Edge(f"{e0}.e1", f"{e0}.v1", e.dst)]
-        chain += [Edge(f"{e0}.e{i}", f"{e0}.v{i}", f"{e0}.v{i - 1}") for i in range(2, n + 1)]
-        chain.append(Edge(f"{e0}.e{n + 1}", e.src, f"{e0}.v{n}"))
-        for x in chain:  # a clash raises at its own turn, as subdivide_edge's would
-            if edges.setdefault(x.name, x) is not x:
-                raise ValueError(f"duplicate edge {x.name!r}")
-    return Graph(vertices, edges.values())
+        vs = _minted(vnames, [f"{e0}.v{i}" for i in range(1, n + 1)])
+        chain = list(map(Edge, _minted(enames, [f"{e0}.e{i}" for i in range(1, n + 2)]),
+                         [*vs, e.src], [e.dst, *vs]))
+        vertices += vs
+        edges.update(zip(map(itemgetter(0), chain), chain))
+        chains_made.append(chain)
+    return Graph(vertices, edges.values()), chains_made
 
 
 def subdivide_edge(g: Graph, e0: str, n: int) -> Graph:
     """Replace edge ``e0`` by a chain through ``n`` new vertices (Morita equivalent)."""
-    return _subdivided(g, [(e0, n)])
+    return _subdivided(g, [(e0, n)])[0]
 
 
 def attach_sources(g: Graph, v0: str, n: int) -> Graph:
     """Attach ``n`` new sources, each with one edge into ``v0`` (Morita equivalent)."""
     g.require_vertex(v0)
     _check_count(n)
-    vs = tuple(f"{v0}.s{i}" for i in range(1, n + 1))
-    es = tuple(Edge(f"{v0}.f{i}", f"{v0}.s{i}", v0) for i in range(1, n + 1))
-    return Graph(g.vertices + vs, g.edges + es)
+    vs = _minted(set(g.vertex_set), [f"{v0}.s{i}" for i in range(1, n + 1)])
+    es = _minted(set(map(itemgetter(0), g.edges)), [f"{v0}.f{i}" for i in range(1, n + 1)])
+    return Graph(g.vertices + tuple(vs), g.edges + tuple(map(Edge, es, vs, repeat(v0))))
 
 
 def eliminate_source(g: Graph, v: str) -> Graph:
@@ -313,28 +369,26 @@ def _without(g: Graph, vs: frozenset[str]) -> Graph:
 
 def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
     """Generator images showing the head-at-range form inside the subdivided
-    form: the head graph's generators map into L(subdivide_edge(g, e0, n)),
-    with the subdivided edge sent to the whole chain and everything else to
-    its renamed counterpart."""
+    form: the generators of ``attach_head(g, r(e0), n)`` map into
+    L(subdivide_edge(g, e0, n)), with the subdivided edge sent to the whole
+    chain, each head vertex and edge to the chain's, and everything else to
+    itself."""
     from .algebra import CkFamily, element, vertex_element
 
     e = g.edge(e0)
     _check_count(n)
-    host = subdivide_edge(g, e0, n)
-    v0 = e.dst
+    host, (chain,) = _subdivided(g, [(e0, n)])
+    _, (head,) = _with_heads(g, [(e.dst, n)])
     vertex_images: dict[str, LpaElement] = {v: vertex_element(host, v) for v in g.vertices}
-    for i in range(1, n + 1):
-        vertex_images[f"{v0}.h{i}"] = vertex_element(host, f"{e0}.v{i}")
     edge_images: dict[str, LpaElement] = {}
     for x in g.edges:
         if x.name != e0:
-            px = PathSeq(x.src, (host.edge(x.name),))
-            edge_images[x.name] = element([(1, px, PathSeq(x.dst))])
-    chain = PathSeq(e.src, tuple(host.edge(f"{e0}.e{i}") for i in range(n + 1, 0, -1)))
-    edge_images[e0] = element([(1, chain, PathSeq(chain.target))])
-    for i in range(1, n + 1):
-        pe = host.edge(f"{e0}.e{i}")
-        edge_images[f"{v0}.e{i}"] = element([(1, PathSeq(pe.src, (pe,)), PathSeq(pe.dst))])
+            edge_images[x.name] = element([(1, PathSeq(x.src, (x,)), PathSeq(x.dst))])
+    whole = PathSeq(e.src, tuple(reversed(chain)))
+    edge_images[e0] = element([(1, whole, PathSeq(whole.target))])
+    for h, c in zip(head, chain):  # the edges out of v.hi and e0.vi
+        vertex_images[h.src] = vertex_element(host, c.src)
+        edge_images[h.name] = element([(1, PathSeq(c.src, (c,)), PathSeq(c.dst))])
     return CkFamily(vertex_images, edge_images)
 
 
@@ -358,9 +412,9 @@ def _counts(text: str) -> list[tuple[str, int]]:
 _MOVES = {
     "ExpandHereditary": (expand_hereditary, (_names,)),
     "AttachHead": (attach_head, (str, _decimal)),
-    "AttachHeads": (_with_heads, (_counts,)),
+    "AttachHeads": (lambda g, heads: _with_heads(g, heads)[0], (_counts,)),
     "SubdivideEdge": (subdivide_edge, (str, _decimal)),
-    "SubdivideEdges": (_subdivided, (_counts,)),
+    "SubdivideEdges": (lambda g, chains: _subdivided(g, chains)[0], (_counts,)),
     "AttachSources": (attach_sources, (str, _decimal)),
     "EliminateSource": (eliminate_source, (str,)),
     "EliminateSources": (_eliminate_sources, (_names,)),
@@ -443,14 +497,14 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     expansion with the core's vertex set to the ORIGINAL graph (its
     entry-path vertices are the only sources of the result); eliminate those
     path-vertex sources, grouped by the core vertex they are aimed at (core
-    vertices in name order, each group in name order); record the equivalent
-    head form, a head at each such core vertex as long as its group; and
-    absorb each head by subdividing the lexicographically least edge into
-    its vertex by that length.  The trace has five records whatever the size
-    of the core: ``EliminateSources`` for the peel, ``ExpandHereditary``,
-    ``EliminateSources`` for the path vertices, then ``AttachHeads`` and
-    ``SubdivideEdges``, both applied to the core, which is what both
-    elimination phases leave.  Each is built as one graph, so each graph the
+    vertices in name order, each group in its paths' label order); record
+    the equivalent head form, a head at each such core vertex as long as its
+    group; and absorb each head by subdividing the lexicographically least
+    edge into its vertex by that length.  The trace has five records
+    whatever the size of the core: ``EliminateSources`` for the peel,
+    ``ExpandHereditary``, ``EliminateSources`` for the path vertices, then
+    ``AttachHeads`` and ``SubdivideEdges``, both applied to the core, which
+    is what both elimination phases leave.  Each is built as one graph, so each graph the
     pipeline passes through is hashed once.  A graph with no sources comes
     back unchanged with an empty trace.
     """
@@ -466,16 +520,16 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
     core = _without(g, frozenset(peel))
     if not core.vertices:
         raise AssertionError("a finite sink-free graph keeps a cycle; the core cannot be empty")
-    expanded, paths = _expansion(g, core.vertex_set)
+    expanded, _, new = _expansion(g, core.vertex_set)
     # the expansion's only sources are its path vertices, each emitting one
-    # edge into the core; the paths come sorted by name, and so each group
+    # edge into the core; the paths come sorted by label, and so each group
     aimed: dict[str, list[str]] = {}
-    for p in paths:
-        aimed.setdefault(p.target, []).append(p.label)
+    for ov in new:
+        aimed.setdefault(ov.dst, []).append(ov.src)
     heads = [(v, len(aimed[v])) for v in sorted(aimed)]
     # the core has no source, so each core vertex receives an edge from it
     chains = [(min(e.name for e in core._in[v]), n) for v, n in heads]
-    out = _subdivided(core, chains)
+    out = _subdivided(core, chains)[0]
     # eliminating the path vertices leaves the core itself: its vertices and
     # the edges they emit, in input order
     g_hash, core_hash, expanded_hash = graph_hash(g), graph_hash(core), graph_hash(expanded)
@@ -485,7 +539,7 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
         MoveRecord("EliminateSources", (",".join(s for v, _ in heads for s in aimed[v]),),
                    expanded_hash, core_hash),
         MoveRecord("AttachHeads", (",".join(f"{v}:{n}" for v, n in heads),), core_hash,
-                   graph_hash(_with_heads(core, heads))),
+                   graph_hash(_with_heads(core, heads)[0])),
         MoveRecord("SubdivideEdges", (",".join(f"{e}:{n}" for e, n in chains),), core_hash,
                    graph_hash(out)),
     ))
@@ -497,4 +551,4 @@ def desourcify(g: Graph) -> tuple[Graph, MoveTrace]:
 def matrix_graph(g: Graph, n: int) -> Graph:
     """Attach a head of length n-1 at every vertex: the n x n matrix form, M_n(L(g))."""
     _check_count(n)
-    return _with_heads(g, [(v, n - 1) for v in g.vertices]) if n > 1 else g
+    return _with_heads(g, [(v, n - 1) for v in g.vertices])[0] if n > 1 else g

@@ -156,6 +156,28 @@ def shaped_multigraph(rng: random.Random) -> Graph:
     return Graph(vertices, [Edge(f"e{i}", a, b) for i, (a, b) in enumerate(pairs, 1)])
 
 
+# names that the joins of every builder can spell: dotted and underscored
+# names, a head vertex, a head edge and two expansion edges
+NAME_POOL = ("a", "b", "c", "d", "e", "f", "g", "h", "a.b", "b.c", "a_b", "b_c",
+             "a.h1", "b.e1", "ov_a", "ov_b")
+
+
+def pool_graph(rng: random.Random) -> Graph:
+    """Vertex and edge names drawn from ``NAME_POOL``, so that a builder's
+    joined names may already be taken; half of the graphs have no sink, so
+    that ``desourcify`` applies."""
+    vertices = rng.sample(NAME_POOL, rng.randint(1, 6))
+    names = rng.sample(NAME_POOL, rng.randint(0, 9))
+    edges = [Edge(name, rng.choice(vertices), rng.choice(vertices)) for name in names]
+    if rng.random() < 0.5:
+        free = [name for name in NAME_POOL if name not in names]
+        rng.shuffle(free)
+        for v in vertices:
+            if free and not any(e.src == v for e in edges):
+                edges.append(Edge(free.pop(), v, rng.choice(vertices)))
+    return Graph(vertices, edges)
+
+
 # ── invariants ────────────────────────────────────────────────────────────────
 
 

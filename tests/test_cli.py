@@ -556,12 +556,11 @@ def test_the_fast_exit_changes_no_observable_result(tmp_path, capsys, monkeypatc
 _PARENT_EXIT = "import sys; from leavitt.cli import run; sys.exit(run(sys.argv[1:]))"
 
 
-@pytest.mark.parametrize("command, code, err", [
-    # the 8 KB buffer holds the report, so only main's flush meets the closed pipe
-    ("analyze {line}", 120, None),
-    ("move matrix {line} 400", 1, "error: [Errno 32] Broken pipe\n"),
+@pytest.mark.parametrize("command", [
+    "analyze {line}",  # the 8 KB buffer holds the report until run flushes it
+    "move matrix {line} 400",  # the pipe is met while the graph is written
 ], ids=["small", "large"])
-def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command, code, err):
+def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command):
     files = _exit_files(tmp_path)
     argv = [token.format(**files) for token in command.split()]
     results = []
@@ -574,14 +573,8 @@ def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command, code, e
         finally:
             os.close(write_end)
         results.append((proc.returncode, proc.stderr))
-    assert results[0] == results[1]
-    assert results[0][0] == code
-    if err is None:  # the interpreter's own report, worded differently across versions
-        lines = results[0][1].splitlines()
-        assert len(lines) == 2 and lines[0].startswith("Exception ignored")
-        assert lines[1] == "BrokenPipeError: [Errno 32] Broken pipe"
-    else:
-        assert results[0][1] == err
+    # one report, the error line, with no second one from a flush at exit
+    assert results == [(1, "error: [Errno 32] Broken pipe\n")] * 2
 
 
 @pytest.mark.parametrize("command, code, err", [

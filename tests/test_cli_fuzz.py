@@ -12,8 +12,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
-from conftest import random_graph, shaped_multigraph
+from conftest import pool_graph, random_graph, shaped_multigraph
 from leavitt.algebra import format_family
 from leavitt.cli import run
 from leavitt.corners import build_forest, corner_family, t_corner
@@ -219,6 +220,29 @@ def test_corner_families_of_hosts_with_shared_names_never_misverify(tmp_path, ca
         assert_corner_family_verdict(out, err, (case, roots))
         outcomes["ok" if out else "error"] += 1
     assert min(outcomes.values()) > 15, outcomes
+
+
+def test_no_builder_refuses_a_graph_whose_names_its_joins_spell(tmp_path, capsys):
+    # vertex and edge names from one pool that spells v.h1, b.e1, ov_a and the
+    # like, so joined names are often taken: the moves, desourcify and corner
+    # mint free variants instead of refusing with a duplicate name
+    rng = random.Random(2727)
+    succeeded = Counter()
+    corners_verified = 0
+    for case in range(150):
+        text = serialize_graph(pool_graph(rng))
+        (tmp_path / "g.txt").write_text(text, encoding="utf-8")
+        argvs, corner = commands(rng, tmp_path, text)
+        for argv in argvs[:-1]:  # the last is a usage error or a missing file
+            if argv[0] in ("move", "desourcify", "corner") or corner and argv[0] == "verify":
+                code, out, err, _ = run_once(argv, capsys, tmp_path)
+                assert "duplicate" not in err, (case, argv, err)
+                succeeded[" ".join(argv[:2]) if argv[0] == "move" else argv[0]] += code == 0
+                if argv[0] == "verify" and len(argv) == 3:
+                    assert_corner_family_verdict(out, err, (case, argv))
+                    corners_verified += out == "ok true\n"
+    assert len(succeeded) == 9 and min(succeeded.values()) > 10, succeeded
+    assert corners_verified > 10, corners_verified
 
 
 def test_unknown_vertices_are_reported_the_same_under_any_string_hashing(tmp_path):

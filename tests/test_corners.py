@@ -293,14 +293,21 @@ def test_corner_families_verify():
         assert report.ok, report.failures
 
 
-def test_corner_edge_names_that_collide_are_rejected():
+def test_corner_edge_names_that_collide_get_free_variants():
     # both loops at r reach z and y_z: x_y with u = z and x with u = y_z
-    # both name their corner edge x_y_z
+    # both join to x_y_z, so the later corner edge takes x_y_z_1, and the
+    # family names each edge as the corner graph does
     g = Graph(("r", "z", "y_z"), (Edge("a", "r", "z"), Edge("b", "r", "y_z"),
                                   Edge("c", "z", "r"), Edge("d", "y_z", "r"),
                                   Edge("x", "r", "r"), Edge("x_y", "r", "r")))
-    with pytest.raises(ValueError, match="duplicate edge 'x_y_z'"):
-        t_corner(g, build_forest(g, ["r"]))
+    t = build_forest(g, ["r"])
+    c = t_corner(g, t)
+    assert [e for e in c.edges if e.name.startswith("x_")] == [
+        Edge("x_r", "r", "r"), Edge("x_z", "r", "z"), Edge("x_y_z", "r", "y_z"),
+        Edge("x_y_r", "r", "r"), Edge("x_y_z_1", "r", "z"), Edge("x_y_y_z", "r", "y_z")]
+    family = corner_family(g, t)
+    assert list(family.edge_images) == [e.name for e in c.edges]
+    assert verify_ck_family(c, family, g).ok
 
 
 def test_corner_projections_orthogonal():
