@@ -369,7 +369,7 @@ def verify_ck_family(target: Graph, family: CkFamily, host: Graph) -> CkReport:
 # a path is a vertex name or edge names joined with dots, and a token with
 # two such readings is refused as ambiguous.  Whitespace is ignored.  When
 # the ghost path is omitted it is the length-0 path at the range of the real
-# one.  "0" (no vertex of that name) and "" denote zero.
+# one.  The empty text denotes zero; "0" is a name like any other.
 
 _COEFF_RE = re.compile(r"([0-9]+(?:/[0-9]+)?)\*")
 _TERMS_RE = re.compile(r"[+-]?[^+-]+(?:[+-][^+-]+)*")  # no term is empty
@@ -432,7 +432,7 @@ def _parse_path(g: Graph, token: str) -> PathSeq:
 
 def parse_element(g: Graph, text: str) -> LpaElement:
     s = "".join(text.split())
-    if not s or (s == "0" and "0" not in g.vertex_set):
+    if not s:
         return LpaElement()
     if not _TERMS_RE.fullmatch(s):
         raise ValueError("empty term")
@@ -466,9 +466,10 @@ def _term_order(item) -> tuple:
 
 def format_element(x: LpaElement) -> str:
     """The element in the syntax read by :func:`parse_element`, its terms in
-    the canonical order (shorter paths first, then by source and edge names)."""
+    the canonical order (shorter paths first, then by source and edge names);
+    zero is the empty text."""
     if not x.terms:
-        return "0"
+        return ""
     parts: list[str] = []
     for (left, right), c in sorted(x.terms.items(), key=_term_order):
         body = left.label()

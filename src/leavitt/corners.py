@@ -60,8 +60,7 @@ class Forest:
         if not all(map(isinstance, tree_edges, repeat(Edge))):
             tree_edges = [Edge(*e) for e in tree_edges]
         tree_edges = tuple(sorted(tree_edges, key=itemgetter(0)))
-        for v in roots:
-            graph.require_vertex(v)
+        root_set = _validated(graph, roots)
         host = graph._edge_by_name
         names = set()
         for e in tree_edges:
@@ -71,7 +70,7 @@ class Forest:
             if e.name in names:
                 raise ValueError(f"duplicate tree edge {e.name!r}")
             names.add(e.name)
-        if len(set(roots)) != len(roots):
+        if len(root_set) != len(roots):
             raise ValueError("duplicate root")
         parent: dict[str, Edge] = {}
         children: dict[str, list[str]] = {}
@@ -80,12 +79,12 @@ class Forest:
                 raise ValueError(f"vertex {e.dst!r} has two incoming tree edges")
             parent[e.dst] = e
             children.setdefault(e.src, []).append(e.dst)
-        members = set(roots) | {e.src for e in tree_edges} | set(parent)
-        rootless = {v for v in members if v not in parent} - set(roots)
+        members = root_set | {e.src for e in tree_edges} | set(parent)
+        rootless = {v for v in members if v not in parent} - root_set
         if rootless:
             raise ValueError(f"vertices {sorted(rootless)} have no incoming tree edge "
                              "but are not roots")
-        if set(roots) & set(parent):
+        if not root_set.isdisjoint(parent):
             raise ValueError("a root cannot have an incoming tree edge")
         # walk down from the roots in preorder, children in list order, so
         # that every subtree is one run of the walk (``depth`` keeps the walk's

@@ -211,7 +211,6 @@ def equivalent(
 
 def is_full(g: Graph, m: MonoidElement) -> bool:
     """Whether the support's hereditary-saturated closure is every vertex."""
-    _validated(g, m.support)
     if not m:
         raise ValueError("the zero element is never full")
     return set(hs_closure(g, m.support)) == g.vertex_set

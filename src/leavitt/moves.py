@@ -375,16 +375,14 @@ def subdivision_family(g: Graph, e0: str, n: int) -> CkFamily:
     itself."""
     from .algebra import CkFamily, element, vertex_element
 
-    e = g.edge(e0)
-    _check_count(n)
     host, (chain,) = _subdivided(g, [(e0, n)])
-    _, (head,) = _with_heads(g, [(e.dst, n)])
+    _, (head,) = _with_heads(g, [(chain[0].dst, n)])  # the head at r(e0)
     vertex_images: dict[str, LpaElement] = {v: vertex_element(host, v) for v in g.vertices}
     edge_images: dict[str, LpaElement] = {}
     for x in g.edges:
         if x.name != e0:
             edge_images[x.name] = element([(1, PathSeq(x.src, (x,)), PathSeq(x.dst))])
-    whole = PathSeq(e.src, tuple(reversed(chain)))
+    whole = PathSeq(chain[-1].src, tuple(reversed(chain)))  # from s(e0)
     edge_images[e0] = element([(1, whole, PathSeq(whole.target))])
     for h, c in zip(head, chain):  # the edges out of v.hi and e0.vi
         vertex_images[h.src] = vertex_element(host, c.src)

@@ -161,16 +161,20 @@ def shaped_multigraph(rng: random.Random) -> Graph:
 NAME_POOL = ("a", "b", "c", "d", "e", "f", "g", "h", "a.b", "b.c", "a_b", "b_c",
              "a.h1", "b.e1", "ov_a", "ov_b")
 
+# names that text can misread: numerals, a lone dot, and names whose dots
+# or underscores spell other names and paths
+TEXT_POOL = ("0", "00", "1", "0.1", "a", "a.b", "a_b", ".")
 
-def pool_graph(rng: random.Random) -> Graph:
-    """Vertex and edge names drawn from ``NAME_POOL``, so that a builder's
-    joined names may already be taken; half of the graphs have no sink, so
-    that ``desourcify`` applies."""
-    vertices = rng.sample(NAME_POOL, rng.randint(1, 6))
-    names = rng.sample(NAME_POOL, rng.randint(0, 9))
+
+def pool_graph(rng: random.Random, pool: tuple[str, ...] = NAME_POOL) -> Graph:
+    """Vertex and edge names drawn from ``pool``, so that a builder's joined
+    names may already be taken and a vertex and an edge may share a name;
+    half of the graphs have no sink, so that ``desourcify`` applies."""
+    vertices = rng.sample(pool, rng.randint(1, 6))
+    names = rng.sample(pool, rng.randint(0, min(9, len(pool))))
     edges = [Edge(name, rng.choice(vertices), rng.choice(vertices)) for name in names]
     if rng.random() < 0.5:
-        free = [name for name in NAME_POOL if name not in names]
+        free = [name for name in pool if name not in names]
         rng.shuffle(free)
         for v in vertices:
             if free and not any(e.src == v for e in edges):

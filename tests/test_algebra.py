@@ -16,7 +16,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import arrow, funnel_into_cycle, random_graph, rose2, single_loop, triangle, two_way_line
+from conftest import (
+    TEXT_POOL,
+    arrow,
+    funnel_into_cycle,
+    pool_graph,
+    random_graph,
+    rose2,
+    single_loop,
+    triangle,
+    two_way_line,
+)
 from leavitt.algebra import (
     _COEFF_RE,
     CkFamily,
@@ -37,7 +47,7 @@ from leavitt.algebra import (
     vertex_element,
 )
 from leavitt.corners import build_forest, corner_family, t_corner
-from leavitt.graph import Edge, Graph, PathSeq
+from leavitt.graph import Edge, Graph, PathSeq, serialize_graph
 from leavitt.moves import attach_head, expand_hereditary, expansion_family, subdivide_edge, subdivision_family
 
 
@@ -847,11 +857,24 @@ def test_parse_vertex_and_sums():
 
 
 def test_parse_zero_forms():
+    # zero is the empty text; "0" is read as the name it is, like any other
     g = diamond()
-    assert parse_element(g, "") == LpaElement()
-    assert parse_element(g, "0") == LpaElement()
-    zg = Graph(("0",), ())
-    assert parse_element(zg, "0") == vertex_element(zg, "0")
+    assert parse_element(g, "") == parse_element(g, " \t") == LpaElement()
+    assert format_element(LpaElement()) == "" and repr(LpaElement()) == "LpaElement('')"
+    with pytest.raises(ValueError, match="^cannot read '0' as a vertex or path$"):
+        parse_element(g, "0")
+    zg = Graph(("0", "v"), (Edge("e", "v", "0"),))
+    for x in (LpaElement(), vertex_element(zg, "0"), 2 * vertex_element(zg, "0")):
+        assert parse_element(zg, format_element(x)) == x
+    assert format_element(vertex_element(zg, "0")) == "0"
+    eg = Graph(("r",), (Edge("0", "r", "r"),))
+    loop = element([(1, PathSeq("r", (eg.edge("0"),)), PathSeq("r"))])
+    assert format_element(loop) == "0" and parse_element(eg, "0") == loop
+    assert parse_element(eg, "0.0 ; 0") == loop * loop * star(loop)
+    both = Graph(("0", "r"), (Edge("0", "r", "r"),))
+    for text in ("0", "2 * 0", "r - 0 ; 0"):
+        with pytest.raises(ValueError, match="^ambiguous path '0'$"):
+            parse_element(both, text)
 
 
 def test_parse_rejects_ambiguous_path():
@@ -949,7 +972,7 @@ def test_parse_rejects_garbage():
 def parse_element_reference(g: Graph, text: str) -> LpaElement:
     """The element parser with its earlier hand-written sign/term loop."""
     s = "".join(text.split())
-    if not s or (s == "0" and "0" not in g.vertex_set):
+    if not s:
         return LpaElement()
     terms: list[tuple[int, str]] = []
     sign, pos = 1, 0
@@ -1038,6 +1061,32 @@ def test_format_parse_round_trip_sampled():
             assert back == x
             outcomes["equal"] += 1
     assert min(outcomes["ambiguous"], outcomes["equal"]) > 20, outcomes
+
+
+def test_element_text_never_reads_back_as_another_element():
+    # vertex and edge names from one pool of numerals and dotted names, so
+    # "0" may name a vertex, an edge, both or nothing, and a name may spell a
+    # path: the text of every element, zero included, reads back as that
+    # element or is refused as ambiguous
+    rng = random.Random(3701)
+    outcomes = Counter()
+    for _ in range(2_000):
+        g = pool_graph(rng, TEXT_POOL)
+        for _ in range(10):
+            x = random_element(g, rng) if rng.random() < 0.95 else LpaElement()
+            text = format_element(x)
+            try:
+                back = parse_element(g, text)
+            except ValueError as err:
+                assert str(err).startswith("ambiguous path "), (serialize_graph(g), text, err)
+                outcomes["ambiguous"] += 1
+            else:
+                assert back == x, (serialize_graph(g), text)
+                outcomes["equal" if x else "zero"] += 1
+            outcomes["token 0"] += "0" in re.findall(r"[^\s+;*-]+", text)
+    assert outcomes.total() - outcomes["token 0"] == 20_000, outcomes
+    assert min(outcomes["ambiguous"], outcomes["zero"]) > 500, outcomes
+    assert outcomes["equal"] > 5_000 and outcomes["token 0"] > 2_000, outcomes
 
 
 def test_format_parse_round_trip_past_the_integer_string_limit():

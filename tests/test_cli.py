@@ -303,6 +303,21 @@ def test_corner_family_naming_a_shared_token_is_refused_not_misread(tmp_path, ca
     assert capsys.readouterr() == ("", "error: ambiguous path 'a'\n")
 
 
+def test_corner_family_with_an_image_written_0_verifies(tmp_path, capsys):
+    # the image of the corner edge 0_r is the path along the edge 0, written
+    # "0": verify used to read it as zero and print "ok false" with two failures
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("vertex r\nvertex s\nedge 0 r r\nedge a s r\nedge b s s\n",
+                          encoding="utf-8")
+    family_file = tmp_path / "fam.txt"
+    assert run(["corner", str(graph_file), "--roots", "r",
+                "--emit-family", "--output", str(family_file)]) == 0
+    assert family_file.read_text(encoding="utf-8") == "vertex r = r\nedge 0_r r r = 0\n"
+    capsys.readouterr()
+    assert run(["verify", str(graph_file), str(family_file)]) == 0
+    assert capsys.readouterr() == ("ok true\n", "")
+
+
 def test_verify_reports_failures_with_exit_1(tmp_path, capsys):
     graph_file = write_graph(tmp_path, two_way_line())
     family_file = tmp_path / "family.txt"

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from collections import Counter
 
+import pytest
+
 from conftest import pool_graph, random_graph, shaped_multigraph
 from leavitt.algebra import format_family
 from leavitt.cli import run
@@ -196,12 +198,15 @@ def assert_corner_family_verdict(out: str, err: str, where) -> None:
         out == "" and err.startswith("error: ") and err.count("\n") == 1), (where, out, err)
 
 
-def test_corner_families_of_hosts_with_shared_names_never_misverify(tmp_path, capsys):
+@pytest.mark.parametrize("pool", [
+    ["a", "b", "c", "d", "a.b", "b.c", "c.a", "d.d"],
+    ["0", "1", "a", "b", "c", "d"],  # an image written "0" is the path it names, not zero
+], ids=["dotted", "numerals"])
+def test_corner_families_of_hosts_with_shared_names_never_misverify(pool, tmp_path, capsys):
     # vertex and edge names come from one pool, so a vertex may share its
     # name with an edge, and a dotted vertex name may spell a path; a corner
     # family written for such a host must verify or be refused, not misread
     rng = random.Random(4211)
-    pool = ["a", "b", "c", "d", "a.b", "b.c", "c.a", "d.d"]
     graph, family = tmp_path / "g.txt", tmp_path / "f.txt"
     outcomes = {"ok": 0, "error": 0}
     for case in range(150):

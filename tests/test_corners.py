@@ -120,6 +120,11 @@ def test_forest_validation():
             Forest(g, ("v2",), edges)
     with pytest.raises(ValueError, match="^duplicate root$"):
         Forest(g, ("v2", "v2"), (delta, alpha))
+    # the least unknown root is named first; a duplicate root only after the tree edges
+    with pytest.raises(ValueError, match="^unknown vertex 'yy'$"):
+        Forest(g, ("zz", "v2", "yy", "zz"), (Edge("qq", "v2", "v1"),))
+    with pytest.raises(ValueError, match="^unknown edge 'qq'$"):
+        Forest(g, ("v2", "v2"), (Edge("qq", "v2", "v1"),))
     ok = Forest(g, ("v2",), (delta, alpha))
     assert ok.tau("v1").label() == "delta"
     with pytest.raises(ValueError, match="^vertex 'nope' is not in the forest$"):

@@ -379,8 +379,10 @@ def test_is_full_examples():
     assert not is_full(disjoint_loops(), MonoidElement.of({"a": 1}))
     g = disjoint_loops()
     assert is_full(g, MonoidElement.of({"a": 1, "b": 1}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the zero element is never full$"):
         is_full(g, MonoidElement.of({}))
+    with pytest.raises(ValueError, match="^unknown vertex 'y'$"):
+        is_full(g, MonoidElement.of({"z": 1, "a": 1, "y": 2}))
 
 
 @settings(max_examples=60)

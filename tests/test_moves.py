@@ -63,6 +63,7 @@ from leavitt.moves import (
     replay,
     serialize_trace,
     subdivide_edge,
+    subdivision_family,
 )
 
 
@@ -431,6 +432,13 @@ def test_move_argument_errors():
         subdivide_edge(tri, "nope", 1)
     with pytest.raises(ValueError):
         eliminate_source(tri, "v")  # v receives gamma
+    # the family's checks are the move's, in the move's order: edge, then length
+    for e0, n, message in (("nope", 0, "unknown edge 'nope'"),
+                           ("alpha", 0, "the length must be a positive integer"),
+                           ("alpha", True, "the length must be a positive integer")):
+        for build in (subdivide_edge, subdivision_family):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(tri, e0, n)
 
 
 def test_eliminate_source():

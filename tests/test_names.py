@@ -5,7 +5,8 @@ carried over, or minted earlier in the same build, already has becomes the
 least free ``<name>_<k>``.  The references below are the joined naming
 before minting, which refused such graphs with ``duplicate``: wherever they
 build a graph, the builders must build it byte for byte, and nowhere may a
-builder refuse with ``duplicate``.
+builder refuse with ``duplicate``.  Last, names that text can misread
+(numerals, a lone dot) go through every text format and back.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import pool_graph
-from leavitt.algebra import verify_ck_family
+from conftest import TEXT_POOL, pool_graph
+from leavitt.algebra import format_family, parse_family, verify_ck_family
 from leavitt.cli import run
 from leavitt.corners import build_forest, corner_family, t_corner
 from leavitt.graph import (
@@ -47,6 +48,7 @@ from leavitt.moves import (
     subdivide_edge,
     subdivision_family,
 )
+from leavitt.monoid import MonoidElement, format_monoid, parse_monoid
 
 # ── the joined naming, kept as the reference ──────────────────────────────────
 
@@ -319,3 +321,41 @@ def test_builders_match_the_joined_naming_and_never_refuse_a_clash():
     assert all(counts[name, "clashed"] and counts[name, "same"] >= 300 for name in minting), counts
     assert sum(counts[name, "clashed"] for name in minting) > 3000, counts
     assert replayed > 300 and verified_graphs > 200, (replayed, verified_graphs)
+
+
+# ── names that text can misread ───────────────────────────────────────────────
+
+
+def test_every_text_format_reads_back_what_its_writer_wrote():
+    # names from TEXT_POOL: "0" and "00" may name a vertex, an edge or both,
+    # "0.1" and "." spell paths.  Each writer's text reads back equal through
+    # its reader; a family may instead be refused, as an ambiguous path, where
+    # an image's text has two readings
+    rng = random.Random(3709)
+    counts: Counter = Counter()
+    for case in range(2000):
+        g = pool_graph(rng, TEXT_POOL)
+        assert parse_graph(serialize_graph(g)) == g, case
+        support = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
+        m = MonoidElement.of({v: rng.randint(1, 3) for v in support})
+        assert parse_monoid(g, format_monoid(m)) == m, case
+        profile = classify(g)
+        if profile.sources and not profile.sinks:
+            trace = desourcify(g)[1]
+            assert parse_trace(serialize_trace(trace)) == trace, case
+            counts["trace"] += 1
+        if len(g.vertices) > 1:
+            t = build_forest(g, rng.sample(g.vertices, rng.randint(1, len(g.vertices) - 1)))
+            target, fam = t_corner(g, t), corner_family(g, t)
+            text = format_family(target, fam)
+            counts["image 0"] += " = 0\n" in text
+            try:
+                back = parse_family(text, g)
+            except ValueError as err:
+                assert str(err).startswith("ambiguous path "), (case, err)
+                counts["family refused"] += 1
+            else:
+                assert back == (target, fam), case
+                counts["family"] += 1
+    assert counts["trace"] > 300 and counts["image 0"] > 100, counts
+    assert min(counts["family"], counts["family refused"]) > 200, counts
