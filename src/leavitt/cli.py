@@ -36,18 +36,17 @@ large graph's text is held.  Two handlers touch files of their own:
 Each handler imports the modules it runs, so a process pays at start-up only
 for its own command.
 
-Output to stdout is flushed before :func:`run` returns, so a pipe whose
-reader is gone gives ``error: [Errno 32] Broken pipe`` and exit code 1 at
-any output size; stdout is then pointed at the null device, so that no
-flush at exit reports the pipe a second time.
-
-:func:`main`, behind the ``leavitt`` script and ``python -m leavitt``, flushes
-stdout and stderr after :func:`run` and ends the process with ``os._exit``,
-skipping interpreter finalization, which changes no output.  It exits through
-``SystemExit`` instead when a flush fails or a trace, profile or
-``sys.monitoring`` hook is set, so profilers and coverage get their reports;
-exit-time reports such as ``-X showrefcount`` and ``atexit`` callbacks are
-otherwise skipped.  Embedders call :func:`run`, which returns the exit code.
+:func:`run` flushes stdout before it returns, after a report, a graph or
+argparse's help alike, so a pipe whose reader is gone gives ``error: [Errno
+32] Broken pipe`` and exit code 1 at any output size; stdout is then pointed
+at the null device, so that no flush at exit reports the pipe a second time.
+:func:`main`, behind the ``leavitt`` script and ``python -m leavitt``, only
+picks the exit call: ``sys.exit`` when a trace, profile or ``sys.monitoring``
+hook is set, so profilers and coverage get their reports, and ``os._exit``
+otherwise, skipping interpreter finalization, which changes no output (stderr
+is line-buffered and every message on it ends in a newline); exit-time reports
+such as ``-X showrefcount`` and ``atexit`` callbacks are then skipped.
+Embedders call :func:`run`, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .graph import _decimal, _digits, _serialized, parse_graph
 
 __all__ = ["run", "main"]
 
-_ANSWER = {True: "true", None: "unknown"}  # a Decision's answer as a report word
+_ANSWER = {True: "true", False: "false", None: "unknown"}  # a report's truth word
 
 
 def _read_text(path: str) -> str:
@@ -70,23 +69,9 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _emit(pieces: Iterable[str], output: str | None) -> None:
-    if output is None:
-        if sys.stdout is None:  # its descriptor was closed when the process started
-            raise OSError("stdout is closed")
-        try:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()  # so a closed pipe is reported here, whatever the size
-        except BrokenPipeError:
-            # the reader is gone: what stdout still holds goes to the null
-            # device, so no later flush, at exit included, reports it again
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, sys.stdout.fileno())
-            os.close(null)
-            raise
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
+def _emit(pieces: Iterable[str], output: str) -> None:
+    with open(output, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 def _unit_rank(text: str):
@@ -126,17 +111,17 @@ def _cmd_analyze(g, args) -> tuple[Iterable[str], int]:
 
     r = args.unit_rank
     summary = k_summary(g, r)
-    no_sinks = str(summary.no_sinks).lower()
+    no_sinks = _ANSWER[summary.no_sinks]
     torsion = ",".join(map(_digits, summary.torsion)) or "none"
     criterion5 = ("inapplicable: infinite unit-group rank" if summary.criterion5 is None
-                  else str(summary.criterion5).lower())
+                  else _ANSWER[summary.criterion5])
     return (f"rank_k0 {summary.rank_k0}\n"
             f"rank_k1(r={_rank_text(r)}) {_rank_text(summary.rank_k1)}\n"
             f"torsion {torsion}\n"
             f"singular {summary.singular_count}\n"
             f"is_ck {no_sinks}\n"
             f"strongly_graded {no_sinks}\n"
-            f"criterion4 {str(summary.criterion4).lower()}\n"
+            f"criterion4 {_ANSWER[summary.criterion4]}\n"
             f"criterion5 {criterion5}\n",), 0
 
 
@@ -175,7 +160,7 @@ def _cmd_verify(host, args) -> tuple[Iterable[str], int]:
     from .algebra import parse_family, verify_ck_family
 
     report = verify_ck_family(*parse_family(_read_text(args.family), host), host)
-    text = f"ok {str(report.ok).lower()}\n" + "".join(f"fail {f}\n" for f in report.failures)
+    text = f"ok {_ANSWER[report.ok]}\n" + "".join(f"fail {f}\n" for f in report.failures)
     return (text,), 0 if report.ok else 1
 
 
@@ -189,7 +174,7 @@ def _cmd_equiv(g, args) -> tuple[Iterable[str], int]:
 def _cmd_full(g, args) -> tuple[Iterable[str], int]:
     from .monoid import is_full, parse_monoid
 
-    return (f"full {str(is_full(g, parse_monoid(g, args.element))).lower()}\n",), 0
+    return (f"full {_ANSWER[is_full(g, parse_monoid(g, args.element))]}\n",), 0
 
 
 def _cmd_rebalance(g, args) -> tuple[Iterable[str], int]:
@@ -301,13 +286,30 @@ def _build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> int:
     """Run one command; returns the process exit code instead of exiting."""
+    pieces = ()
     try:
-        args = _build_parser(_command_path(argv)).parse_args(argv)
-    except SystemExit as stop:
-        return int(stop.code or 0)
-    try:
-        pieces, code = args.run(parse_graph(_read_text(args.graph)), args)
-        _emit(pieces, getattr(args, "output", None))
+        try:
+            args = _build_parser(_command_path(argv)).parse_args(argv)
+        except SystemExit as stop:  # help is written to stdout, a usage error to stderr
+            code = int(stop.code or 0)
+        else:
+            pieces, code = args.run(parse_graph(_read_text(args.graph)), args)
+            if getattr(args, "output", None) is not None:
+                _emit(pieces, args.output)
+                pieces = ()
+            elif sys.stdout is None:  # its descriptor was closed when the process started
+                raise OSError("stdout is closed")
+        if sys.stdout is not None:
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()  # so a closed pipe is reported here, whatever the size
+            except BrokenPipeError:
+                # the reader is gone: what stdout still holds goes to the null
+                # device, so no later flush, at exit included, reports it again
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+                raise
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -327,19 +329,11 @@ def _watched() -> bool:
 
 def main() -> None:
     """Run the command in ``sys.argv`` and end the process with its exit
-    code, skipping interpreter finalization unless a hook is watching or a
-    flush fails."""
+    code, skipping interpreter finalization unless a hook is watching."""
     code = run(sys.argv[1:])
-    if not _watched():
-        try:
-            for stream in (sys.stdout, sys.stderr):
-                if stream is not None:  # None when its descriptor was closed at start-up
-                    stream.flush()
-        except OSError:
-            pass
-        else:
-            os._exit(code)
-    sys.exit(code)
+    if _watched():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

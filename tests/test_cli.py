@@ -571,11 +571,19 @@ def test_the_fast_exit_changes_no_observable_result(tmp_path, capsys, monkeypatc
 _PARENT_EXIT = "import sys; from leavitt.cli import run; sys.exit(run(sys.argv[1:]))"
 
 
-@pytest.mark.parametrize("command", [
-    "analyze {line}",  # the 8 KB buffer holds the report until run flushes it
-    "move matrix {line} 400",  # the pipe is met while the graph is written
-], ids=["small", "large"])
-def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command):
+_BROKEN_PIPE = (1, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("analyze {line}", _BROKEN_PIPE),  # the 8 KB buffer holds the report until run flushes it
+    ("move matrix {line} 400", _BROKEN_PIPE),  # the pipe is met while the graph is written
+    ("--help", _BROKEN_PIPE),  # argparse's help waits in the buffer, as a report does
+    ("move --help", _BROKEN_PIPE),
+    ("monoid equiv --help", _BROKEN_PIPE),
+    ("analyze", (2, "usage: leavitt analyze [-h] [--unit-rank UNIT_RANK] graph\n"
+                    "leavitt analyze: error: the following arguments are required: graph\n")),
+], ids=["small", "large", "help", "move-help", "monoid-equiv-help", "usage-error"])
+def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command, expected):
     files = _exit_files(tmp_path)
     argv = [token.format(**files) for token in command.split()]
     results = []
@@ -589,7 +597,7 @@ def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command):
             os.close(write_end)
         results.append((proc.returncode, proc.stderr))
     # one report, the error line, with no second one from a flush at exit
-    assert results == [(1, "error: [Errno 32] Broken pipe\n")] * 2
+    assert results == [expected] * 2
 
 
 @pytest.mark.parametrize("command, code, err", [
