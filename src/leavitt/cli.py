@@ -36,10 +36,10 @@ large graph's text is held.  Two handlers touch files of their own:
 Each handler imports the modules it runs, so a process pays at start-up only
 for its own command.
 
-:func:`run` flushes stdout before it returns, after a report, a graph or
-argparse's help alike, so a pipe whose reader is gone gives ``error: [Errno
-32] Broken pipe`` and exit code 1 at any output size; stdout is then pointed
-at the null device, so that no flush at exit reports the pipe a second time.
+:func:`_emit` is the one writer of stdout, argparse's help included, and
+flushes it, so a pipe whose reader is gone or a full device gives one
+``error:`` line and exit code 1 at any output size, buffered or not; stdout
+then points at the null device, so no flush at exit reports it a second time.
 :func:`main`, behind the ``leavitt`` script and ``python -m leavitt``, only
 picks the exit call: ``sys.exit`` when a trace, profile or ``sys.monitoring``
 hook is set, so profilers and coverage get their reports, and ``os._exit``
@@ -52,7 +52,9 @@ Embedders call :func:`run`, which returns the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import os
 import sys
 from typing import Iterable
@@ -69,9 +71,20 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _emit(pieces: Iterable[str], output: str) -> None:
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+def _emit(pieces: Iterable[str], output: str | None) -> None:
+    if output is not None:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
+        return
+    if sys.stdout is None:  # its descriptor was closed when the process started
+        raise OSError("stdout is closed")
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()  # so a closed pipe or a full device is reported here, at any size
+    except OSError:  # what stdout still holds goes to the null device, not to a later flush
+        with open(os.devnull, "wb") as null, contextlib.suppress(OSError):  # no descriptor: the first error stands
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise
 
 
 def _unit_rank(text: str):
@@ -285,33 +298,23 @@ def _build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Run one command; returns the process exit code instead of exiting."""
-    pieces = ()
-    try:
-        try:
-            args = _build_parser(_command_path(argv)).parse_args(argv)
-        except SystemExit as stop:  # help is written to stdout, a usage error to stderr
-            code = int(stop.code or 0)
-        else:
-            pieces, code = args.run(parse_graph(_read_text(args.graph)), args)
-            if getattr(args, "output", None) is not None:
-                _emit(pieces, args.output)
-                pieces = ()
-            elif sys.stdout is None:  # its descriptor was closed when the process started
-                raise OSError("stdout is closed")
-        if sys.stdout is not None:
+    """Run one command; returns its exit code.  A stdout write error leaves fd 1 on the null device."""
+    try:  # argparse writes help to a buffer, and never to a closed stderr, whatever its version
+        with contextlib.redirect_stdout(io.StringIO()) as printed, \
+                contextlib.redirect_stderr(sys.stderr or io.StringIO()):
             try:
-                sys.stdout.writelines(pieces)
-                sys.stdout.flush()  # so a closed pipe is reported here, whatever the size
-            except BrokenPipeError:
-                # the reader is gone: what stdout still holds goes to the null
-                # device, so no later flush, at exit included, reports it again
-                null = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(null, sys.stdout.fileno())
-                os.close(null)
-                raise
+                args, code = _build_parser(_command_path(argv)).parse_args(argv), 0
+            except SystemExit as stop:  # help, or a usage error argparse wrote to stderr
+                args, code = None, int(stop.code or 0)
+        if printed.getvalue() and (sys.stdout is not None or args is None and not code):
+            _emit((printed.getvalue(),), None)  # help, or what a watching hook printed meanwhile
+        if args is None:
+            return code
+        pieces, code = args.run(parse_graph(_read_text(args.graph)), args)
+        _emit(pieces, getattr(args, "output", None))
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        if sys.stderr is not None:  # print would fall back to stdout
+            print(f"error: {err}", file=sys.stderr)
         return 1
     return code
 

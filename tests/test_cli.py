@@ -523,6 +523,14 @@ def _buffered_env():
     return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 
 
+# the same child with every write going straight to its descriptor
+def _unbuffered_env():
+    return {**_buffered_env(), "PYTHONUNBUFFERED": "1"}
+
+
+_ENVS = {"buffered": _buffered_env, "unbuffered": _unbuffered_env}
+
+
 def _exit_files(tmp_path):
     family = tmp_path / "family.txt"
     family.write_text("vertex w = 2 * v1\n", encoding="utf-8")  # w is not idempotent
@@ -572,18 +580,26 @@ _PARENT_EXIT = "import sys; from leavitt.cli import run; sys.exit(run(sys.argv[1
 
 
 _BROKEN_PIPE = (1, "error: [Errno 32] Broken pipe\n")
+_USAGE_ERROR = (2, "usage: leavitt analyze [-h] [--unit-rank UNIT_RANK] graph\n"
+                   "leavitt analyze: error: the following arguments are required: graph\n")
+
+_CLOSED_PIPE_CASES = [
+    ("small", "analyze {line}", _BROKEN_PIPE),  # the 8 KB buffer holds the report until run flushes it
+    ("large", "move matrix {line} 400", _BROKEN_PIPE),  # the pipe is met while the graph is written
+    ("help", "--help", _BROKEN_PIPE),  # argparse's help waits in the buffer, as a report does
+    ("move-help", "move --help", _BROKEN_PIPE),
+    ("monoid-equiv-help", "monoid equiv --help", _BROKEN_PIPE),
+    ("usage-error", "analyze", _USAGE_ERROR),
+]
 
 
-@pytest.mark.parametrize("command, expected", [
-    ("analyze {line}", _BROKEN_PIPE),  # the 8 KB buffer holds the report until run flushes it
-    ("move matrix {line} 400", _BROKEN_PIPE),  # the pipe is met while the graph is written
-    ("--help", _BROKEN_PIPE),  # argparse's help waits in the buffer, as a report does
-    ("move --help", _BROKEN_PIPE),
-    ("monoid equiv --help", _BROKEN_PIPE),
-    ("analyze", (2, "usage: leavitt analyze [-h] [--unit-rank UNIT_RANK] graph\n"
-                    "leavitt analyze: error: the following arguments are required: graph\n")),
-], ids=["small", "large", "help", "move-help", "monoid-equiv-help", "usage-error"])
-def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command, expected):
+# a buffered stdout meets the pipe at run's flush, an unbuffered one at its
+# first write; argparse (3.12, and 3.11 from 3.11.7 at the latest) swallows an
+# OSError from a write of its own, and earlier versions let it escape
+@pytest.mark.parametrize("command, expected, mode", [
+    pytest.param(command, expected, mode, id=name if mode == "buffered" else f"{name}-{mode}")
+    for mode in _ENVS for name, command, expected in _CLOSED_PIPE_CASES])
+def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command, expected, mode):
     files = _exit_files(tmp_path)
     argv = [token.format(**files) for token in command.split()]
     results = []
@@ -591,7 +607,7 @@ def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command, expecte
         read_end, write_end = os.pipe()
         os.close(read_end)  # before the child writes anything
         try:
-            proc = subprocess.run([sys.executable, *entry, *argv], env=_buffered_env(),
+            proc = subprocess.run([sys.executable, *entry, *argv], env=_ENVS[mode](),
                                   stdout=write_end, stderr=subprocess.PIPE, text=True)
         finally:
             os.close(write_end)
@@ -600,10 +616,29 @@ def test_a_closed_pipe_reports_as_through_system_exit(tmp_path, command, expecte
     assert results == [expected] * 2
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("mode", _ENVS)
+@pytest.mark.parametrize("command", ["analyze {line}", "--help", "move --help"],
+                         ids=["analyze", "help", "move-help"])
+def test_a_full_device_reports_as_through_system_exit(tmp_path, command, mode):
+    files = _exit_files(tmp_path)
+    argv = [token.format(**files) for token in command.split()]
+    results = []
+    for entry in (["-m", "leavitt"], ["-c", _PARENT_EXIT]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, *entry, *argv], env=_ENVS[mode](),
+                                  stdout=full, stderr=subprocess.PIPE, text=True)
+        results.append((proc.returncode, proc.stderr))
+    # one report, with no "Exception ignored" and exit code 120 from a flush at exit
+    assert results == [(1, "error: [Errno 28] No space left on device\n")] * 2
+
+
 @pytest.mark.parametrize("command, code, err", [
     ("analyze {line}", 1, "error: stdout is closed\n"),
     ("move matrix {line} 2 --output {out}", 0, ""),
-], ids=["stdout", "output"])
+    ("--help", 1, "error: stdout is closed\n"),
+    ("analyze", *_USAGE_ERROR),
+], ids=["stdout", "output", "help", "usage-error"])
 def test_a_closed_stdout_is_one_error_line(tmp_path, command, code, err):
     files = _exit_files(tmp_path)
     argv = [token.format(**files) for token in command.split()]
@@ -613,6 +648,16 @@ def test_a_closed_stdout_is_one_error_line(tmp_path, command, code, err):
     if "--output" in argv:
         with open(files["out"], encoding="utf-8") as fh:
             assert fh.read() == serialize_graph(matrix_graph(two_way_line(), 2))
+
+
+@pytest.mark.parametrize("mode", _ENVS)
+@pytest.mark.parametrize("command, code", [("analyze {missing}", 1), ("analyze", 2)],
+                         ids=["unknown-file", "usage-error"])
+def test_a_closed_stderr_puts_nothing_on_stdout(tmp_path, command, code, mode):
+    argv = [token.format(missing=str(tmp_path / "missing.txt")) for token in command.split()]
+    proc = subprocess.run([sys.executable, "-m", "leavitt", *argv], env=_ENVS[mode](),
+                          stdout=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (code, "")
 
 
 # Claims a hook, registers an atexit callback and runs main, which must leave
@@ -653,6 +698,23 @@ def test_cprofile_prints_its_table(tmp_path):
                           env=_buffered_env(), capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("rank_k0 0\n") and "function calls" in proc.stdout
+
+
+# `python -m trace --trace` prints every traced line, argparse's own included,
+# to stdout, which run swaps for a buffer while it parses
+def test_what_a_trace_hook_prints_while_run_parses_reaches_stdout(tmp_path, capsys):
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "parse_args":
+            print("parse_args called")
+    graph_file = write_graph(tmp_path, rose2())
+    watching = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        code = run(["analyze", graph_file])
+    finally:
+        sys.settrace(watching)
+    assert code == 0
+    assert capsys.readouterr().out.startswith("parse_args called\nrank_k0 0\n")
 
 
 # ── parser structure ──────────────────────────────────────────────────────────
